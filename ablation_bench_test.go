@@ -7,6 +7,7 @@ package eagletree
 // worth on a fixed workload.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -37,7 +38,7 @@ func runAblation(b *testing.B, def experiment.Definition, metric Metric) experim
 	var res experiment.Results
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiment.Run(def)
+		res, err = experiment.New(experiment.Options{}).Run(context.Background(), def)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -492,14 +492,6 @@ func ChanExperimentObserver(ch chan<- ExperimentEvent) ExperimentObserver {
 	return experiment.ChanObserver(ch)
 }
 
-// RunExperimentOpts executes an experiment with explicit options.
-//
-// Deprecated: use NewRunner(opts).Run(ctx, def), which adds cancellation and
-// event streaming. This wrapper runs under context.Background.
-func RunExperimentOpts(def Experiment, opts ExperimentOptions) (Results, error) {
-	return experiment.RunOpts(def, opts)
-}
-
 // Standard chartable metrics.
 var (
 	MetricThroughput = experiment.MetricThroughput
@@ -513,13 +505,6 @@ var (
 	MetricGCPages    = experiment.MetricGCPages
 	MetricWearSpread = experiment.MetricWearSpread
 )
-
-// RunExperiment executes one simulation per variant and collects results.
-//
-// Deprecated: use NewRunner(ExperimentOptions{}).Run(ctx, def), which adds
-// cancellation and event streaming. This wrapper runs under
-// context.Background.
-func RunExperiment(def Experiment) (Results, error) { return experiment.Run(def) }
 
 // Declarative experiment specs: experiments as data, not code. A spec names
 // every pluggable component through the registry, so a JSON document fully
@@ -611,8 +596,8 @@ func SpecCatalogue(kind SpecKind) []*SpecComponent { return spec.Catalogue(kind)
 // doc` prints exactly this.
 func SpecMarkdown() string { return spec.Markdown() }
 
-// SuiteSpecs returns the predefined E1–E13 experiments as spec data; the
-// checked-in specs/*.json files are their canonical encodings.
+// SuiteSpecs returns the predefined E1–E14 experiments as spec data: the
+// checked-in specs/*.json documents, scaled up when full is set.
 func SuiteSpecs(full bool) []ExperimentSpec {
 	if full {
 		return experiment.SuiteSpecs(experiment.Full)

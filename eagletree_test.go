@@ -1,6 +1,7 @@
 package eagletree
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -52,7 +53,7 @@ func TestFacadeExperiment(t *testing.T) {
 			s.Add(&RandomWriter{From: 0, Space: n, Count: 500, Depth: 16}, after)
 		},
 	}
-	res, err := RunExperiment(def)
+	res, err := NewRunner(ExperimentOptions{}).Run(context.Background(), def)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 		},
 	}
 
-	res, err := eagletree.RunExperiment(def)
+	res, err := eagletree.NewRunner(eagletree.ExperimentOptions{}).Run(context.Background(), def)
 	if err != nil {
 		log.Fatal(err)
 	}

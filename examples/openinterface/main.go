@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -80,8 +81,9 @@ func main() {
 		},
 	}
 
+	runner := eagletree.NewRunner(eagletree.ExperimentOptions{})
 	for _, def := range []eagletree.Experiment{prio, locality, temps} {
-		res, err := eagletree.RunExperiment(def)
+		res, err := runner.Run(context.Background(), def)
 		if err != nil {
 			log.Fatal(err)
 		}

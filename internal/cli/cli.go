@@ -9,8 +9,8 @@ import (
 )
 
 // Main dispatches one eagletree invocation; argv excludes the program name.
-// It returns the process exit code instead of calling os.Exit, so shims and
-// tests can drive it.
+// It returns the process exit code instead of calling os.Exit, so tests can
+// drive it.
 func Main(argv []string, stdout, stderr io.Writer) int {
 	if len(argv) == 0 {
 		usage(stderr)
@@ -36,6 +36,8 @@ func Main(argv []string, stdout, stderr io.Writer) int {
 		return cmdSpec(args, stdout, stderr)
 	case "results":
 		return cmdResults(args, stdout, stderr)
+	case "game":
+		return cmdGame(args, stdout, stderr)
 	case "doc":
 		return cmdDoc(args, stdout, stderr)
 	case "help", "-h", "-help", "--help":
@@ -63,6 +65,7 @@ Commands:
   list     print the experiment index from the suite's spec data
   spec     run any experiment spec document (single runs and variant grids)
   results  query a result store written by 'sweep -results' (ls, query, diff)
+  game     guess the scheduling combination with the best composite score (§3's game)
   doc      render the component registry as the SPEC.md reference page
 
 Component flags (-policy, -alloc, -gc, -wl, -detector, -mapping, -timing,
@@ -83,6 +86,7 @@ Examples:
   eagletree spec specs/e12.json
   eagletree sweep -run e2 -seeds 7,12345 -results results/ -label HEAD
   eagletree results diff -store results/ -a main -b HEAD -fail-on-regress
+  eagletree game -prefer reads -internal last
   eagletree doc -o SPEC.md
 `)
 }

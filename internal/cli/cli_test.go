@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"eagletree/internal/experiment"
 	"eagletree/internal/spec"
 )
 
@@ -230,6 +231,90 @@ func TestListIncludesGridCounts(t *testing.T) {
 	for _, row := range strings.Split(stdout.String(), "\n") {
 		if strings.HasPrefix(row, "E12") && !strings.Contains(row, " 9 ") {
 			t.Errorf("E12 grid not expanded in the index: %q", row)
+		}
+	}
+}
+
+func TestGameHelpGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := Main([]string{"game", "-h"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("game -h exited %d, want 2 (flag.ErrHelp)", code)
+	}
+	checkGolden(t, "help-game.golden", stderr.String())
+}
+
+// TestGameRanksGuess: the game subcommand runs the embedded E12 document and
+// ranks the guess against all nine combinations.
+func TestGameRanksGuess(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := Main([]string{"game", "-prefer", "reads", "-internal", "last", "-reveal"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("game failed (%d): %s", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{
+		"   9  ", // the whole design space is revealed
+		"prefer=reads,internal=last   <- your guess",
+		"your guess:  prefer=reads,internal=last (score ",
+		"optimum:     prefer=",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("game output lacks %q:\n%s", want, out)
+		}
+	}
+	stdout.Reset()
+	if code := Main([]string{"game", "-prefer", "sideways"}, &stdout, &stderr); code != 1 {
+		t.Errorf("a guess outside the design space exited %d, want 1", code)
+	}
+}
+
+// TestFlagOnlyInvocationIsUsageError: the pre-subcommand form
+// ('eagletree -workload mix') is no longer forwarded to run.
+func TestFlagOnlyInvocationIsUsageError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := Main([]string{"-workload", "mix"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("flag-only invocation exited %d, want 2", code)
+	}
+	if stdout.Len() != 0 || !strings.Contains(stderr.String(), "Usage: eagletree <command>") {
+		t.Errorf("want the usage text on stderr and nothing on stdout; stdout %q, stderr %q", stdout.String(), stderr.String())
+	}
+}
+
+// TestSweepRejectsUnknownSelectors: every -run selector must name an
+// experiment (regression: "e3,e99" ran E3 and silently dropped e99). The
+// error names each unmatched selector and nothing runs.
+func TestSweepRejectsUnknownSelectors(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := Main([]string{"sweep", "-run", "e3,e99,E2-sched-policy,bogus", "-progress=false"}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("sweep with unknown selectors exited %d, want 1", code)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("experiments ran despite unknown selectors:\n%s", stdout.String())
+	}
+	msg := stderr.String()
+	if !strings.Contains(msg, "e99") || !strings.Contains(msg, "bogus") || strings.Contains(msg, "e3") {
+		t.Errorf("error should name exactly the unmatched selectors e99 and bogus: %s", msg)
+	}
+}
+
+// TestScaleFlagRejectsTypos: -scale accepts small and full only (regression:
+// "ful" and "Full" silently meant small), in every command that takes it.
+func TestScaleFlagRejectsTypos(t *testing.T) {
+	for _, bad := range []string{"ful", "Full", ""} {
+		for _, cmd := range [][]string{{"sweep", "-run", "e9"}, {"list"}, {"game"}} {
+			var stdout, stderr bytes.Buffer
+			args := append(append([]string{}, cmd...), "-scale", bad)
+			if code := Main(args, &stdout, &stderr); code != 1 {
+				t.Errorf("%v exited %d, want 1", args, code)
+			}
+			if stdout.Len() != 0 || !strings.Contains(stderr.String(), "want small or full") {
+				t.Errorf("%v: stdout %q, stderr %q", args, stdout.String(), stderr.String())
+			}
+		}
+	}
+	for name, want := range map[string]experiment.Scale{"small": experiment.Small, "full": experiment.Full} {
+		if got, err := parseScale(name); err != nil || got != want {
+			t.Errorf("parseScale(%q) = %v, %v", name, got, err)
 		}
 	}
 }

@@ -329,6 +329,19 @@ func splitList(s string) []string {
 	return parts
 }
 
+// parseScale maps the -scale flag to a suite scale. Anything but the two
+// names is an error: a typo must not print small-scale numbers under a
+// full-scale belief.
+func parseScale(s string) (experiment.Scale, error) {
+	switch s {
+	case "small":
+		return experiment.Small, nil
+	case "full":
+		return experiment.Full, nil
+	}
+	return 0, fmt.Errorf("-scale %q: want small or full", s)
+}
+
 // cmdSweep runs the predefined design-space experiments (E1–E14) — or any
 // spec document via -spec — and prints their result tables and charts.
 func cmdSweep(args []string, stdout, stderr io.Writer) int {
@@ -360,9 +373,9 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 	}
 	defer prof.stop(stderr)
 
-	sc := experiment.Small
-	if *scale == "full" {
-		sc = experiment.Full
+	sc, err := parseScale(*scale)
+	if err != nil {
+		return fail(stderr, err)
 	}
 	opts := experiment.Options{Workers: *workers, NoPrepareCache: *fresh}
 	if *cacheDir != "" && !*fresh {
@@ -395,25 +408,30 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 		}
 		selected = []spec.Experiment{doc}
 	} else {
-		suite := experiment.SuiteSpecs(sc)
-		sels := strings.Split(*run, ",")
-		match := func(e spec.Experiment) bool {
-			id := strings.SplitN(e.Name, "-", 2)[0] // "E3"
-			for _, sel := range sels {
-				sel = strings.TrimSpace(sel)
-				if strings.EqualFold(sel, "all") || strings.EqualFold(id, sel) || strings.EqualFold(e.Name, sel) {
-					return true
-				}
+		// Every selector must name an experiment: running e3 and silently
+		// dropping a mistyped e99 would pass for a complete sweep.
+		all := false
+		want := map[string]bool{}
+		var unknown []string
+		for _, sel := range splitList(*run) {
+			if strings.EqualFold(sel, "all") {
+				all = true
+			} else if e, ok := experiment.SuiteSpec(sel, sc); ok {
+				want[e.Name] = true
+			} else {
+				unknown = append(unknown, sel)
 			}
-			return false
 		}
-		for _, e := range suite {
-			if match(e) {
+		if len(unknown) > 0 {
+			return fail(stderr, fmt.Errorf("no experiment matches %s (try 'eagletree list')", strings.Join(unknown, ", ")))
+		}
+		for _, e := range experiment.SuiteSpecs(sc) {
+			if all || want[e.Name] {
 				selected = append(selected, e)
 			}
 		}
 		if len(selected) == 0 {
-			return fail(stderr, fmt.Errorf("no experiment matches %q (try 'eagletree list')", *run))
+			return fail(stderr, fmt.Errorf("-run selects no experiment (try 'eagletree list')"))
 		}
 	}
 
@@ -501,9 +519,9 @@ func cmdList(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	sc := experiment.Small
-	if *scale == "full" {
-		sc = experiment.Full
+	sc, err := parseScale(*scale)
+	if err != nil {
+		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "%-4s %-22s %8s %-42s %s\n", "ID", "NAME", "VARIANTS", "VARIES", "SHOWS")
 	for _, e := range experiment.SuiteSpecs(sc) {

@@ -1,6 +1,9 @@
 package experiment
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // End-to-end full-scale benchmarks: each iteration runs one complete
 // -scale full experiment — preparation, every variant, report generation —
@@ -19,12 +22,12 @@ import "testing"
 func benchFullExperiment(b *testing.B, def Definition) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunOpts(def, Options{Workers: 1}); err != nil {
+		if _, err := New(Options{Workers: 1}).Run(context.Background(), def); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFullScaleE4(b *testing.B)  { benchFullExperiment(b, E4WearLeveling(Full)) }
-func BenchmarkFullScaleE8(b *testing.B)  { benchFullExperiment(b, E8Temperature(Full)) }
-func BenchmarkFullScaleE13(b *testing.B) { benchFullExperiment(b, E13TraceReplay(Full)) }
+func BenchmarkFullScaleE4(b *testing.B)  { benchFullExperiment(b, suiteDef(b, "e4", Full)) }
+func BenchmarkFullScaleE8(b *testing.B)  { benchFullExperiment(b, suiteDef(b, "e8", Full)) }
+func BenchmarkFullScaleE13(b *testing.B) { benchFullExperiment(b, suiteDef(b, "e13", Full)) }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ func sweepChannels() Definition {
 }
 
 func TestRunSweep(t *testing.T) {
-	res, err := Run(sweepChannels())
+	res, err := New(Options{}).Run(context.Background(), sweepChannels())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestRunWithPreparation(t *testing.T) {
 			s.Add(&workload.RandomReader{From: 0, Space: int64(s.LogicalPages()), Count: 50, Depth: 4}, after)
 		},
 	}
-	res, err := Run(def)
+	res, err := New(Options{}).Run(context.Background(), def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +88,13 @@ func TestRunWithPreparation(t *testing.T) {
 }
 
 func TestRunRejectsEmptyVariants(t *testing.T) {
-	if _, err := Run(Definition{Name: "empty", Base: smallBase}); err == nil {
+	if _, err := New(Options{}).Run(context.Background(), Definition{Name: "empty", Base: smallBase}); err == nil {
 		t.Fatal("empty variant list accepted")
 	}
 }
 
 func TestTableAndCSVAndChart(t *testing.T) {
-	res, err := Run(sweepChannels())
+	res, err := New(Options{}).Run(context.Background(), sweepChannels())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestTableAndCSVAndChart(t *testing.T) {
 }
 
 func TestBestWorst(t *testing.T) {
-	res, err := Run(sweepChannels())
+	res, err := New(Options{}).Run(context.Background(), sweepChannels())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +153,12 @@ func TestRunWorkersDeterministic(t *testing.T) {
 			cfg.Seed = seed
 			return cfg
 		}
-		seq, err := RunWorkers(def, 1)
+		seq, err := New(Options{Workers: 1}).Run(context.Background(), def)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4} {
-			par, err := RunWorkers(def, workers)
+			par, err := New(Options{Workers: workers}).Run(context.Background(), def)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,13 +175,13 @@ func TestRunWorkersDeterministic(t *testing.T) {
 // produce bit-identical per-variant Reports sequential vs parallel, across
 // closed-loop, open-loop and dependent modes alike.
 func TestRunWorkersDeterministicE13(t *testing.T) {
-	def := E13TraceReplay(Small)
-	seq, err := RunWorkers(def, 1)
+	def := suiteDef(t, "e13", Small)
+	seq, err := New(Options{Workers: 1}).Run(context.Background(), def)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		par, err := RunWorkers(def, workers)
+		par, err := New(Options{Workers: workers}).Run(context.Background(), def)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,8 +201,8 @@ func TestRunWorkersErrorMatchesSequential(t *testing.T) {
 		Label:  "broken",
 		Mutate: func(c *core.Config) { c.Controller.Geometry.Channels = -1 },
 	}, def.Variants[1])
-	seq, errSeq := RunWorkers(def, 1)
-	par, errPar := RunWorkers(def, 3)
+	seq, errSeq := New(Options{Workers: 1}).Run(context.Background(), def)
+	par, errPar := New(Options{Workers: 3}).Run(context.Background(), def)
 	if errSeq == nil || errPar == nil {
 		t.Fatal("broken variant did not fail")
 	}

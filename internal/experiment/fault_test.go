@@ -18,7 +18,7 @@ import (
 // fault injection sits on the controller's hot path, so any shared mutable
 // state between concurrently sweeping variants would surface here.
 func TestE14FaultySweepDeterministic(t *testing.T) {
-	def := E14Reliability(Small)
+	def := suiteDef(t, "e14", Small)
 	want, err := New(Options{Workers: 1}).Run(context.Background(), def)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestE14FaultySweepDeterministic(t *testing.T) {
 // the free pool must end the run with the controller's typed ErrDeviceWornOut
 // — never a hang and never only the generic workload-deadlock message.
 func TestWornOutDeviceSurfacesTypedError(t *testing.T) {
-	def := E14Reliability(Small)
+	def := suiteDef(t, "e14", Small)
 	def.Variants = []Variant{{
 		Label: "wornout",
 		Mutate: func(c *core.Config) {

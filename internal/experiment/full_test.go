@@ -2,41 +2,34 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
-	"eagletree/internal/core"
 	"eagletree/internal/spec"
 )
 
 // Full-scale golden files live under specs/full/: the pinned -scale full
-// spec documents plus the two-seed report dump the CI full-scale job diffs.
+// spec documents (the benchmark and the CI cache key read them by path) plus
+// the two-seed report dump the CI full-scale job diffs.
 const fullSpecDir = "../../specs/full"
 
-func fullSpecPath(i int) string {
-	return filepath.Join(fullSpecDir, fmt.Sprintf("e%d.json", i+1))
-}
-
 // TestGoldenSpecFilesFull pins the checked-in specs/full/e*.json files to
-// the byte-exact encodings of the full-scale suite definitions, exactly as
-// TestGoldenSpecFiles does for the small-scale documents. Regenerate with
+// the byte-exact encodings of the scaled embedded documents: the full-scale
+// files are derived data, never edited by hand. Regenerate with
 //
 //	go test ./internal/experiment -run TestGoldenSpecFilesFull -args -update-specs
 func TestGoldenSpecFilesFull(t *testing.T) {
-	specs := SuiteSpecs(Full)
-	for i, e := range specs {
+	for i, e := range SuiteSpecs(Full) {
 		want, err := spec.Encode(e)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		path := fullSpecPath(i)
+		path := filepath.Join(fullSpecDir, fmt.Sprintf("e%d.json", i+1))
 		if *updateSpecs {
-			if err := os.MkdirAll(fullSpecDir, 0o755); err != nil {
-				t.Fatal(err)
-			}
 			if err := os.WriteFile(path, want, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -49,42 +42,7 @@ func TestGoldenSpecFilesFull(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s is stale for %s — regenerate with -args -update-specs", path, e.Name)
 		}
-		doc, err := spec.Decode(got)
-		if err != nil {
-			t.Fatalf("%s does not decode: %v", path, err)
-		}
-		if err := doc.Validate(); err != nil {
-			t.Fatalf("%s does not validate: %v", path, err)
-		}
 	}
-}
-
-// fullGoldenDump renders every full-scale suite report for the two golden
-// seeds in the same line format TestDumpGolden uses: one %#v per variant,
-// bit-exact, so any behavioral drift — scheduling, GC, wear leveling,
-// latency accounting — shows up as a text diff.
-func fullGoldenDump(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	for _, seed := range []uint64{7, 12345} {
-		for _, def := range Suite(Full) {
-			def := def
-			base := def.Base
-			def.Base = func() core.Config {
-				cfg := base()
-				cfg.Seed = seed
-				return cfg
-			}
-			res, err := Run(def)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, row := range res.Rows {
-				fmt.Fprintf(&buf, "seed=%d %s %s %#v\n", seed, res.Name, row.Label, row.Report)
-			}
-		}
-	}
-	return buf.Bytes()
 }
 
 // TestFullScaleGolden is the full-scale bit-identity gate: the complete
@@ -99,11 +57,8 @@ func TestFullScaleGolden(t *testing.T) {
 		t.Skip("runs the whole suite at full scale twice; skipped with -short")
 	}
 	path := filepath.Join(fullSpecDir, "golden.txt")
-	got := fullGoldenDump(t)
+	got := goldenDump(t, Full)
 	if *updateSpecs {
-		if err := os.MkdirAll(fullSpecDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -129,13 +84,13 @@ func TestFullScaleSnapshotRestoreDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("prepares a full-scale device three times; skipped with -short")
 	}
-	def := E11Aging(Full) // fresh-vs-aged preparation: the snapshot-heaviest definition
-	fresh, err := RunOpts(def, Options{Workers: 1, NoPrepareCache: true})
+	def := suiteDef(t, "e11", Full) // fresh-vs-aged preparation: the snapshot-heaviest definition
+	fresh, err := New(Options{Workers: 1, NoPrepareCache: true}).Run(context.Background(), def)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		cached, err := RunOpts(def, Options{Workers: workers})
+		cached, err := New(Options{Workers: workers}).Run(context.Background(), def)
 		if err != nil {
 			t.Fatal(err)
 		}

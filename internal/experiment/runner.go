@@ -482,31 +482,6 @@ func wasCanceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Run executes the experiment with default options: one independent
-// simulation per variant, fanned out over up to GOMAXPROCS workers. Every
-// variant stack is fully isolated (own engine, own RNG), so the result rows
-// are identical — bit for bit — to a sequential run; only wall-clock time
-// changes.
-//
-// Deprecated: use New(Options{}).Run(ctx, def), which adds cancellation and
-// event streaming. This wrapper runs under context.Background.
-func Run(def Definition) (Results, error) { return RunOpts(def, Options{}) }
-
-// RunWorkers runs the experiment on at most workers goroutines. Variant
-// order in the results is always definition order.
-//
-// Deprecated: use New(Options{Workers: workers}).Run(ctx, def).
-func RunWorkers(def Definition, workers int) (Results, error) {
-	return RunOpts(def, Options{Workers: workers})
-}
-
-// RunOpts runs the experiment with explicit execution options.
-//
-// Deprecated: use New(opts).Run(ctx, def).
-func RunOpts(def Definition, opts Options) (Results, error) {
-	return New(opts).Run(context.Background(), def)
-}
-
 // runVariant builds and drives one variant's stack to completion.
 //
 // Variants with declared preparation run in two phases: the preparation

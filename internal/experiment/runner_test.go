@@ -30,16 +30,16 @@ func (c *collectObserver) all() []Event {
 	return append([]Event(nil), c.events...)
 }
 
-// TestRunnerMatchesRunWorkers: the Runner under a background context must
-// reproduce the deprecated wrappers bit for bit — sequential and parallel,
-// across the whole E1–E13 suite. One shared snapshot cache keeps the three
-// passes from re-aging devices.
+// TestRunnerMatchesRunWorkers: across the whole E1–E14 suite, the Runner at
+// one worker with a private snapshot cache and the Runner at one and four
+// workers over one cache shared by every experiment produce the same Results,
+// bit for bit — parallel ≡ sequential, and a prepared state aged for one
+// experiment serves the next.
 func TestRunnerMatchesRunWorkers(t *testing.T) {
 	cache := NewStateCache("")
 	for _, def := range Suite(Small) {
-		def := def
 		t.Run(def.Name, func(t *testing.T) {
-			want, err := RunWorkers(def, 1)
+			want, err := New(Options{Workers: 1}).Run(context.Background(), def)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestRunnerMatchesRunWorkers(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%d-worker Runner results differ from RunWorkers(def, 1)", workers)
+					t.Fatalf("%d-worker shared-cache results differ from the sequential private-cache run", workers)
 				}
 			}
 		})
@@ -61,7 +61,7 @@ func TestRunnerMatchesRunWorkers(t *testing.T) {
 // every declared-preparation variant, and one terminal ExperimentDone —
 // under both the sequential and the parallel runner.
 func TestRunnerEventCoverage(t *testing.T) {
-	def := E3GCGreediness(Small) // declared prep: first variant misses, rest hit
+	def := suiteDef(t, "e3", Small) // declared prep: first variant misses, rest hit
 	for _, workers := range []int{1, 3} {
 		obs := &collectObserver{}
 		if _, err := New(Options{Workers: workers, Observer: obs}).Run(context.Background(), def); err != nil {
@@ -124,8 +124,8 @@ func TestRunnerEventCoverage(t *testing.T) {
 // uncancelled run's leading rows, bit for bit, for both the sequential and
 // the parallel runner, and that the error is the typed ErrCanceled.
 func TestRunnerCancelPrefixDeterministic(t *testing.T) {
-	def := E3GCGreediness(Small)
-	full, err := RunWorkers(def, 1)
+	def := suiteDef(t, "e3", Small)
+	full, err := New(Options{Workers: 1}).Run(context.Background(), def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRunnerCancelPrefixDeterministic(t *testing.T) {
 // variant exactly once — each gets VariantQueued plus either VariantDone or
 // VariantCanceled — and the terminal event carries the cancellation error.
 func TestRunnerCancelEventCoverage(t *testing.T) {
-	def := E3GCGreediness(Small)
+	def := suiteDef(t, "e3", Small)
 	for _, workers := range []int{1, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
 		obs := &collectObserver{}
@@ -235,7 +235,7 @@ func TestRunnerCancelEventCoverage(t *testing.T) {
 // remaining variants still run to completion.
 func TestRunnerPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		def := E3GCGreediness(Small)
+		def := suiteDef(t, "e3", Small)
 		def.Variants = append([]Variant(nil), def.Variants[:3]...)
 		def.Variants[1].Prepare = func(s *core.Stack) []*workload.Handle {
 			panic("prepare exploded")
@@ -278,7 +278,7 @@ func TestRunnerPanicIsolation(t *testing.T) {
 // TestRunnerDeadlineMidVariant: a context that expires while a simulation is
 // in flight must abort it (the event loop polls), not hang until the drain.
 func TestRunnerDeadlineMidVariant(t *testing.T) {
-	def := E3GCGreediness(Small)
+	def := suiteDef(t, "e3", Small)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: nothing may run at all
 	res, err := New(Options{Workers: 1}).Run(ctx, def)

@@ -14,19 +14,19 @@ import (
 // flow: for E11 (fresh vs aged preparation) and E13 (trace replay over an
 // aged device), per-variant Reports from snapshot-restored devices must be
 // bit-identical to freshly prepared runs — on the sequential path and on the
-// RunWorkers parallel path alike. NoPrepareCache re-runs preparation for
+// parallel (Workers > 1) path alike. NoPrepareCache re-runs preparation for
 // every variant; the cached runs restore one shared snapshot per distinct
 // prepared state.
 func TestSnapshotRestoreDeterministic(t *testing.T) {
-	for _, def := range []Definition{E11Aging(Small), E13TraceReplay(Small)} {
+	for _, def := range []Definition{suiteDef(t, "e11", Small), suiteDef(t, "e13", Small)} {
 		def := def
 		t.Run(def.Name, func(t *testing.T) {
-			fresh, err := RunOpts(def, Options{Workers: 1, NoPrepareCache: true})
+			fresh, err := New(Options{Workers: 1, NoPrepareCache: true}).Run(context.Background(), def)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				cached, err := RunOpts(def, Options{Workers: workers})
+				cached, err := New(Options{Workers: workers}).Run(context.Background(), def)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -42,7 +42,7 @@ func TestSnapshotRestoreDeterministic(t *testing.T) {
 // TestStateCacheSharesPreparation: variants of one experiment that share a
 // preparation-relevant configuration must build exactly one snapshot.
 func TestStateCacheSharesPreparation(t *testing.T) {
-	def := E3GCGreediness(Small) // four greediness variants, one aged state
+	def := suiteDef(t, "e3", Small) // four greediness variants, one aged state
 	cache := NewStateCache("")
 	builds := 0
 	countingGet := func(key string, build func() ([]byte, error)) ([]byte, error) {
@@ -84,9 +84,9 @@ func TestStateCacheDisk(t *testing.T) {
 	builds := 0
 	build := func() ([]byte, error) {
 		builds++
-		def := E11Aging(Small)
+		def := suiteDef(t, "e11", Small)
 		cfg := def.Base()
-		return buildPrepared(context.Background(), prepConfig(cfg, def.Base()), prepFromSpec(prepFillAge2))
+		return buildPrepared(context.Background(), prepConfig(cfg, def.Base()), PrepareSpec{FillDepth: 32, AgePasses: 2})
 	}
 
 	c1 := NewStateCache(dir)
@@ -137,14 +137,14 @@ func TestStateCacheDisk(t *testing.T) {
 // TestPrepKeyDistinguishesConfigs: preparation-relevant knobs must change
 // the cache key; measurement-only knobs must not.
 func TestPrepKeyDistinguishesConfigs(t *testing.T) {
-	def := E3GCGreediness(Small)
+	def := suiteDef(t, "e3", Small)
 	base := def.Base()
 	keyOf := func(mut func(*core.Config)) string {
 		cfg := def.Base()
 		if mut != nil {
 			mut(&cfg)
 		}
-		key, err := prepKey(prepConfig(cfg, base), prepFromSpec(prepFillAge))
+		key, err := prepKey(prepConfig(cfg, base), def.Prep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestPrepKeyDistinguishesConfigs(t *testing.T) {
 	if keyOf(func(c *core.Config) { c.Controller.Overprovision = 0.3 }) == ref {
 		t.Fatal("overprovision change did not change the prep key")
 	}
-	fillKey, err := prepKey(prepConfig(def.Base(), base), prepFromSpec(prepFill))
+	fillKey, err := prepKey(prepConfig(def.Base(), base), PrepareSpec{FillDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,9 +189,9 @@ func RegisterRunHook(e spec.Experiment, v spec.Variant, st *core.Stack, hook fun
 }
 
 // e13Traces memoizes the captured E13 reference trace per scale: the capture
-// simulation is deterministic, so every definition — compiled-in or
-// spec-driven, sequential or parallel — replays the identical stream while
-// paying for at most one capture run per process.
+// simulation is deterministic, so every definition — sequential or parallel —
+// replays the identical stream while paying for at most one capture run per
+// process.
 var (
 	e13Mu     sync.Mutex
 	e13Traces = map[Scale]*trace.Trace{}

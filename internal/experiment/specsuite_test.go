@@ -2,83 +2,72 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"eagletree/internal/core"
 	"eagletree/internal/spec"
+	"eagletree/specs"
 )
 
 type coreConfig = core.Config
 
-var updateSpecs = flag.Bool("update-specs", false, "rewrite the golden spec files under specs/")
+var updateSpecs = flag.Bool("update-specs", false, "rewrite the derived golden files under specs/full/")
 
-const specDir = "../../specs"
-
-func specPath(i int) string {
-	return filepath.Join(specDir, fmt.Sprintf("e%d.json", i+1))
-}
-
-// TestGoldenSpecFiles pins the checked-in specs/e*.json files to the
-// byte-exact encodings of the suite's data definitions: the documents a
-// user edits are provably the documents the suite runs. Regenerate with
-//
-//	go test ./internal/experiment -run TestGoldenSpecFiles -args -update-specs
+// TestGoldenSpecFiles: every embedded suite document decodes, validates, and
+// is already in canonical form — re-encoding it reproduces the committed
+// bytes — so a hand edit that leaves a document non-canonical (and would
+// shift its CanonKey against a tool-written copy) fails here.
 func TestGoldenSpecFiles(t *testing.T) {
-	specs := SuiteSpecs(Small)
-	for i, e := range specs {
-		want, err := spec.Encode(e)
+	names, err := fs.Glob(specs.FS, "*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) == 0 {
+		t.Fatal("no suite documents embedded")
+	}
+	for _, name := range names {
+		data, err := specs.FS.ReadFile(name)
 		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
+			t.Fatal(err)
 		}
-		path := specPath(i)
-		if *updateSpecs {
-			if err := os.WriteFile(path, want, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		got, err := os.ReadFile(path)
+		doc, err := spec.Decode(data)
 		if err != nil {
-			t.Fatalf("%v — regenerate with -args -update-specs", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s is stale for %s — regenerate with -args -update-specs", path, e.Name)
-		}
-		doc, err := spec.Decode(got)
-		if err != nil {
-			t.Fatalf("%s does not decode: %v", path, err)
+			t.Fatalf("%s does not decode: %v", name, err)
 		}
 		if err := doc.Validate(); err != nil {
-			t.Fatalf("%s does not validate: %v", path, err)
+			t.Fatalf("%s does not validate: %v", name, err)
+		}
+		canon, err := spec.Encode(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(data, canon) {
+			t.Errorf("specs/%s is not in canonical form: spec.Encode(spec.Decode(file)) differs from the file", name)
 		}
 	}
 }
 
-// TestSpecSuiteMatchesCompiled is the acceptance gate for the declarative
-// layer: for every E1–E13, running the checked-in spec file must produce
-// Reports bit-identical to the compiled-in definition — and must hit the
-// very same snapshot-cache entries (no re-preparation on the spec path).
-// E11 and E13 additionally run on the parallel runner.
+// TestSpecSuiteMatchesCompiled: a suite document read from its file by path —
+// how the benchmark, CI and `eagletree spec` get it — runs to the same
+// Results as the suite entry compiled into the binary. The suite entry's run
+// fills a shared snapshot cache cold and the file's run must be served from
+// it entirely (two decodes of one document agree on every CanonKey), so the
+// comparison is also warm ≡ cold across the whole suite.
 func TestSpecSuiteMatchesCompiled(t *testing.T) {
 	if testing.Short() {
-		t.Skip("re-runs the whole suite from spec files; skipped with -short (the race CI leg)")
+		t.Skip("runs the whole suite twice; skipped with -short (the race CI leg)")
 	}
 	cache := NewStateCache("")
-	compiled := Suite(Small)
-	for i, def := range compiled {
-		def := def
-		i := i
+	for i, def := range Suite(Small) {
 		t.Run(def.Name, func(t *testing.T) {
-			data, err := os.ReadFile(specPath(i))
-			if err != nil {
-				t.Fatalf("%v — regenerate with -args -update-specs", err)
-			}
-			doc, err := spec.Decode(data)
+			doc, err := spec.ReadFile(filepath.Join("../../specs", fmt.Sprintf("e%d.json", i+1)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,32 +75,52 @@ func TestSpecSuiteMatchesCompiled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := RunOpts(def, Options{Workers: 1, Cache: cache})
+			runner := New(Options{Workers: 1, Cache: cache})
+			want, err := runner.Run(context.Background(), def)
 			if err != nil {
 				t.Fatal(err)
 			}
 			entries := cache.Len()
-			got, err := RunOpts(fromFile, Options{Workers: 1, Cache: cache})
+			got, err := runner.Run(context.Background(), fromFile)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cache.Len() != entries {
-				t.Errorf("spec-driven run built %d new prepared states; the compiled path's cache entries should have been hits",
+				t.Errorf("the file-driven run built %d new prepared states; the suite entry's cache entries should have been hits",
 					cache.Len()-entries)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("spec-driven results differ from compiled-in:\ncompiled: %+v\nspec:     %+v", want, got)
-			}
-			if def.Name == "E11-aging" || def.Name == "E13-trace-replay" {
-				par, err := RunOpts(fromFile, Options{Workers: 4, Cache: cache})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, par) {
-					t.Fatalf("parallel spec-driven results differ from compiled-in")
-				}
+				t.Fatalf("file-driven results differ from the suite entry's:\nsuite: %+v\nfile:  %+v", want, got)
 			}
 		})
+	}
+}
+
+// TestSuiteSpecsPaperOrder: SuiteSpecs yields E1…E14, in that order, as valid
+// documents at both scales, and SuiteSpec finds each by id and by name.
+func TestSuiteSpecsPaperOrder(t *testing.T) {
+	for _, sc := range []Scale{Small, Full} {
+		suite := SuiteSpecs(sc)
+		if len(suite) != 14 {
+			t.Fatalf("scale %d: %d suite documents, want 14", sc, len(suite))
+		}
+		for i, e := range suite {
+			id := fmt.Sprintf("E%d", i+1)
+			if !strings.HasPrefix(e.Name, id+"-") {
+				t.Errorf("scale %d: position %d holds %q, want %s", sc, i, e.Name, id)
+			}
+			if err := e.Validate(); err != nil {
+				t.Errorf("scale %d: %s does not validate: %v", sc, e.Name, err)
+			}
+			for _, sel := range []string{strings.ToLower(id), e.Name} {
+				if got, ok := SuiteSpec(sel, sc); !ok || got.Name != e.Name {
+					t.Errorf("scale %d: SuiteSpec(%q) = %q, %v", sc, sel, got.Name, ok)
+				}
+			}
+		}
+		if _, ok := SuiteSpec("e99", sc); ok {
+			t.Errorf("scale %d: SuiteSpec found e99", sc)
+		}
 	}
 }
 
@@ -120,9 +129,10 @@ func TestSpecSuiteMatchesCompiled(t *testing.T) {
 // leaked across thread entries, so repeat:"i+1" after a repeat:3 thread
 // registered three replicas instead of one).
 func TestSpecRepeatIndexDoesNotLeak(t *testing.T) {
+	e11, _ := SuiteSpec("e11", Small)
 	e := spec.Experiment{
 		Name: "repeat-leak",
-		Base: E11AgingSpec(Small).Base,
+		Base: e11.Base,
 		Workload: []spec.Thread{
 			{Type: "randwrite", Repeat: 3, Params: map[string]any{"from": 0, "space": "n", "count": 10, "depth": 4}},
 			{Type: "randread", Repeat: "i+1", Params: map[string]any{"from": 0, "space": "n", "count": 10, "depth": 4}},
@@ -149,7 +159,7 @@ func TestSpecRepeatIndexDoesNotLeak(t *testing.T) {
 // compose with variant overrides — the variant mutates the wrapped
 // configuration instead of rebuilding the document's base.
 func TestFromSpecComposesWithBaseOverrides(t *testing.T) {
-	def := E3GCGreediness(Small)
+	def := suiteDef(t, "e3", Small)
 	base := def.Base
 	def.Base = func() (cfg coreConfig) {
 		cfg = base()

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestSuiteDefinitionsRun(t *testing.T) {
 	for _, def := range Suite(Small) {
 		def := def
 		t.Run(def.Name, func(t *testing.T) {
-			res, err := Run(def)
+			res, err := New(Options{}).Run(context.Background(), def)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +37,7 @@ func TestSuiteDefinitionsRun(t *testing.T) {
 }
 
 func TestE1ParallelismShape(t *testing.T) {
-	res, err := Run(E1Parallelism(Small))
+	res, err := New(Options{}).Run(context.Background(), suiteDef(t, "e1", Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestE1ParallelismShape(t *testing.T) {
 }
 
 func TestE2PolicyTradeoffShape(t *testing.T) {
-	res, err := Run(E2SchedPolicy(Small))
+	res, err := New(Options{}).Run(context.Background(), suiteDef(t, "e2", Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestE2PolicyTradeoffShape(t *testing.T) {
 }
 
 func TestE9QueueDepthShape(t *testing.T) {
-	res, err := Run(E9QueueDepth(Small))
+	res, err := New(Options{}).Run(context.Background(), suiteDef(t, "e9", Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestE9QueueDepthShape(t *testing.T) {
 }
 
 func TestE11AgingShape(t *testing.T) {
-	res, err := Run(E11Aging(Small))
+	res, err := New(Options{}).Run(context.Background(), suiteDef(t, "e11", Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestE11AgingShape(t *testing.T) {
 }
 
 func TestGameScoreOrdersRuns(t *testing.T) {
-	res, err := Run(E12Game(Small))
+	res, err := New(Options{}).Run(context.Background(), suiteDef(t, "e12", Small))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,8 +230,8 @@ func TestCanonKeyDistinguishesEveryComponent(t *testing.T) {
 
 // TestCanonKeyNormalizesDefaults: a configuration relying on runtime
 // defaults and one spelling them out must share a key — that is what lets
-// the compiled-in suite and a spec-driven run hit the same snapshot cache
-// entries.
+// a configuration built in Go and a spec-driven run hit the same snapshot
+// cache entries.
 func TestCanonKeyNormalizesDefaults(t *testing.T) {
 	implicit := canonBase()
 	explicit := canonBase()

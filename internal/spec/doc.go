@@ -39,8 +39,8 @@ var ErrExperiment = errors.New("spec: invalid experiment")
 // Experiment is a complete, serializable experiment: the base
 // configuration, the device preparation, the measured workload, and the
 // variant grid — everything the runner needs, with no compiled code in the
-// loop. The suite's E1–E13 are values of this type; user experiments are
-// JSON documents decoding into it.
+// loop. The suite's E1–E14 and user experiments alike are JSON documents
+// decoding into it.
 type Experiment struct {
 	// Version is the format version; Encode stamps it, Decode checks it.
 	Version int `json:"version"`
