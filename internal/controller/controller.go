@@ -375,9 +375,16 @@ type Controller struct {
 	// readWait indexes parked reads by LPN: a remap or unmap of a waiting
 	// read's page can change (or clear) its target LUN without that LUN
 	// ever completing work, so the mapping mutation itself wakes the read.
+	//
+	// busyLUNs and lunFree feed Saturated: with every LUN busy, only a
+	// queued request that needs no LUN can start. lunFree counts those
+	// conservatively — every queued opData read (it may be unmapped) and
+	// trim, blocked or not — from Submit/enqueueTransChain to executeData.
 	classed  sched.ClassedPolicy
 	lunEpoch []uint64
 	readWait map[iface.LPN][]*iface.Request
+	busyLUNs int
+	lunFree  int
 
 	// Open-interface state fed by bus hints.
 	threadPrio map[int]iface.Priority
@@ -607,6 +614,9 @@ func (c *Controller) Submit(r *iface.Request) {
 		c.bufferWrite(r)
 		return
 	}
+	if r.Type != iface.Write {
+		c.lunFree++
+	}
 	c.cfg.Policy.Push(r)
 	c.scheduleDispatch()
 }
@@ -749,6 +759,30 @@ func (c *Controller) canRunWrite(stream ftl.Stream) bool {
 	return ok
 }
 
+// canRunAppWrite reports whether some idle LUN could take an untagged
+// application write on any stream it can be assigned (Default, Hot or Cold).
+//
+//eagletree:hotpath
+func (c *Controller) canRunAppWrite() bool {
+	return c.canRunWrite(ftl.StreamDefault) || c.canRunWrite(ftl.StreamHot) || c.canRunWrite(ftl.StreamCold)
+}
+
+// capacityClass is the app-write-capacity wait-class, numbered after the LUN
+// and stream classes.
+//
+//eagletree:hotpath
+func (c *Controller) capacityClass() int { return len(c.inflight) + ftl.NumStreams }
+
+// Saturated implements sched.SaturationGate: every LUN is busy and nothing
+// queued can start without one, so Evaluate would refuse the whole queue —
+// LUN-bound operations and migration writes need their LUN idle, writes need
+// some idle LUN, and no unmapped read or trim is waiting.
+//
+//eagletree:hotpath
+func (c *Controller) Saturated() bool {
+	return c.busyLUNs == len(c.inflight) && c.lunFree == 0
+}
+
 // canRun reports whether a request could be dispatched right now. It is the
 // plain-scan gate for policies without wait-class support.
 //
@@ -796,17 +830,23 @@ func (c *Controller) canRunNow(r *iface.Request, st *reqState) bool {
 
 // Evaluate implements sched.Gate. It answers exactly like canRun and, on
 // failure, names the wait-class the request should park under: the target
-// LUN's index for LUN-bound operations, LUNs+stream for application writes
-// whose stream has no allocatable idle LUN, or -1 when the failure is not
-// class-wide (migration writes, which wait on two conditions at once).
+// LUN's index for LUN-bound operations (migration writes included, while it
+// is their LUN that is busy), LUNs+stream for application writes whose
+// stream has no allocatable idle LUN, the app-write-capacity class under a
+// live detector, or -1 when the failure is not class-wide (a migration write
+// on an idle LUN without room, a stream-specific failure under a live
+// detector).
 //
-// Parking is sound because a class's blocking condition is shared by every
-// member: a LUN class waits on inflight[L], which only ioDone clears (and
-// that bumps lunEpoch[L]); a stream class waits on canRunWrite(s), which is
-// constant while writeEpoch stands still, under streams that are constant
-// while tempEpoch stands still. Reads are additionally indexed in readWait:
-// a mapping change can retarget a parked read without either token moving,
-// so remap/unmap wake the affected LPN's waiters directly.
+// Parking is sound because each class names a necessary condition shared by
+// every member: a LUN class waits on inflight[L], which only ioDone clears
+// (and that bumps lunEpoch[L]); a stream class waits on canRunWrite(s), which
+// is constant while writeEpoch stands still, under streams that are constant
+// while tempEpoch stands still; the capacity class waits on canRunAppWrite,
+// constant while writeEpoch stands still, and an untagged app write belongs
+// to it whatever stream the detector assigns next. Reads are additionally
+// indexed in readWait: a mapping change can retarget a parked read without
+// either token moving, so remap/unmap wake the affected LPN's waiters
+// directly.
 //
 //eagletree:hotpath
 func (c *Controller) Evaluate(r *iface.Request) (bool, int) {
@@ -831,7 +871,11 @@ func (c *Controller) Evaluate(r *iface.Request) (bool, int) {
 		}
 		return true, -1
 	case opGCWrite, opWLWrite:
-		return !c.inflight[st.src.LUN] && c.bm.CanAlloc(st.src.LUN, c.streamOf(r, st)), -1
+		lun := st.src.LUN
+		if c.inflight[lun] {
+			return false, lun
+		}
+		return c.bm.CanAlloc(lun, c.streamOf(r, st)), -1
 	}
 	switch r.Type {
 	case iface.Read:
@@ -849,14 +893,19 @@ func (c *Controller) Evaluate(r *iface.Request) (bool, int) {
 		}
 		return false, ppa.LUN
 	case iface.Write:
+		if c.detectorLive && r.Tags.Locality == 0 && !c.canRunAppWrite() {
+			// No idle LUN has room for any stream the detector could name:
+			// park without asking it (streamOf would probe its filters).
+			return false, c.capacityClass()
+		}
 		s := c.streamOf(r, st)
 		if c.canRunWrite(s) {
 			return true, -1
 		}
 		if c.detectorLive {
 			// A live detector reclassifies streams on every recorded write;
-			// parked writes would be flushed for re-classification just as
-			// often, so parking buys nothing — keep them on the scan path.
+			// writes parked by stream would be flushed for re-classification
+			// just as often — keep stream-specific failures on the scan path.
 			return false, -1
 		}
 		return false, len(c.inflight) + int(s)
@@ -866,15 +915,18 @@ func (c *Controller) Evaluate(r *iface.Request) (bool, int) {
 }
 
 // ClassToken implements sched.Gate: the wake token for a wait-class. LUN
-// classes move when the LUN's in-flight operation completes; stream classes
-// move when write capacity (writeEpoch) or stream assignment (tempEpoch)
-// may have changed. Both summands are monotonic, so the sum changes exactly
-// when either input does.
+// classes move when the LUN's in-flight operation completes; the capacity
+// class moves with write capacity (writeEpoch); stream classes move when
+// write capacity or stream assignment (tempEpoch) may have changed. Both
+// summands are monotonic, so the sum changes exactly when either input does.
 //
 //eagletree:hotpath
 func (c *Controller) ClassToken(class int) uint64 {
-	if class < len(c.lunEpoch) {
+	switch {
+	case class < len(c.lunEpoch):
 		return c.lunEpoch[class]
+	case class == c.capacityClass():
+		return c.writeEpoch
 	}
 	return c.writeEpoch + c.tempEpoch
 }
@@ -882,13 +934,14 @@ func (c *Controller) ClassToken(class int) uint64 {
 // ClassStable implements sched.Gate: the membership-validity token. LUN
 // classes never go stale — an operation's target LUN is fixed for its
 // queued lifetime (reads that get remapped are woken individually through
-// readWait). Stream classes go stale when stream assignment inputs change:
-// temperature hints, the WL-cold set, or detector state, all tracked by
-// tempEpoch.
+// readWait), and neither does the capacity class, whose test covers every
+// stream a member could move to. Stream classes go stale when stream
+// assignment inputs change: temperature hints, the WL-cold set, or detector
+// state, all tracked by tempEpoch.
 //
 //eagletree:hotpath
 func (c *Controller) ClassStable(class int) uint64 {
-	if class < len(c.lunEpoch) {
+	if class < len(c.lunEpoch) || class == c.capacityClass() {
 		return 0
 	}
 	return c.tempEpoch

@@ -227,6 +227,9 @@ func (c *Controller) enqueueTransChain(ops []ftl.TransOp, final *iface.Request) 
 	c.lastTrans = prev
 	fs := stateOf(final)
 	fs.blocked = true
+	if fs.kind == opData && final.Type != iface.Write {
+		c.lunFree++ // popped in executeData, queued again here
+	}
 	stateOf(prev).next = append(stateOf(prev).next, final)
 	c.cfg.Policy.PushBlocked(final)
 }
@@ -280,6 +283,9 @@ func (c *Controller) execute(r *iface.Request) {
 //eagletree:hotpath
 func (c *Controller) executeData(r *iface.Request, st *reqState) {
 	now := c.eng.Now()
+	if r.Type != iface.Write {
+		c.lunFree--
+	}
 	switch r.Type {
 	case iface.Read:
 		ppa, ok := c.lookup(r, st)
@@ -444,6 +450,7 @@ func (c *Controller) must(err error, r *iface.Request) {
 //eagletree:hotpath
 func (c *Controller) busyUntil(lun int, done sim.Time, r *iface.Request, st *reqState) {
 	c.inflight[lun] = true
+	c.busyLUNs++
 	c.writeEpoch++
 	st.busyLUN = lun
 	c.eng.ScheduleCall(done, c.ioDoneFn, r)
@@ -459,6 +466,7 @@ func (c *Controller) ioDone(arg any) {
 	st := stateOf(r)
 	if st.busyLUN >= 0 {
 		c.inflight[st.busyLUN] = false
+		c.busyLUNs--
 		c.writeEpoch++
 		c.lunEpoch[st.busyLUN]++ // the idle LUN wakes its parked wait-class
 		st.busyLUN = -1

@@ -92,6 +92,9 @@ func (c *Controller) checkQuiescent() error {
 	if n := c.cfg.Policy.Len(); n != 0 {
 		return fmt.Errorf("controller: scheduler queue holds %d requests", n)
 	}
+	if c.lunFree != 0 || c.busyLUNs != 0 {
+		return fmt.Errorf("controller: saturation counters read %d LUN-free requests and %d busy LUNs at rest", c.lunFree, c.busyLUNs)
+	}
 	if len(c.deferred) != 0 {
 		return fmt.Errorf("controller: %d writes deferred", len(c.deferred))
 	}

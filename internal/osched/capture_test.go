@@ -85,3 +85,57 @@ type quietDevice struct {
 func (d *quietDevice) Submit(r *iface.Request) {
 	d.eng.ScheduleCall(d.eng.Now().Add(d.latency), d.completeFn, r)
 }
+
+// TestDrainedQueueReusesStorage guards the closed-loop steady state, where
+// the pending pool drains between submissions: FIFO and CFQ must keep their
+// backing arrays across a drain instead of reallocating on the next Push.
+func TestDrainedQueueReusesStorage(t *testing.T) {
+	for _, p := range []Policy{&FIFO{}, &CFQ{}} {
+		reqs := make([]*iface.Request, 4)
+		for i := range reqs {
+			reqs[i] = &iface.Request{ID: uint64(i + 1), Thread: i % 2}
+		}
+		cycle := func() {
+			for _, r := range reqs {
+				p.Push(r)
+			}
+			for range reqs {
+				if p.Pop(0) == nil {
+					t.Fatalf("%s: queue drained early", p.Name())
+				}
+			}
+		}
+		cycle() // first growth
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per drain cycle, want 0", p.Name(), allocs)
+		}
+	}
+}
+
+// TestFIFOOrderAcrossReclaim keeps a FIFO from ever draining so its dead
+// prefix is reclaimed mid-stream, and checks submission order survives.
+func TestFIFOOrderAcrossReclaim(t *testing.T) {
+	f := &FIFO{}
+	next, want := uint64(1), uint64(1)
+	for step := 0; step < 1000; step++ {
+		for i := 0; i < 2; i++ {
+			f.Push(&iface.Request{ID: next})
+			next++
+		}
+		if r := f.Pop(0); r.ID != want {
+			t.Fatalf("step %d: popped %d, want %d", step, r.ID, want)
+		}
+		want++
+	}
+	if got, exp := f.Len(), int(next-want); got != exp {
+		t.Fatalf("Len = %d, want %d", got, exp)
+	}
+	for ; want < next; want++ {
+		if r := f.Pop(0); r.ID != want {
+			t.Fatalf("drain: popped %d, want %d", r.ID, want)
+		}
+	}
+	if f.Pop(0) != nil || f.Len() != 0 {
+		t.Fatal("queue not empty after drain")
+	}
+}

@@ -15,29 +15,60 @@ type Policy interface {
 	Len() int
 }
 
+// ring is a submission-ordered queue with a head index, the shape of
+// sched's queue: popping advances the head instead of reslicing, so a drained
+// queue keeps its backing array and the next push does not reallocate.
+type ring struct {
+	items []*iface.Request
+	head  int
+}
+
+//eagletree:hotpath
+func (q *ring) push(r *iface.Request) { q.items = append(q.items, r) }
+
+func (q *ring) len() int { return len(q.items) - q.head }
+
+// pop removes and returns the oldest request; the queue must not be empty.
+//
+//eagletree:hotpath
+func (q *ring) pop() *iface.Request {
+	r := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	} else if q.head > 64 && q.head*2 >= len(q.items) {
+		// Reclaim the dead prefix once it dominates the backing array.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	return r
+}
+
 // FIFO issues requests strictly in submission order — the paper's default OS
 // scheduling strategy.
 type FIFO struct {
-	items []*iface.Request
+	q ring
 }
 
 // Name implements Policy.
 func (*FIFO) Name() string { return "os-fifo" }
 
 // Push implements Policy.
-func (f *FIFO) Push(r *iface.Request) { f.items = append(f.items, r) }
+func (f *FIFO) Push(r *iface.Request) { f.q.push(r) }
 
 // Len implements Policy.
-func (f *FIFO) Len() int { return len(f.items) }
+func (f *FIFO) Len() int { return f.q.len() }
 
 // Pop implements Policy.
 func (f *FIFO) Pop(sim.Time) *iface.Request {
-	if len(f.items) == 0 {
+	if f.q.len() == 0 {
 		return nil
 	}
-	r := f.items[0]
-	f.items = f.items[1:]
-	return r
+	return f.q.pop()
 }
 
 // Prio issues the highest-priority pending request first (by the
@@ -142,7 +173,7 @@ type CFQ struct {
 	// turn passes. Zero means 4.
 	Quantum int
 
-	perThread map[int][]*iface.Request
+	perThread map[int]*ring
 	order     []int // round-robin order of known threads
 	cur       int   // index into order
 	used      int   // IOs issued in the current quantum
@@ -155,12 +186,15 @@ func (*CFQ) Name() string { return "os-cfq" }
 // Push implements Policy.
 func (c *CFQ) Push(r *iface.Request) {
 	if c.perThread == nil {
-		c.perThread = make(map[int][]*iface.Request)
+		c.perThread = make(map[int]*ring)
 	}
-	if _, known := c.perThread[r.Thread]; !known {
+	q, known := c.perThread[r.Thread]
+	if !known {
+		q = &ring{}
+		c.perThread[r.Thread] = q
 		c.order = append(c.order, r.Thread)
 	}
-	c.perThread[r.Thread] = append(c.perThread[r.Thread], r)
+	q.push(r)
 	c.total++
 }
 
@@ -184,15 +218,14 @@ func (c *CFQ) Pop(sim.Time) *iface.Request {
 		idx := (c.cur + tried) % n
 		thread := c.order[idx]
 		q := c.perThread[thread]
-		if len(q) == 0 {
+		if q.len() == 0 {
 			continue
 		}
 		if tried != 0 {
 			c.cur = idx
 			c.used = 0
 		}
-		r := q[0]
-		c.perThread[thread] = q[1:]
+		r := q.pop()
 		c.total--
 		c.used++
 		if c.used >= c.quantum() {

@@ -14,17 +14,35 @@ import (
 // class's token moves whenever its condition may have cleared, and its
 // stable token moves whenever a member's wait may have changed identity.
 // Evaluate agrees exactly with the plain canRun over the same state, so Pop
-// and PopClassed must select identical requests.
+// and PopClassed must select identical requests. Saturated honors its own
+// contract by brute force: it may only say yes when every queued request
+// would be refused, and (like the controller) it does not always notice.
 type modelGate struct {
-	class   map[uint64]int  // request ID → wait-class; absent = unclassed
-	solo    map[uint64]bool // unclassed requests currently blocked
-	blocked [8]bool         // the per-class shared condition
+	class   map[uint64]int            // request ID → wait-class; absent = unclassed
+	solo    map[uint64]bool           // unclassed requests currently blocked
+	live    map[uint64]*iface.Request // everything queued
+	notices bool                      // whether Saturated reports a saturated queue
+	satHits int                       // times Saturated said yes
+	blocked [8]bool                   // the per-class shared condition
 	tokens  [8]uint64
 	stable  [8]uint64
 }
 
 func newModelGate() *modelGate {
-	return &modelGate{class: make(map[uint64]int), solo: make(map[uint64]bool)}
+	return &modelGate{class: make(map[uint64]int), solo: make(map[uint64]bool), live: make(map[uint64]*iface.Request)}
+}
+
+func (m *modelGate) Saturated() bool {
+	if !m.notices {
+		return false
+	}
+	for _, r := range m.live {
+		if m.canRun(r) {
+			return false
+		}
+	}
+	m.satHits++
+	return true
 }
 
 func (m *modelGate) canRun(r *iface.Request) bool {
@@ -82,6 +100,7 @@ func (m *modelGate) moveOne(c, nc int, soloBlocked bool) {
 func (m *modelGate) forget(id uint64) {
 	delete(m.class, id)
 	delete(m.solo, id)
+	delete(m.live, id)
 }
 
 func classedPairs() [][2]Policy {
@@ -105,7 +124,9 @@ func classedPairs() [][2]Policy {
 // instance of every classed policy through the same random schedule of
 // pushes, condition flips, wait retargets and pops, and requires identical
 // selections throughout. This is the determinism contract the controller
-// relies on when it routes dispatch through the classed gate.
+// relies on when it routes dispatch through the classed gate. Even seeds
+// pop more than they push, so the queue keeps draining to its blocked
+// residue and the saturation short-circuit answers many of the nil pops.
 func TestClassedMatchesPlain(t *testing.T) {
 	for _, pair := range classedPairs() {
 		plain, classed := pair[0], pair[1]
@@ -113,14 +134,18 @@ func TestClassedMatchesPlain(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s does not implement ClassedPolicy", classed.Name())
 		}
-		for seed := int64(1); seed <= 5; seed++ {
+		for seed := int64(1); seed <= 6; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			gate := newModelGate()
 			now := sim.Time(0)
 			nextID := uint64(1)
 			queued := 0
 			for step := 0; step < 3000; step++ {
-				switch op := rng.Intn(12); {
+				op := rng.Intn(12)
+				if seed%2 == 0 && op < 5 && rng.Intn(2) == 0 {
+					op = 11 // half the pushes become pops
+				}
+				switch {
 				case op < 5: // push
 					r := &iface.Request{ID: nextID, Submitted: now}
 					nextID++
@@ -139,6 +164,7 @@ func TestClassedMatchesPlain(t *testing.T) {
 					default: // classed: waits on a shared condition
 						gate.class[r.ID] = rng.Intn(len(gate.tokens))
 					}
+					gate.live[r.ID] = r
 					plain.Push(r)
 					classed.Push(r)
 					queued++
@@ -153,6 +179,7 @@ func TestClassedMatchesPlain(t *testing.T) {
 						delete(gate.solo, id)
 						break
 					}
+					gate.notices = !gate.notices // and saturation goes (un)noticed
 				case op < 9: // time passes: deadlines become overdue
 					now = now.Add(sim.Duration(rng.Intn(100)))
 				default: // pop both, compare
@@ -180,6 +207,9 @@ func TestClassedMatchesPlain(t *testing.T) {
 				}
 			}
 			gate.solo = map[uint64]bool{}
+			if seed%2 == 0 && gate.satHits == 0 {
+				t.Fatalf("%s seed %d: the saturation short-circuit never fired", plain.Name(), seed)
+			}
 			for {
 				a := plain.Pop(now, gate.canRun)
 				b := cp.PopClassed(now, gate)
@@ -190,6 +220,45 @@ func TestClassedMatchesPlain(t *testing.T) {
 					t.Fatalf("%s seed %d drain: plain=%v classed=%v", plain.Name(), seed, a, b)
 				}
 			}
+		}
+	}
+}
+
+// TestClassListReclaimsDeadPrefix keeps one wait-class occupied while its
+// head is popped over and over — a stream class under sustained saturation —
+// and requires the dead prefix to be reclaimed rather than grown forever,
+// with arrival order intact.
+func TestClassListReclaimsDeadPrefix(t *testing.T) {
+	f := &FIFO{}
+	gate := newModelGate()
+	gate.toggle(0) // class 0 blocked
+	next, want := uint64(1), uint64(1)
+	for step := 0; step < 2000; step++ {
+		for i := 0; i < 2; i++ {
+			r := &iface.Request{ID: next}
+			gate.class[r.ID] = 0
+			f.Push(r)
+			next++
+		}
+		if r := f.PopClassed(0, gate); r != nil { // parks the arrivals
+			t.Fatalf("step %d: popped %d from a blocked class", step, r.ID)
+		}
+		gate.toggle(0)
+		r := f.PopClassed(0, gate)
+		if r == nil || r.ID != want {
+			t.Fatalf("step %d: popped %v, want %d", step, r, want)
+		}
+		gate.forget(r.ID)
+		want++
+		gate.toggle(0)
+		if cl := &f.q.classes[0]; cl.head > 64 && cl.head*2 >= len(cl.ents) {
+			t.Fatalf("step %d: dead prefix %d of %d entries not reclaimed", step, cl.head, len(cl.ents))
+		}
+	}
+	gate.toggle(0)
+	for ; want < next; want++ {
+		if r := f.PopClassed(0, gate); r == nil || r.ID != want {
+			t.Fatalf("drain: popped %v, want %d", r, want)
 		}
 	}
 }

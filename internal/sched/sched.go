@@ -63,6 +63,25 @@ type Gate interface {
 	ClassStable(class int) uint64
 }
 
+// SaturationGate is a Gate that can prove in O(1) that nothing queued is
+// dispatchable: every LUN is busy and no queued request can start without
+// one. Saturated must imply that Evaluate would refuse every queued request,
+// so a classed pop returns nil on it before any maintenance, merge or
+// evaluation. It is an extension rather than a Gate method so gates without
+// such a proof need not fake one.
+type SaturationGate interface {
+	Gate
+	Saturated() bool
+}
+
+// saturated reports whether the gate proves the whole queue undispatchable.
+//
+//eagletree:hotpath
+func saturated(g Gate) bool {
+	s, ok := g.(SaturationGate)
+	return ok && s.Saturated()
+}
+
 // ClassedPolicy is implemented by policies that can park whole wait-classes
 // off their scan path. PopClassed is Pop with a Gate instead of a plain
 // canRun callback; dispatch results are identical, only the cost changes:
@@ -165,14 +184,7 @@ func (q *queue) removeAt(i int) *iface.Request {
 			q.items = q.items[:0]
 			q.head = 0
 		} else if q.head > 64 && q.head*2 >= len(q.items) {
-			// Reclaim the dead prefix once it dominates the backing array.
-			n := copy(q.items, q.items[q.head:])
-			clearTail := q.items[n:]
-			for j := range clearTail {
-				clearTail[j] = qent{}
-			}
-			q.items = q.items[:n]
-			q.head = 0
+			q.items, q.head = reclaim(q.items, q.head), 0
 		}
 		return r
 	}
@@ -180,6 +192,17 @@ func (q *queue) removeAt(i int) *iface.Request {
 	q.items[len(q.items)-1] = qent{}
 	q.items = q.items[:len(q.items)-1]
 	return r
+}
+
+// reclaim drops the dead prefix ents[:head]. Callers invoke it once the
+// prefix dominates the backing array (head > 64 && head*2 >= len), so a list
+// that never fully drains does not grow without bound.
+//
+//eagletree:hotpath
+func reclaim(ents []qent, head int) []qent {
+	n := copy(ents, ents[head:])
+	clear(ents[n:])
+	return ents[:n]
 }
 
 func (q *queue) len() int {
@@ -236,6 +259,9 @@ func (f *FIFO) Pop(_ sim.Time, canRun func(*iface.Request) bool) *iface.Request 
 // lowest-seq dispatchable request — because a sleeping class's members are
 // all guaranteed undispatchable while its token stands still.
 func (f *FIFO) PopClassed(_ sim.Time, g Gate) *iface.Request {
+	if saturated(g) {
+		return nil
+	}
 	return f.q.popClassed(g)
 }
 
@@ -629,6 +655,9 @@ func (q *queue) classRemoveAt(ci, i int) {
 	if i == cl.head {
 		cl.ents[i] = qent{}
 		cl.head++
+		if cl.head > 64 && cl.head*2 >= len(cl.ents) {
+			cl.ents, cl.head = reclaim(cl.ents, cl.head), 0
+		}
 	} else {
 		copy(cl.ents[i:], cl.ents[i+1:])
 		cl.ents[len(cl.ents)-1] = qent{}
@@ -810,6 +839,9 @@ func (p *Priority) Pop(_ sim.Time, canRun func(*iface.Request) bool) *iface.Requ
 // because a bucket's sleeping classes are provably undispatchable while
 // their tokens stand still.
 func (p *Priority) PopClassed(_ sim.Time, g Gate) *iface.Request {
+	if saturated(g) {
+		return nil
+	}
 	for b := range p.buckets {
 		if r := p.buckets[b].q.popClassed(g); r != nil {
 			p.n--
@@ -972,6 +1004,10 @@ func (d *Deadline) popViaFallback(now sim.Time, canRun func(*iface.Request) bool
 // guaranteed undispatchable while its token stands still — and deadlines
 // only order requests that are dispatchable in the first place.
 func (d *Deadline) PopClassed(now sim.Time, g Gate) *iface.Request {
+	if saturated(g) {
+		d.overdueRun = 0 // what every nil pop below leaves behind
+		return nil
+	}
 	d.q.classMaintain(g)
 	preempt := d.MaxConsecutiveOverdue <= 0 || d.overdueRun < d.MaxConsecutiveOverdue
 	if preempt {
@@ -1165,6 +1201,9 @@ func (f *Fair) Pop(_ sim.Time, canRun func(*iface.Request) bool) *iface.Request 
 // would fail canRun in the plain scan too, and each entry is evaluated in at
 // most one source round (the one matching its own source).
 func (f *Fair) PopClassed(_ sim.Time, g Gate) *iface.Request {
+	if saturated(g) {
+		return nil
+	}
 	f.q.classMaintain(g)
 	for tried := 0; tried < int(iface.NumSources); tried++ {
 		src := iface.Source((int(f.turn) + tried) % iface.NumSources)

@@ -66,6 +66,14 @@ type Leveler struct {
 	migrated  uint64
 	totalEr   uint64 // running erase count the leveler has observed
 	observedA float64
+
+	picks []scored // victimsForLUN's candidate scratch, reset per LUN
+}
+
+// scored is one static-WL candidate with its erase count.
+type scored struct {
+	b  flash.BlockID
+	ec int
 }
 
 // NewLeveler builds a leveler over the block manager's data region.
@@ -137,11 +145,7 @@ func (l *Leveler) victimsForLUN(lun int, now sim.Time, out []flash.BlockID) []fl
 	avgInterval := float64(now) / (meanErase + 1)
 	idleCutoff := sim.Duration(l.cfg.IdleFactor * avgInterval)
 
-	type scored struct {
-		b  flash.BlockID
-		ec int
-	}
-	var picks []scored
+	picks := l.picks[:0]
 	l.bm.VictimCandidates(lun, func(b flash.BlockID, meta flash.BlockMeta) {
 		young := float64(meta.EraseCount) <= meanErase-float64(l.cfg.AgeSlack)
 		idle := now.Sub(meta.LastErase) > idleCutoff
@@ -149,6 +153,7 @@ func (l *Leveler) victimsForLUN(lun int, now sim.Time, out []flash.BlockID) []fl
 			picks = append(picks, scored{b, meta.EraseCount})
 		}
 	})
+	l.picks = picks
 	// Fewest erases first; stable order by block index from VictimCandidates.
 	for i := 1; i < len(picks); i++ {
 		for j := i; j > 0 && picks[j].ec < picks[j-1].ec; j-- {

@@ -149,3 +149,36 @@ func TestDefaultConfigSane(t *testing.T) {
 		t.Error("default config has non-positive knobs")
 	}
 }
+
+// TestVictimsScanAllocs guards the static scan's allocation budget on a
+// device where most blocks qualify as candidates: the candidate scratch lives
+// on the Leveler, so a scan allocates nothing beyond the slice it returns.
+func TestVictimsScanAllocs(t *testing.T) {
+	g := flash.Geometry{Channels: 1, LUNsPerChannel: 1, BlocksPerLUN: 64, PagesPerBlock: 4, PageSize: 4096}
+	a := flash.NewArray(g, flash.TimingSLC(), flash.Features{})
+	for cycle := 0; cycle < 40; cycle++ { // blocks 0..7 carry all the wear
+		for b := 0; b < 8; b++ {
+			if _, err := a.ScheduleErase(flash.BlockID{LUN: 0, Block: b}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for b := 0; b < g.BlocksPerLUN; b++ { // 8..63: live data, young, long idle
+		for p := 0; p < g.PagesPerBlock; p++ {
+			if _, err := a.ScheduleWrite(flash.PPA{LUN: 0, Block: b, Page: p}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lvl := NewLeveler(ftl.NewBlockManager(a, 0, 1, false), DefaultConfig())
+	now := sim.Time(10 * sim.Second)
+	if v := lvl.Victims(now); len(v) != 1 { // also warms the scratch
+		t.Fatalf("victims = %v, want one of the 56 qualifying blocks", v)
+	}
+	if got := len(lvl.picks); got != 56 {
+		t.Fatalf("%d candidates qualified, want 56", got)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { lvl.Victims(now) }); allocs > 1 {
+		t.Fatalf("static scan allocates %.0f objects, budget is 1 (the returned slice)", allocs)
+	}
+}
