@@ -241,8 +241,18 @@ func NewWearoutFaults(endurance int, shape, programFactor float64, seed uint64) 
 
 // SSD-side IO scheduling.
 type (
-	// SSDPolicy orders the controller's single IO queue.
+	// SSDPolicy orders the controller's single IO queue. To write one:
+	// queue what Push and PushBlocked hand over, and in PopClassed evaluate
+	// candidates with g.Evaluate in the policy's order, removing and
+	// returning the first it accepts (nil when it accepts none). The class
+	// Evaluate returns with a refusal may be ignored — it only lets a policy
+	// skip requests that provably still cannot run; a policy that ignores it
+	// implements WakeRequest as a no-op. A blocked request (PushBlocked until
+	// Unblock) keeps its arrival position and is refused by Evaluate.
 	SSDPolicy = sched.Policy
+	// SSDGate is the controller as an SSDPolicy sees it during a pop: the
+	// one place that knows whether a request can start now.
+	SSDGate = sched.Gate
 	// SSDFIFO dispatches in arrival order.
 	SSDFIFO = sched.FIFO
 	// SSDPriority scores requests by tag, type preference and source.

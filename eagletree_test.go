@@ -103,6 +103,64 @@ func TestCustomThreadThroughFacade(t *testing.T) {
 	}
 }
 
+// arrivalPolicy is an SSD scheduling policy as a user outside the module
+// would write it, against facade names only: arrival order among the requests
+// the gate accepts. It ignores wait-classes — every pop asks about every
+// queued request afresh — and leaves blocked requests to the gate's refusal.
+type arrivalPolicy struct {
+	queue []*Request
+	pops  int
+}
+
+func (p *arrivalPolicy) Name() string              { return "arrival" }
+func (p *arrivalPolicy) Push(r *Request)           { p.queue = append(p.queue, r) }
+func (p *arrivalPolicy) PushBlocked(r *Request)    { p.Push(r) }
+func (p *arrivalPolicy) Unblock(*Request)          {}
+func (p *arrivalPolicy) WakeRequest(*Request, int) {}
+func (p *arrivalPolicy) Len() int                  { return len(p.queue) }
+
+func (p *arrivalPolicy) PopClassed(_ Time, g SSDGate) *Request {
+	for i, r := range p.queue {
+		if ok, _ := g.Evaluate(r); ok {
+			p.queue = append(p.queue[:i], p.queue[i+1:]...)
+			p.pops++
+			return r
+		}
+	}
+	return nil
+}
+
+// TestCustomSSDPolicyThroughFacade: the facade is sufficient to write a
+// policy, and one that ignores classes is still correct — arrival order is
+// what SSDFIFO implements, so the two stacks must report identically.
+func TestCustomSSDPolicyThroughFacade(t *testing.T) {
+	run := func(policy SSDPolicy) string {
+		cfg := SmallConfig()
+		cfg.Controller.Policy = policy
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(s.LogicalPages())
+		fill := s.AddBarrier(s.Add(&SequentialWriter{From: 0, Count: n, Depth: 32}))
+		s.Add(&RandomWriter{From: 0, Space: n, Count: n, Depth: 16}, fill)
+		s.Add(&RandomReader{From: 0, Space: n, Count: n, Depth: 16}, fill)
+		s.Run()
+		if policy.Len() != 0 {
+			t.Fatalf("%s: %d requests left queued", policy.Name(), policy.Len())
+		}
+		return s.Report().String()
+	}
+	custom := &arrivalPolicy{}
+	got, want := run(custom), run(&SSDFIFO{})
+	if custom.pops == 0 {
+		t.Fatal("the custom policy never dispatched")
+	}
+	if got != want {
+		t.Fatalf("arrival-order policy and SSDFIFO report differently:\n%s\n---\n%s", got, want)
+	}
+}
+
 func TestOpenInterfaceThroughFacade(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Controller.OpenInterface = true

@@ -12,10 +12,71 @@ import (
 	"eagletree/internal/wl"
 )
 
-// plainOnly hides a policy's ClassedPolicy methods, so the controller falls
-// back to the plain Pop(canRun) loop: the reference the classed gate — wait
-// classes, capacity class, saturation short-circuit — must reproduce.
-type plainOnly struct{ sched.Policy }
+// ignoreClasses wraps a policy so that it never learns a wait-class and never
+// sees the saturation proof: every pop evaluates every scannable request
+// afresh, in the policy's order. That linear scan is the reference the gate's
+// wait-classes, capacity class and saturation short-circuit must reproduce —
+// and it pins the documented rule that a policy which ignores classes is still
+// correct. Each verdict is also checked against naiveCanRun.
+type ignoreClasses struct {
+	sched.Policy
+	t *testing.T
+}
+
+func (p ignoreClasses) PopClassed(now sim.Time, g sched.Gate) *iface.Request {
+	return p.Policy.PopClassed(now, unclassedGate{g.(*Controller), p.t})
+}
+
+// unclassedGate forwards Evaluate's verdict with class -1. It has no Saturated
+// method, and with nothing ever parked its tokens are never consulted.
+type unclassedGate struct {
+	c *Controller
+	t *testing.T
+}
+
+func (g unclassedGate) Evaluate(r *iface.Request) (bool, int) {
+	ok, _ := g.c.Evaluate(r)
+	if want := naiveCanRun(g.c, r); ok != want {
+		g.t.Fatalf("Evaluate(%v %v lpn %d) = %v, but recomputed from scratch the request can run = %v", r.Source, r.Type, r.LPN, ok, want)
+	}
+	return ok, -1
+}
+func (unclassedGate) ClassToken(int) uint64  { return 0 }
+func (unclassedGate) ClassStable(int) uint64 { return 0 }
+
+// naiveCanRun recomputes "can this request start now" from the mapper, the
+// block manager and the in-flight table alone: no epoch-validated caches, no
+// per-stream memo, no capacity shortcut.
+func naiveCanRun(c *Controller, r *iface.Request) bool {
+	st := stateOf(r)
+	if st == nil || st.blocked {
+		return false
+	}
+	switch st.kind {
+	case opTransRead, opTransWrite:
+		return !c.inflight[st.trans.PPA.LUN]
+	case opTransErase:
+		return !c.inflight[st.trans.Block.LUN]
+	case opGCRead, opWLRead, opGCCopyback, opGCErase:
+		return !c.inflight[st.src.LUN]
+	case opGCWrite, opWLWrite:
+		return !c.inflight[st.src.LUN] && c.bm.CanAlloc(st.src.LUN, c.computeStream(r, st))
+	}
+	switch r.Type {
+	case iface.Read:
+		ppa, mapped := c.mapper.Lookup(r.LPN)
+		return !mapped || !c.inflight[ppa.LUN]
+	case iface.Write:
+		stream := c.computeStream(r, st)
+		for lun, busy := range c.inflight {
+			if !busy && c.bm.CanAlloc(lun, stream) {
+				return true
+			}
+		}
+		return false
+	}
+	return true // trim
+}
 
 type completion struct {
 	id uint64
@@ -125,12 +186,12 @@ func runDiffCase(t *testing.T, policy sched.Policy, mutate func(*Config), load d
 }
 
 // TestClassedDispatchMatchesPlainScan runs the same seeded workload twice per
-// case — once with the policy's classed methods hidden, once classed — and
+// case — once with the policy wrapped in ignoreClasses, once as is — and
 // requires identical (request ID, completion time) sequences and final
 // counters. The risk it covers sits in the controller's Gate, not the queue:
 // a wait-class that is not a necessary condition, a token that misses a
-// state change, or a saturation count that drifts would each reorder or
-// starve something here.
+// state change, a saturation count that drifts or a cached readiness input
+// gone stale would each reorder or starve something here.
 func TestClassedDispatchMatchesPlainScan(t *testing.T) {
 	staticWL := func(cfg *Config) {
 		w := wl.DefaultConfig()
@@ -224,11 +285,8 @@ func TestClassedDispatchMatchesPlainScan(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range []uint64{1, 2} {
-				plain := runDiffCase(t, plainOnly{tc.policy()}, tc.mutate, tc.load, seed)
+				plain := runDiffCase(t, ignoreClasses{tc.policy(), t}, tc.mutate, tc.load, seed)
 				classed := runDiffCase(t, tc.policy(), tc.mutate, tc.load, seed)
-				if plain.ctl.classed != nil || classed.ctl.classed == nil {
-					t.Fatal("the two runs did not take the plain and the classed dispatch path")
-				}
 				for i := range plain.done {
 					if plain.done[i] != classed.done[i] {
 						t.Fatalf("seed %d: completion %d differs: plain %+v, classed %+v", seed, i, plain.done[i], classed.done[i])

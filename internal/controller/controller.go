@@ -219,10 +219,10 @@ type reqState struct {
 	refire   bool // program failed by injection; re-queue instead of finishing
 	busyLUN  int  // LUN whose inflight slot this request holds; -1 when none
 
-	// Readiness caches, validated against the controller epochs. canRun is
-	// invoked once per queued request per dispatch scan, so it must not
+	// Readiness caches, validated against the controller epochs. Evaluate
+	// may be asked about a queued request on every pop, so it must not
 	// repeat mapping lookups or temperature classification whose inputs
-	// cannot have changed since the last scan.
+	// cannot have changed since the last one.
 	ppaEpoch    uint64 // mapEpoch when ppa/mapped were cached
 	mapped      bool
 	ppa         flash.PPA
@@ -345,13 +345,12 @@ type Controller struct {
 	reqPool      []*iface.Request // recycled controller-internal requests
 	views        []sched.LUNView
 	detectorLive bool // detector state can change classifications (not hotcold.None)
-	canRunFn     func(*iface.Request) bool
 	dispatchFn   func(any)
 	ioDoneFn     func(any)
 	flushFn      func(any)
 
 	// Readiness epochs. Every mutation of a readiness input bumps the
-	// matching epoch, so cached canRun inputs are reused exactly while
+	// matching epoch, so cached Evaluate inputs are reused exactly while
 	// nothing they depend on has changed — dispatch order is identical to
 	// recomputing from scratch, without the per-scan map and LUN traffic.
 	mapEpoch   uint64           // mapper.Map/Unmap calls
@@ -359,11 +358,11 @@ type Controller struct {
 	writeEpoch uint64           // inflight toggles and block alloc/release
 	writeMemo  []writeMemoEntry // per-stream write readiness, one writeEpoch long
 
-	// Classed-dispatch machinery. A request that cannot run is almost
+	// Dispatch-gate machinery. A request that cannot run is almost
 	// always waiting on exactly one thing: its target LUN going idle
 	// (reads, GC/WL/translation ops) or a write stream regaining
 	// allocatable space (application writes). The controller exposes that
-	// structure to class-aware policies as sched.Gate: Evaluate names the
+	// structure to the policy as sched.Gate: Evaluate names the
 	// wait-class of a failed request, and ClassToken hands out a token per
 	// class that changes only when the class's blocking condition may have
 	// cleared — lunEpoch[L] for LUN classes (bumped when L's in-flight
@@ -380,7 +379,6 @@ type Controller struct {
 	// queued request that needs no LUN can start. lunFree counts those
 	// conservatively — every queued opData read (it may be unmapped) and
 	// trim, blocked or not — from Submit/enqueueTransChain to executeData.
-	classed  sched.ClassedPolicy
 	lunEpoch []uint64
 	readWait map[iface.LPN][]*iface.Request
 	busyLUNs int
@@ -459,13 +457,9 @@ func New(eng *sim.Engine, bus *iface.Bus, col *stats.Collector, cfg Config) (*Co
 		lunEpoch:   make([]uint64, cfg.Geometry.LUNs()),
 		readWait:   make(map[iface.LPN][]*iface.Request),
 	}
-	if cp, ok := cfg.Policy.(sched.ClassedPolicy); ok {
-		c.classed = cp
-	}
 	if _, none := cfg.Detector.(hotcold.None); !none {
 		c.detectorLive = true
 	}
-	c.canRunFn = c.canRun
 	c.dispatchFn = func(any) { c.dispPend = false; c.dispatch() }
 	c.ioDoneFn = c.ioDone
 	c.flushFn = c.flushDone
@@ -698,24 +692,14 @@ func (c *Controller) scheduleDispatch() {
 	c.eng.ScheduleCall(c.eng.Now(), c.dispatchFn, nil)
 }
 
-// dispatch drains the policy queue as far as hardware and space allow.
-// Class-aware policies get the classed gate — they park whole wait-classes
-// off the scan path; everything else gets the plain linear canRun scan.
+// dispatch drains the policy queue as far as hardware and space allow: the
+// policy orders, the controller (as its sched.Gate) says what can start.
 //
 //eagletree:hotpath
 func (c *Controller) dispatch() {
-	if cp := c.classed; cp != nil {
-		now := c.eng.Now()
-		for {
-			r := cp.PopClassed(now, c)
-			if r == nil {
-				return
-			}
-			c.execute(r)
-		}
-	}
+	now := c.eng.Now()
 	for {
-		r := c.cfg.Policy.Pop(c.eng.Now(), c.canRunFn)
+		r := c.cfg.Policy.PopClassed(now, c)
 		if r == nil {
 			return
 		}
@@ -783,53 +767,13 @@ func (c *Controller) Saturated() bool {
 	return c.busyLUNs == len(c.inflight) && c.lunFree == 0
 }
 
-// canRun reports whether a request could be dispatched right now. It is the
-// plain-scan gate for policies without wait-class support.
-//
-//eagletree:hotpath
-func (c *Controller) canRun(r *iface.Request) bool {
-	st := stateOf(r)
-	if st == nil || st.blocked {
-		return false
-	}
-	return c.canRunNow(r, st)
-}
-
-// canRunNow derives readiness from current controller state.
-//
-//eagletree:hotpath
-func (c *Controller) canRunNow(r *iface.Request, st *reqState) bool {
-	switch st.kind {
-	case opTransRead, opTransWrite:
-		return !c.inflight[st.trans.PPA.LUN]
-	case opTransErase:
-		return !c.inflight[st.trans.Block.LUN]
-	case opGCRead, opWLRead, opGCCopyback:
-		return !c.inflight[st.src.LUN]
-	case opGCWrite, opWLWrite:
-		// Migration writes stay on the victim's LUN: the read already
-		// landed there and cross-LUN migration would need a channel hop the
-		// paper's GC does not model.
-		return !c.inflight[st.src.LUN] && c.bm.CanAlloc(st.src.LUN, c.streamOf(r, st))
-	case opGCErase:
-		return !c.inflight[st.src.LUN]
-	}
-	switch r.Type {
-	case iface.Read:
-		ppa, ok := c.lookup(r, st)
-		if !ok {
-			return true // completes immediately as an unmapped read
-		}
-		return !c.inflight[ppa.LUN]
-	case iface.Write:
-		return c.canRunWrite(c.streamOf(r, st))
-	default: // Trim
-		return true
-	}
-}
-
-// Evaluate implements sched.Gate. It answers exactly like canRun and, on
-// failure, names the wait-class the request should park under: the target
+// Evaluate implements sched.Gate: the single statement of whether a request
+// could be dispatched right now. A read needs its target LUN idle (an
+// unmapped read completes immediately and needs none), a write needs some
+// idle LUN with room on its stream, a trim needs nothing. Migration writes
+// stay on the victim's LUN: the read already landed there and cross-LUN
+// migration would need a channel hop the paper's GC does not model. On
+// failure it names the wait-class the request should park under: the target
 // LUN's index for LUN-bound operations (migration writes included, while it
 // is their LUN that is busy), LUNs+stream for application writes whose
 // stream has no allocatable idle LUN, the app-write-capacity class under a
@@ -968,9 +912,7 @@ func (c *Controller) wakeRead(lpn iface.LPN) {
 			continue
 		}
 		st.waitRead = false
-		if c.classed != nil {
-			c.classed.WakeRequest(r, int(st.waitClass))
-		}
+		c.cfg.Policy.WakeRequest(r, int(st.waitClass))
 		st.waitClass = -1
 	}
 }

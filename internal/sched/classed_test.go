@@ -13,7 +13,7 @@ import (
 // condition (one member's failure proves the whole class undispatchable), a
 // class's token moves whenever its condition may have cleared, and its
 // stable token moves whenever a member's wait may have changed identity.
-// Evaluate agrees exactly with the plain canRun over the same state, so Pop
+// Evaluate agrees exactly with canRun over the same state, so the reference
 // and PopClassed must select identical requests. Saturated honors its own
 // contract by brute force: it may only say yes when every queued request
 // would be refused, and (like the controller) it does not always notice.
@@ -103,37 +103,149 @@ func (m *modelGate) forget(id uint64) {
 	delete(m.live, id)
 }
 
-func classedPairs() [][2]Policy {
-	return [][2]Policy{
-		{&FIFO{}, &FIFO{}},
-		{&Priority{Prefer: PreferReads, Internal: InternalLast}, &Priority{Prefer: PreferReads, Internal: InternalLast}},
-		{&Deadline{ReadDeadline: 50, WriteDeadline: 200}, &Deadline{ReadDeadline: 50, WriteDeadline: 200}},
-		{
-			&Deadline{ReadDeadline: 50, WriteDeadline: 200, MaxConsecutiveOverdue: 2},
-			&Deadline{ReadDeadline: 50, WriteDeadline: 200, MaxConsecutiveOverdue: 2},
-		},
-		{
-			&Deadline{ReadDeadline: 50, InternalDeadline: 400, Fallback: &Priority{Prefer: PreferReads}},
-			&Deadline{ReadDeadline: 50, InternalDeadline: 400, Fallback: &Priority{Prefer: PreferReads}},
-		},
-		{&Fair{Weights: [iface.NumSources]int{2, 1, 1, 1}}, &Fair{Weights: [iface.NumSources]int{2, 1, 1, 1}}},
+// reference is the obviously-correct statement of a policy's order, kept
+// apart from everything the real policies use to be fast: one flat slice in
+// arrival order, a full linear scan per pop, no head index, no class lists, no
+// parking, and it never asks whether the gate is saturated.
+type reference struct {
+	items []*iface.Request
+	pick  picker
+}
+
+// picker returns the index of the request to dispatch among those ok accepts,
+// or -1.
+type picker func(items []*iface.Request, now sim.Time, ok func(*iface.Request) bool) int
+
+func (m *reference) push(r *iface.Request) { m.items = append(m.items, r) }
+
+func (m *reference) pop(now sim.Time, ok func(*iface.Request) bool) *iface.Request {
+	i := m.pick(m.items, now, ok)
+	if i < 0 {
+		return nil
+	}
+	r := m.items[i]
+	m.items = append(m.items[:i:i], m.items[i+1:]...)
+	return r
+}
+
+func pickFIFO(items []*iface.Request, _ sim.Time, ok func(*iface.Request) bool) int {
+	for i, r := range items {
+		if ok(r) {
+			return i
+		}
+	}
+	return -1
+}
+
+// pickPriority: the best score wins, ties in arrival order.
+func pickPriority(p *Priority) picker {
+	return func(items []*iface.Request, _ sim.Time, ok func(*iface.Request) bool) int {
+		best := -1
+		for i, r := range items {
+			if ok(r) && (best < 0 || p.score(r) > p.score(items[best])) {
+				best = i
+			}
+		}
+		return best
 	}
 }
 
-// TestClassedMatchesPlain drives a plain-Pop instance and a PopClassed
-// instance of every classed policy through the same random schedule of
-// pushes, condition flips, wait retargets and pops, and requires identical
-// selections throughout. This is the determinism contract the controller
-// relies on when it routes dispatch through the classed gate. Even seeds
-// pop more than they push, so the queue keeps draining to its blocked
-// residue and the saturation short-circuit answers many of the nil pops.
-func TestClassedMatchesPlain(t *testing.T) {
-	for _, pair := range classedPairs() {
-		plain, classed := pair[0], pair[1]
-		cp, ok := classed.(ClassedPolicy)
-		if !ok {
-			t.Fatalf("%s does not implement ClassedPolicy", classed.Name())
+// pickDeadline: overdue first, earliest deadline first, ties in arrival order;
+// after cap consecutive overdue dispatches one fresh request goes first if any
+// can; fresh requests in the fallback's order.
+func pickDeadline(d *Deadline, fresh picker) picker {
+	run := 0
+	overdue := func(items []*iface.Request, now sim.Time, ok func(*iface.Request) bool) int {
+		best := -1
+		for i, r := range items {
+			if dl := d.deadlineFor(r); dl <= now && ok(r) && (best < 0 || dl < d.deadlineFor(items[best])) {
+				best = i
+			}
 		}
+		return best
+	}
+	return func(items []*iface.Request, now sim.Time, ok func(*iface.Request) bool) int {
+		capped := d.MaxConsecutiveOverdue > 0 && run >= d.MaxConsecutiveOverdue
+		if !capped {
+			if i := overdue(items, now, ok); i >= 0 {
+				run++
+				return i
+			}
+		}
+		run = 0
+		notDue := func(r *iface.Request) bool { return d.deadlineFor(r) > now && ok(r) }
+		if i := fresh(items, now, notDue); i >= 0 {
+			return i
+		}
+		if capped {
+			if i := overdue(items, now, ok); i >= 0 {
+				run = 1
+				return i
+			}
+		}
+		return -1
+	}
+}
+
+// pickFair: weighted round-robin over sources from the current turn; within a
+// source, arrival order; a source with credits left keeps the turn.
+func pickFair(weights [iface.NumSources]int) picker {
+	var credits [iface.NumSources]int
+	turn := 0
+	return func(items []*iface.Request, _ sim.Time, ok func(*iface.Request) bool) int {
+		for tried := 0; tried < iface.NumSources; tried++ {
+			src := (turn + tried) % iface.NumSources
+			for i, r := range items {
+				if int(r.Source) != src || !ok(r) {
+					continue
+				}
+				if tried != 0 {
+					turn, credits[src] = src, 0
+				}
+				credits[src]++
+				if w := weights[src]; credits[src] >= max(w, 1) {
+					credits[src] = 0
+					turn = (src + 1) % iface.NumSources
+				}
+				return i
+			}
+		}
+		return -1
+	}
+}
+
+type referencePair struct {
+	ref    *reference
+	policy Policy
+}
+
+func referencePairs() []referencePair {
+	prio := &Priority{Prefer: PreferReads, Internal: InternalLast}
+	dl0 := &Deadline{ReadDeadline: 50, WriteDeadline: 200}
+	dl2 := &Deadline{ReadDeadline: 50, WriteDeadline: 200, MaxConsecutiveOverdue: 2}
+	dlPrio := &Deadline{ReadDeadline: 50, InternalDeadline: 400, Fallback: &Priority{Prefer: PreferReads}}
+	fair := &Fair{Weights: [iface.NumSources]int{2, 1, 1, 1}}
+	return []referencePair{
+		{&reference{pick: pickFIFO}, &FIFO{}},
+		{&reference{pick: pickPriority(prio)}, prio},
+		{&reference{pick: pickDeadline(dl0, pickFIFO)}, dl0},
+		{&reference{pick: pickDeadline(dl2, pickFIFO)}, dl2},
+		{&reference{pick: pickDeadline(dlPrio, pickPriority(&Priority{Prefer: PreferReads}))}, dlPrio},
+		{&reference{pick: pickFair(fair.Weights)}, fair},
+	}
+}
+
+// TestClassedMatchesPlain drives the flat-slice reference and the real policy
+// (PopClassed under modelGate: wait-classes, tokens, retargets, a saturation
+// proof that comes and goes) through the same random schedule of pushes,
+// condition flips, wait retargets and pops, and requires identical selections
+// throughout. This is the determinism contract the controller relies on:
+// parking by class is cost-only. Even seeds pop more than they push, so the
+// queue keeps draining to its blocked residue and the saturation
+// short-circuit answers many of the nil pops.
+func TestClassedMatchesPlain(t *testing.T) {
+	for _, pair := range referencePairs() {
+		plain, classed := pair.ref, pair.policy
 		for seed := int64(1); seed <= 6; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			gate := newModelGate()
@@ -165,7 +277,7 @@ func TestClassedMatchesPlain(t *testing.T) {
 						gate.class[r.ID] = rng.Intn(len(gate.tokens))
 					}
 					gate.live[r.ID] = r
-					plain.Push(r)
+					plain.push(r)
 					classed.Push(r)
 					queued++
 				case op < 6: // a shared condition flips
@@ -183,21 +295,21 @@ func TestClassedMatchesPlain(t *testing.T) {
 				case op < 9: // time passes: deadlines become overdue
 					now = now.Add(sim.Duration(rng.Intn(100)))
 				default: // pop both, compare
-					a := plain.Pop(now, gate.canRun)
-					b := cp.PopClassed(now, gate)
+					a := plain.pop(now, gate.canRun)
+					b := classed.PopClassed(now, gate)
 					switch {
 					case a == nil && b == nil:
 					case a == nil || b == nil:
-						t.Fatalf("%s seed %d step %d: plain=%v classed=%v", plain.Name(), seed, step, a, b)
+						t.Fatalf("%s seed %d step %d: reference=%v policy=%v", classed.Name(), seed, step, a, b)
 					case a.ID != b.ID:
-						t.Fatalf("%s seed %d step %d: plain popped %d, classed popped %d", plain.Name(), seed, step, a.ID, b.ID)
+						t.Fatalf("%s seed %d step %d: reference popped %d, policy popped %d", classed.Name(), seed, step, a.ID, b.ID)
 					default:
 						gate.forget(a.ID)
 						queued--
 					}
 				}
-				if lp, lc := plain.Len(), classed.Len(); lp != lc || lp != queued {
-					t.Fatalf("%s seed %d step %d: Len plain=%d classed=%d want %d", plain.Name(), seed, step, lp, lc, queued)
+				if lp, lc := len(plain.items), classed.Len(); lp != lc || lp != queued {
+					t.Fatalf("%s seed %d step %d: Len reference=%d policy=%d want %d", classed.Name(), seed, step, lp, lc, queued)
 				}
 			}
 			// Drain with every condition clear: both must empty identically.
@@ -208,16 +320,16 @@ func TestClassedMatchesPlain(t *testing.T) {
 			}
 			gate.solo = map[uint64]bool{}
 			if seed%2 == 0 && gate.satHits == 0 {
-				t.Fatalf("%s seed %d: the saturation short-circuit never fired", plain.Name(), seed)
+				t.Fatalf("%s seed %d: the saturation short-circuit never fired", classed.Name(), seed)
 			}
 			for {
-				a := plain.Pop(now, gate.canRun)
-				b := cp.PopClassed(now, gate)
+				a := plain.pop(now, gate.canRun)
+				b := classed.PopClassed(now, gate)
 				if a == nil && b == nil {
 					break
 				}
 				if a == nil || b == nil || a.ID != b.ID {
-					t.Fatalf("%s seed %d drain: plain=%v classed=%v", plain.Name(), seed, a, b)
+					t.Fatalf("%s seed %d drain: reference=%v policy=%v", classed.Name(), seed, a, b)
 				}
 			}
 		}

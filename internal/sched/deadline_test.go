@@ -28,7 +28,7 @@ func TestDeadlineUnboundedPreemption(t *testing.T) {
 	now := sim.Time(10 * sim.Microsecond)
 	var order []uint64
 	for {
-		r := d.Pop(now, always)
+		r := pop(d, now, always)
 		if r == nil {
 			break
 		}
@@ -54,7 +54,7 @@ func TestDeadlineOverdueCapAdmitsFresh(t *testing.T) {
 	now := sim.Time(10 * sim.Microsecond)
 	var order []uint64
 	for {
-		r := d.Pop(now, always)
+		r := pop(d, now, always)
 		if r == nil {
 			break
 		}
@@ -81,7 +81,7 @@ func TestDeadlineCapDoesNotIdleDevice(t *testing.T) {
 	now := sim.Time(10 * sim.Microsecond)
 	popped := 0
 	for {
-		if d.Pop(now, always) == nil {
+		if pop(d, now, always) == nil {
 			break
 		}
 		popped++
@@ -97,23 +97,23 @@ func TestDeadlineRunCounterResets(t *testing.T) {
 	now := sim.Time(10 * sim.Microsecond)
 	d.Push(dlRead(1, 0))
 	d.Push(dlWrite(50, 0))
-	if got := d.Pop(now, always); got.ID != 1 {
+	if got := pop(d, now, always); got.ID != 1 {
 		t.Fatalf("first pop %d", got.ID)
 	}
-	if got := d.Pop(now, always); got.ID != 50 {
+	if got := pop(d, now, always); got.ID != 50 {
 		t.Fatalf("second pop %d", got.ID)
 	}
 	// New overdue burst: the cap window must be fresh (2 overdue in a row).
 	d.Push(dlRead(2, 0))
 	d.Push(dlRead(3, 0))
 	d.Push(dlWrite(51, 0))
-	if got := d.Pop(now, always); got.ID != 2 {
+	if got := pop(d, now, always); got.ID != 2 {
 		t.Fatalf("third pop %d", got.ID)
 	}
-	if got := d.Pop(now, always); got.ID != 3 {
+	if got := pop(d, now, always); got.ID != 3 {
 		t.Fatalf("fourth pop %d, cap window did not reset", got.ID)
 	}
-	if got := d.Pop(now, always); got.ID != 51 {
+	if got := pop(d, now, always); got.ID != 51 {
 		t.Fatalf("fifth pop %d", got.ID)
 	}
 }

@@ -10,6 +10,10 @@
 // priority schemes by source, type and tag; deadlines with overdue handling;
 // fairness across sources — can be explored by swapping one value.
 //
+// There is one pop: the controller calls Policy.PopClassed with itself as the
+// Gate, and Gate.Evaluate is the single statement of "can this request start
+// now". A policy only imposes its order among the requests Evaluate accepts.
+//
 //eagletree:typederrors
 package sched
 
@@ -18,33 +22,48 @@ import (
 	"eagletree/internal/sim"
 )
 
-// Policy orders the controller's pending IO queue. Push enqueues; Pop
-// removes and returns the next request to dispatch among those for which
-// canRun returns true, or nil if none is dispatchable.
+// Policy orders the controller's pending IO queue. Push enqueues; PopClassed
+// removes and returns the next request to dispatch among those the Gate's
+// Evaluate accepts, or nil if none is dispatchable.
 //
-// canRun encapsulates hardware and space constraints the policy cannot see:
-// the target LUN of a read must be idle, a write needs some LUN with room,
-// and translation dependencies must have drained.
+// The contract a policy — in this package or written against the facade —
+// must meet: return only a request g.Evaluate accepted during this call,
+// chosen by the policy's own order among all that it would accept. The
+// wait-class Evaluate names with a refusal is an offer, not a demand: parking
+// by class is cost-only, because a sleeping class's members are provably
+// undispatchable while its token stands still, so a policy that ignores
+// classes and asks again on every pop selects the same requests.
 type Policy interface {
 	Name() string
 	Push(r *iface.Request)
 	// PushBlocked enqueues a request that is known to be undispatchable
 	// until Unblock is called (a dependency-chain successor, a deferred
-	// write). It keeps its arrival position but is invisible to Pop scans,
-	// so long dependency chains cost nothing per dispatch tick.
+	// write). It keeps its arrival position but is invisible to pops, so
+	// long dependency chains cost nothing per dispatch tick.
 	PushBlocked(r *iface.Request)
-	// Unblock makes a previously PushBlocked request visible to Pop again,
+	// Unblock makes a previously PushBlocked request visible to pops again,
 	// at its original arrival position. Unknown requests are ignored.
 	Unblock(r *iface.Request)
-	Pop(now sim.Time, canRun func(*iface.Request) bool) *iface.Request
+	PopClassed(now sim.Time, g Gate) *iface.Request
+	// WakeRequest moves one parked request back into the scan path when its
+	// wait condition changed identity rather than cleared — a read whose
+	// page was remapped waits on a different LUN now, which no class token
+	// tracks. Policies that never park by class implement it as a no-op.
+	WakeRequest(r *iface.Request, class int)
 	Len() int
 }
 
-// Gate is the controller side of class-aware dispatch. Evaluate answers
-// exactly like a Policy's canRun callback and, when the request cannot run,
-// names the wait-class its failure belongs to — or -1 when the failure is
-// not class-wide. Every member of a class waits on the same condition, so
-// one member's failure proves the whole class undispatchable.
+// ClassedPolicy is an alias of Policy for the callers that name it.
+type ClassedPolicy = Policy
+
+// Gate is the controller side of dispatch. Evaluate says whether a request
+// can start now — it encapsulates the hardware and space constraints the
+// policy cannot see: the target LUN of a read must be idle, a write needs
+// some LUN with room, and translation dependencies must have drained. When
+// the request cannot run, Evaluate names the wait-class its failure belongs
+// to — or -1 when the failure is not class-wide. Every member of a class
+// waits on the same condition, so one member's failure proves the whole
+// class undispatchable. The class returned with a yes carries no meaning.
 //
 // ClassToken returns a monotonic token per class that changes whenever the
 // class's blocking condition may have cleared. A class that slept at token
@@ -66,9 +85,9 @@ type Gate interface {
 // SaturationGate is a Gate that can prove in O(1) that nothing queued is
 // dispatchable: every LUN is busy and no queued request can start without
 // one. Saturated must imply that Evaluate would refuse every queued request,
-// so a classed pop returns nil on it before any maintenance, merge or
-// evaluation. It is an extension rather than a Gate method so gates without
-// such a proof need not fake one.
+// so a pop returns nil on it before any maintenance, merge or evaluation. It
+// is an extension rather than a Gate method so gates without such a proof
+// need not fake one.
 type SaturationGate interface {
 	Gate
 	Saturated() bool
@@ -82,19 +101,13 @@ func saturated(g Gate) bool {
 	return ok && s.Saturated()
 }
 
-// ClassedPolicy is implemented by policies that can park whole wait-classes
-// off their scan path. PopClassed is Pop with a Gate instead of a plain
-// canRun callback; dispatch results are identical, only the cost changes:
-// queued-but-unrunnable requests no longer contribute to every scan.
-//
-// WakeRequest moves one parked request back into the scan path when its
-// wait condition changed identity rather than cleared — a read whose page
-// was remapped waits on a different LUN now, which no class token tracks.
-type ClassedPolicy interface {
-	Policy
-	PopClassed(now sim.Time, g Gate) *iface.Request
-	WakeRequest(r *iface.Request, class int)
-}
+// gateFunc is a Gate over a bare predicate: it names no wait-class, so
+// nothing parks and a pop under it is the linear scan in the policy's order.
+type gateFunc func(*iface.Request) bool
+
+func (f gateFunc) Evaluate(r *iface.Request) (bool, int) { return f(r), -1 }
+func (gateFunc) ClassToken(int) uint64                   { return 0 }
+func (gateFunc) ClassStable(int) uint64                  { return 0 }
 
 // qent is one queued request with its arrival sequence number.
 type qent struct {
@@ -113,9 +126,7 @@ type queue struct {
 	seq    uint64
 	parked map[*iface.Request]uint64
 
-	// Wait-class side lists (popClassed): whole classes parked off the
-	// scan path. Plain scans (popScan) merge them back in seq order, so
-	// mixed use keeps arrival-order semantics exact.
+	// Wait-class side lists: whole classes parked off the scan path.
 	classes  []classList
 	occupied []int // indices of classes with parked entries
 	scratch  []int // per-occupied cursor state for mutation-free scans
@@ -149,23 +160,26 @@ func (q *queue) release(r *iface.Request) {
 
 // insertBySeq re-inserts an entry at its arrival position (by sequence
 // number), keeping the scannable slice seq-ordered.
-func (q *queue) insertBySeq(e qent) {
-	lo, hi := q.head, len(q.items)
+func (q *queue) insertBySeq(e qent) { q.items = insertSeq(q.items, q.head, e) }
+
+// insertSeq inserts e into ents[head:], which is ordered by seq, at its
+// arrival position.
+//
+//eagletree:hotpath
+func insertSeq(ents []qent, head int, e qent) []qent {
+	lo, hi := head, len(ents)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if q.items[mid].seq < e.seq {
+		if ents[mid].seq < e.seq {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == len(q.items) {
-		q.items = append(q.items, e)
-		return
-	}
-	q.items = append(q.items, qent{})
-	copy(q.items[lo+1:], q.items[lo:])
-	q.items[lo] = e
+	ents = append(ents, qent{})
+	copy(ents[lo+1:], ents[lo:])
+	ents[lo] = e
+	return ents
 }
 
 // view returns the scannable requests in arrival order. The slice aliases
@@ -227,9 +241,9 @@ type classList struct {
 // FIFO dispatches strictly in arrival order, skipping requests that cannot
 // run yet. It is the baseline every other policy is measured against.
 //
-// Under a Gate (PopClassed), requests that fail with a wait-class park in
-// per-class side lists instead of being rescanned: dispatch cost tracks the
-// handful of runnable candidates, not the queue's length.
+// Requests that fail with a wait-class park in per-class side lists instead
+// of being rescanned: dispatch cost tracks the handful of runnable
+// candidates, not the queue's length.
 type FIFO struct {
 	q queue
 }
@@ -249,15 +263,11 @@ func (f *FIFO) Unblock(r *iface.Request) { f.q.release(r) }
 // Len implements Policy.
 func (f *FIFO) Len() int { return f.q.len() }
 
-// Pop implements Policy: the plain linear scan in arrival order.
-func (f *FIFO) Pop(_ sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	return f.q.popScan(canRun)
-}
-
-// PopClassed implements ClassedPolicy: arrival-ordered dispatch with whole
-// wait-classes parked off the scan path. The result is exactly Pop's — the
-// lowest-seq dispatchable request — because a sleeping class's members are
+// PopClassed implements Policy: the lowest-seq dispatchable request, with
+// whole wait-classes parked off the scan path — a sleeping class's members are
 // all guaranteed undispatchable while its token stands still.
+//
+//eagletree:hotpath
 func (f *FIFO) PopClassed(_ sim.Time, g Gate) *iface.Request {
 	if saturated(g) {
 		return nil
@@ -265,69 +275,16 @@ func (f *FIFO) PopClassed(_ sim.Time, g Gate) *iface.Request {
 	return f.q.popClassed(g)
 }
 
-// WakeRequest implements ClassedPolicy: it pulls one parked request out of
-// its class list and back into the scan path at its arrival position.
+// WakeRequest implements Policy: it pulls one parked request out of its class
+// list and back into the scan path at its arrival position.
 func (f *FIFO) WakeRequest(r *iface.Request, class int) { f.q.wakeRequest(r, class) }
-
-// popScan is the plain arrival-order scan. When class lists hold entries
-// (mixed use with popClassed), they are merged into the scan as if every
-// class were awake, so the result is identical to a single arrival-ordered
-// queue.
-func (q *queue) popScan(canRun func(*iface.Request) bool) *iface.Request {
-	if len(q.occupied) == 0 {
-		for i, e := range q.view() {
-			if canRun(e.r) {
-				return q.removeAt(i)
-			}
-		}
-		return nil
-	}
-	cur := make([]int, len(q.occupied))
-	fi := 0
-	const noSeq = ^uint64(0)
-	for {
-		fresh := q.view()
-		bestSeq := noSeq
-		bestIdx := -1 // index into occupied; -1 means the fresh entry wins
-		if fi < len(fresh) {
-			bestSeq = fresh[fi].seq
-		}
-		for oi, ci := range q.occupied {
-			cl := &q.classes[ci]
-			p := cl.head + cur[oi]
-			if p >= len(cl.ents) {
-				continue
-			}
-			if s := cl.ents[p].seq; s < bestSeq {
-				bestSeq, bestIdx = s, oi
-			}
-		}
-		if bestSeq == noSeq {
-			return nil
-		}
-		if bestIdx < 0 {
-			if canRun(fresh[fi].r) {
-				return q.removeAt(fi)
-			}
-			fi++
-			continue
-		}
-		ci := q.occupied[bestIdx]
-		cl := &q.classes[ci]
-		p := cl.head + cur[bestIdx]
-		if canRun(cl.ents[p].r) {
-			r := cl.ents[p].r
-			q.classRemoveAt(ci, p)
-			return r
-		}
-		cur[bestIdx]++
-	}
-}
 
 // classMaintain re-arms the class lists against the gate's current tokens:
 // classes whose membership token moved are flushed back into the scan path
 // for re-classification, and sleeping classes whose wake token moved are
-// woken. Every classed pop runs this once before scanning.
+// woken. Every pop runs this once before scanning.
+//
+//eagletree:hotpath
 func (q *queue) classMaintain(g Gate) {
 	for oi := 0; oi < len(q.occupied); {
 		ci := q.occupied[oi]
@@ -346,6 +303,8 @@ func (q *queue) classMaintain(g Gate) {
 // popClassed is arrival-ordered dispatch under a Gate. Sleeping classes
 // whose token stands still cost one comparison; everything else is the
 // usual lowest-seq merge over fresh arrivals and awake class heads.
+//
+//eagletree:hotpath
 func (q *queue) popClassed(g Gate) *iface.Request {
 	q.classMaintain(g)
 	const noSeq = ^uint64(0)
@@ -457,6 +416,8 @@ func (q *queue) scanStart() classCursor {
 
 // next returns the lowest-seq entry not yet yielded, with its location.
 // Locations stay valid until the queue's next mutation.
+//
+//eagletree:hotpath
 func (c *classCursor) next() (qent, scanLoc, bool) {
 	q := c.q
 	const noSeq = ^uint64(0)
@@ -506,25 +467,24 @@ func (q *queue) removeLoc(loc scanLoc) *iface.Request {
 	return r
 }
 
-// removeRequest removes a scannable request located by pointer, searching
-// the fresh slice then the occupied class lists. Returns it, or nil when it
-// is not scannable (parked via PushBlocked, or already removed).
-func (q *queue) removeRequest(r *iface.Request) *iface.Request {
+// locate finds a scannable request by pointer, searching the fresh slice then
+// the occupied class lists. It reports false when the request is not
+// scannable (parked via PushBlocked, or already removed).
+func (q *queue) locate(r *iface.Request) (scanLoc, bool) {
 	for i, e := range q.view() {
 		if e.r == r {
-			return q.removeAt(i)
+			return scanLoc{-1, i}, true
 		}
 	}
 	for _, ci := range q.occupied {
 		cl := &q.classes[ci]
 		for i := cl.head; i < len(cl.ents); i++ {
 			if cl.ents[i].r == r {
-				q.classRemoveAt(ci, i)
-				return r
+				return scanLoc{ci, i}, true
 			}
 		}
 	}
-	return nil
+	return scanLoc{}, false
 }
 
 // parkRequest locates a scannable request by pointer and parks it under the
@@ -535,36 +495,25 @@ func (q *queue) removeRequest(r *iface.Request) *iface.Request {
 // puts that class to sleep: the member just proved the class-wide condition
 // still holds.
 func (q *queue) parkRequest(r *iface.Request, class int, g Gate) {
-	for i, e := range q.view() {
-		if e.r == r {
-			q.removeAt(i)
-			q.classPark(class, e, g)
-			return
-		}
+	loc, ok := q.locate(r)
+	if !ok {
+		return
 	}
-	for _, ci := range q.occupied {
-		cl := &q.classes[ci]
-		if ci == class {
-			for i := cl.head; i < len(cl.ents); i++ {
-				if cl.ents[i].r == r {
-					cl.asleep = true
-					cl.token = g.ClassToken(class)
-					cl.stable = g.ClassStable(class)
-					return
-				}
-			}
-			continue
-		}
-		for i := cl.head; i < len(cl.ents); i++ {
-			if cl.ents[i].r != r {
-				continue
-			}
-			e := cl.ents[i]
-			q.classRemoveAt(ci, i)
-			q.classPark(class, e, g)
-			return
-		}
+	if loc.class == class {
+		cl := &q.classes[class]
+		cl.asleep = true
+		cl.token = g.ClassToken(class)
+		cl.stable = g.ClassStable(class)
+		return
 	}
+	var e qent
+	if loc.class < 0 {
+		e = q.view()[loc.idx]
+	} else {
+		e = q.classes[loc.class].ents[loc.idx]
+	}
+	q.removeLoc(loc)
+	q.classPark(class, e, g)
 }
 
 // parkLog collects (request, class) pairs discovered undispatchable during a
@@ -592,6 +541,8 @@ func (p *parkLog) apply(q *queue, g Gate) {
 // classPark files an entry under a wait-class and puts the class to sleep
 // at the current token: the entry just evaluated undispatchable, and its
 // failure condition is shared by every member.
+//
+//eagletree:hotpath
 func (q *queue) classPark(ci int, e qent, g Gate) {
 	for ci >= len(q.classes) {
 		q.classes = append(q.classes, classList{})
@@ -609,18 +560,7 @@ func (q *queue) classPark(ci int, e qent, g Gate) {
 	} else {
 		// A re-parked entry with an older arrival position (a retargeted
 		// read): ordered insert keeps the list scannable in seq order.
-		lo, hi := cl.head, len(cl.ents)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if cl.ents[mid].seq < e.seq {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		cl.ents = append(cl.ents, qent{})
-		copy(cl.ents[lo+1:], cl.ents[lo:])
-		cl.ents[lo] = e
+		cl.ents = insertSeq(cl.ents, cl.head, e)
 	}
 	cl.asleep = true
 	cl.token = g.ClassToken(ci)
@@ -650,6 +590,8 @@ func (q *queue) classFlush(ci int) {
 
 // classRemoveAt removes the entry at index i (into ents) from a class list,
 // reclaiming the list when it empties.
+//
+//eagletree:hotpath
 func (q *queue) classRemoveAt(ci, i int) {
 	cl := &q.classes[ci]
 	if i == cl.head {
@@ -728,7 +670,7 @@ func (o InternalOrder) String() string {
 //
 // Internally the queue is bucketed by score (scores are fixed per request at
 // push time, and only a handful of distinct values exist), kept in
-// descending score order. Pop walks buckets from the top and returns the
+// descending score order. A pop walks buckets from the top and returns the
 // first runnable request — identical selection to scanning one arrival-
 // ordered queue for the best score, but with an early exit instead of an
 // O(queue) scan per dispatch.
@@ -822,22 +764,11 @@ func (p *Priority) score(r *iface.Request) int {
 	return s
 }
 
-// Pop implements Policy.
-func (p *Priority) Pop(_ sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	for b := range p.buckets {
-		if r := p.buckets[b].q.popScan(canRun); r != nil {
-			p.n--
-			return r
-		}
-	}
-	return nil
-}
-
-// PopClassed implements ClassedPolicy: bucket-major dispatch with each
-// bucket's wait-classes parked off its scan path. Selection is identical to
-// Pop's — the highest-scoring bucket's earliest dispatchable request —
-// because a bucket's sleeping classes are provably undispatchable while
-// their tokens stand still.
+// PopClassed implements Policy: the highest-scoring bucket's earliest
+// dispatchable request, with each bucket's wait-classes parked off its scan
+// path.
+//
+//eagletree:hotpath
 func (p *Priority) PopClassed(_ sim.Time, g Gate) *iface.Request {
 	if saturated(g) {
 		return nil
@@ -851,9 +782,8 @@ func (p *Priority) PopClassed(_ sim.Time, g Gate) *iface.Request {
 	return nil
 }
 
-// WakeRequest implements ClassedPolicy. The score is a pure function of
-// immutable request fields, so it finds the same bucket the request parked
-// in.
+// WakeRequest implements Policy. The score is a pure function of immutable
+// request fields, so it finds the same bucket the request parked in.
 func (p *Priority) WakeRequest(r *iface.Request, class int) {
 	p.bucketFor(p.score(r)).wakeRequest(r, class)
 }
@@ -887,7 +817,7 @@ type Deadline struct {
 func (d *Deadline) Name() string { return "deadline" }
 
 // Push implements Policy. The fallback policy is only lent the queue during
-// Pop; it never stores requests across calls.
+// a pop; it never stores requests across calls.
 func (d *Deadline) Push(r *iface.Request) { d.q.push(r) }
 
 // PushBlocked implements Policy.
@@ -915,94 +845,12 @@ func (d *Deadline) deadlineFor(r *iface.Request) sim.Time {
 	return r.Submitted.Add(dl)
 }
 
-// Pop implements Policy.
-func (d *Deadline) Pop(now sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	// Overdue first, earliest deadline wins — unless the overdue run just
-	// hit its cap, in which case one non-overdue request goes first.
-	preempt := d.MaxConsecutiveOverdue <= 0 || d.overdueRun < d.MaxConsecutiveOverdue
-	if preempt {
-		best, bestDL := -1, sim.Never
-		for i, e := range d.q.view() {
-			dl := d.deadlineFor(e.r)
-			if dl <= now && canRun(e.r) && dl < bestDL {
-				best, bestDL = i, dl
-			}
-		}
-		if best >= 0 {
-			d.overdueRun++
-			return d.q.removeAt(best)
-		}
-	}
-	d.overdueRun = 0
-	if r := d.popFresh(now, canRun); r != nil {
-		return r
-	}
-	if preempt {
-		return nil // nothing runnable at all
-	}
-	// The cap demanded a non-overdue request but none is runnable; serve
-	// the overdue backlog rather than idling the device.
-	best, bestDL := -1, sim.Never
-	for i, e := range d.q.view() {
-		dl := d.deadlineFor(e.r)
-		if dl <= now && canRun(e.r) && dl < bestDL {
-			best, bestDL = i, dl
-		}
-	}
-	if best >= 0 {
-		d.overdueRun = 1
-		return d.q.removeAt(best)
-	}
-	return nil
-}
-
-// popFresh picks among not-yet-overdue requests via the fallback ordering.
-func (d *Deadline) popFresh(now sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	freshRunnable := func(r *iface.Request) bool {
-		return d.deadlineFor(r) > now && canRun(r)
-	}
-	if d.Fallback != nil {
-		// Delegate ordering to the fallback by lending it our queue.
-		return d.popViaFallback(now, freshRunnable)
-	}
-	for i, e := range d.q.view() {
-		if freshRunnable(e.r) {
-			return d.q.removeAt(i)
-		}
-	}
-	return nil
-}
-
-func (d *Deadline) popViaFallback(now sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	// Feed the fallback a fresh view of our pending items, pop one, and
-	// remove it from our queue. Fallback policies are stateless between
-	// calls except for their queue, so this stays cheap at simulator scale.
-	for _, e := range d.q.view() {
-		d.Fallback.Push(e.r)
-	}
-	picked := d.Fallback.Pop(now, canRun)
-	// Drain the fallback completely so the next call starts clean.
-	for d.Fallback.Len() > 0 {
-		if d.Fallback.Pop(now, func(*iface.Request) bool { return true }) == nil {
-			break
-		}
-	}
-	if picked == nil {
-		return nil
-	}
-	for i, e := range d.q.view() {
-		if e.r == picked {
-			return d.q.removeAt(i)
-		}
-	}
-	return picked
-}
-
-// PopClassed implements ClassedPolicy: the same overdue-first/fresh/cap
-// sequence as Pop, with whole wait-classes parked off the scan paths.
-// Selection is identical to Pop's because a sleeping class's members are all
-// guaranteed undispatchable while its token stands still — and deadlines
-// only order requests that are dispatchable in the first place.
+// PopClassed implements Policy. Overdue requests go first, earliest deadline
+// first — unless the overdue run just hit its cap, in which case one
+// non-overdue request goes first; when the cap demanded a non-overdue request
+// but none is runnable, the overdue backlog is served rather than idling the
+// device. Whole wait-classes stay parked off the scans: deadlines only order
+// requests that are dispatchable in the first place.
 func (d *Deadline) PopClassed(now sim.Time, g Gate) *iface.Request {
 	if saturated(g) {
 		d.overdueRun = 0 // what every nil pop below leaves behind
@@ -1030,11 +878,11 @@ func (d *Deadline) PopClassed(now sim.Time, g Gate) *iface.Request {
 	return nil
 }
 
-// WakeRequest implements ClassedPolicy.
+// WakeRequest implements Policy.
 func (d *Deadline) WakeRequest(r *iface.Request, class int) { d.q.wakeRequest(r, class) }
 
-// popOverdueClassed is Pop's overdue sweep under a Gate: the earliest
-// overdue deadline among dispatchable entries wins, ties in arrival order.
+// popOverdueClassed is the overdue sweep: the earliest overdue deadline
+// among dispatchable entries wins, ties in arrival order.
 // Class-wide failures discovered along the way are parked once the sweep
 // ends.
 func (d *Deadline) popOverdueClassed(now sim.Time, g Gate) *iface.Request {
@@ -1069,7 +917,8 @@ func (d *Deadline) popOverdueClassed(now sim.Time, g Gate) *iface.Request {
 	return r
 }
 
-// popFreshClassed is popFresh under a Gate.
+// popFreshClassed picks among not-yet-overdue requests: via the fallback
+// ordering when there is one, in arrival order otherwise.
 func (d *Deadline) popFreshClassed(now sim.Time, g Gate) *iface.Request {
 	if d.Fallback != nil {
 		return d.popViaFallbackClassed(now, g)
@@ -1098,10 +947,12 @@ func (d *Deadline) popFreshClassed(now sim.Time, g Gate) *iface.Request {
 }
 
 // popViaFallbackClassed lends the fallback every scannable entry — fresh
-// arrivals and awake class members in seq order, exactly the set a plain
-// lend would find runnable — and lets it order them. Sleeping class members
-// are withheld: the fallback could never pick them (canRun would refuse), so
-// their absence cannot change which request it returns.
+// arrivals and awake class members in seq order — and lets it order them.
+// Sleeping class members are withheld: the fallback could never pick them
+// (Evaluate would refuse), so their absence cannot change which request it
+// returns. The fallback pops under a gateFunc, so it parks nothing of its own;
+// class-wide failures are recorded for this queue instead. Not a hotpath
+// function: the lend's predicate is a closure over now and g.
 func (d *Deadline) popViaFallbackClassed(now sim.Time, g Gate) *iface.Request {
 	cur := d.q.scanStart()
 	for {
@@ -1111,7 +962,7 @@ func (d *Deadline) popViaFallbackClassed(now sim.Time, g Gate) *iface.Request {
 		}
 		d.Fallback.Push(e.r)
 	}
-	picked := d.Fallback.Pop(now, func(r *iface.Request) bool {
+	picked := d.Fallback.PopClassed(now, gateFunc(func(r *iface.Request) bool {
 		if d.deadlineFor(r) <= now {
 			return false
 		}
@@ -1120,15 +971,17 @@ func (d *Deadline) popViaFallbackClassed(now sim.Time, g Gate) *iface.Request {
 			d.parks.record(r, class)
 		}
 		return ok
-	})
+	}))
 	// Drain the fallback completely so the next call starts clean.
 	for d.Fallback.Len() > 0 {
-		if d.Fallback.Pop(now, func(*iface.Request) bool { return true }) == nil {
+		if d.Fallback.PopClassed(now, gateFunc(func(*iface.Request) bool { return true })) == nil {
 			break
 		}
 	}
 	if picked != nil {
-		d.q.removeRequest(picked)
+		if loc, ok := d.q.locate(picked); ok {
+			d.q.removeLoc(loc)
+		}
 	}
 	d.parks.apply(&d.q, g)
 	return picked
@@ -1168,38 +1021,13 @@ func (f *Fair) weight(s iface.Source) int {
 	return 1
 }
 
-// Pop implements Policy.
-func (f *Fair) Pop(_ sim.Time, canRun func(*iface.Request) bool) *iface.Request {
-	// Try each source starting from the current turn; within a source,
-	// arrival order. A source with remaining credits keeps the turn.
-	for tried := 0; tried < int(iface.NumSources); tried++ {
-		src := iface.Source((int(f.turn) + tried) % iface.NumSources)
-		for i, e := range f.q.view() {
-			r := e.r
-			if r.Source != src || !canRun(r) {
-				continue
-			}
-			if tried != 0 {
-				// Turn moved on; reset credits for the new holder.
-				f.turn = src
-				f.credits[src] = 0
-			}
-			f.credits[src]++
-			if f.credits[src] >= f.weight(src) {
-				f.credits[src] = 0
-				f.turn = iface.Source((int(src) + 1) % iface.NumSources)
-			}
-			return f.q.removeAt(i)
-		}
-	}
-	return nil
-}
-
-// PopClassed implements ClassedPolicy: the same weighted round-robin as Pop
-// with whole wait-classes parked off the per-source scans. Selection and
-// credit bookkeeping are identical to Pop's — a sleeping class's members
-// would fail canRun in the plain scan too, and each entry is evaluated in at
-// most one source round (the one matching its own source).
+// PopClassed implements Policy. Each source is tried starting from the
+// current turn; within a source, arrival order; a source with remaining
+// credits keeps the turn. Whole wait-classes stay parked off the per-source
+// scans, and each entry is evaluated in at most one source round (the one
+// matching its own source).
+//
+//eagletree:hotpath
 func (f *Fair) PopClassed(_ sim.Time, g Gate) *iface.Request {
 	if saturated(g) {
 		return nil
@@ -1243,5 +1071,5 @@ func (f *Fair) PopClassed(_ sim.Time, g Gate) *iface.Request {
 	return nil
 }
 
-// WakeRequest implements ClassedPolicy.
+// WakeRequest implements Policy.
 func (f *Fair) WakeRequest(r *iface.Request, class int) { f.q.wakeRequest(r, class) }

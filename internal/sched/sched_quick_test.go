@@ -58,7 +58,7 @@ func TestPoliciesConserveRequests(t *testing.T) {
 				return false
 			}
 			for {
-				r := p.Pop(sim.Time(1<<20), func(*iface.Request) bool { return true })
+				r := pop(p, sim.Time(1<<20), func(*iface.Request) bool { return true })
 				if r == nil {
 					break
 				}
@@ -102,7 +102,7 @@ func TestPoliciesRespectCanRun(t *testing.T) {
 			canRun := func(r *iface.Request) bool { return !blocked[r.ID] }
 			popped := 0
 			for {
-				r := p.Pop(sim.Time(1<<20), canRun)
+				r := pop(p, sim.Time(1<<20), canRun)
 				if r == nil {
 					break
 				}
@@ -140,7 +140,7 @@ func TestDeadlineOverduePopOrder(t *testing.T) {
 		now := sim.Time(1 << 30)
 		var last sim.Time = -1
 		for {
-			r := d.Pop(now, func(*iface.Request) bool { return true })
+			r := pop(d, now, func(*iface.Request) bool { return true })
 			if r == nil {
 				break
 			}

@@ -11,18 +11,24 @@ func req(id uint64, t iface.ReqType, src iface.Source) *iface.Request {
 	return &iface.Request{ID: id, Type: t, Source: src}
 }
 
+// pop pops under a bare predicate — no wait-classes, no saturation proof —
+// which is all a test of a policy's order needs.
+func pop(p Policy, now sim.Time, ok func(*iface.Request) bool) *iface.Request {
+	return p.PopClassed(now, gateFunc(ok))
+}
+
 func runAll(*iface.Request) bool { return false }
 
 func yes(*iface.Request) bool { return true }
 
 func TestFIFOOrder(t *testing.T) {
-	var f FIFO
+	f := &FIFO{}
 	f.Push(req(1, iface.Read, iface.SourceApp))
 	f.Push(req(2, iface.Write, iface.SourceApp))
 	f.Push(req(3, iface.Read, iface.SourceApp))
 	var got []uint64
 	for f.Len() > 0 {
-		got = append(got, f.Pop(0, yes).ID)
+		got = append(got, pop(f, 0, yes).ID)
 	}
 	for i, want := range []uint64{1, 2, 3} {
 		if got[i] != want {
@@ -32,10 +38,10 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestFIFOSkipsBlocked(t *testing.T) {
-	var f FIFO
+	f := &FIFO{}
 	f.Push(req(1, iface.Read, iface.SourceApp))
 	f.Push(req(2, iface.Write, iface.SourceApp))
-	r := f.Pop(0, func(r *iface.Request) bool { return r.ID == 2 })
+	r := pop(f, 0, func(r *iface.Request) bool { return r.ID == 2 })
 	if r == nil || r.ID != 2 {
 		t.Fatalf("Pop = %v, want req 2", r)
 	}
@@ -45,9 +51,9 @@ func TestFIFOSkipsBlocked(t *testing.T) {
 }
 
 func TestFIFONilWhenNothingRunnable(t *testing.T) {
-	var f FIFO
+	f := &FIFO{}
 	f.Push(req(1, iface.Read, iface.SourceApp))
-	if r := f.Pop(0, runAll); r != nil {
+	if r := pop(f, 0, runAll); r != nil {
 		t.Fatalf("Pop = %v, want nil", r)
 	}
 	if f.Len() != 1 {
@@ -59,7 +65,7 @@ func TestPriorityPreferReads(t *testing.T) {
 	p := &Priority{Prefer: PreferReads}
 	p.Push(req(1, iface.Write, iface.SourceApp))
 	p.Push(req(2, iface.Read, iface.SourceApp))
-	if r := p.Pop(0, yes); r.ID != 2 {
+	if r := pop(p, 0, yes); r.ID != 2 {
 		t.Fatalf("got %d, want the read", r.ID)
 	}
 }
@@ -68,7 +74,7 @@ func TestPriorityPreferWrites(t *testing.T) {
 	p := &Priority{Prefer: PreferWrites}
 	p.Push(req(1, iface.Read, iface.SourceApp))
 	p.Push(req(2, iface.Write, iface.SourceApp))
-	if r := p.Pop(0, yes); r.ID != 2 {
+	if r := pop(p, 0, yes); r.ID != 2 {
 		t.Fatalf("got %d, want the write", r.ID)
 	}
 }
@@ -77,7 +83,7 @@ func TestPriorityTieBreaksFIFO(t *testing.T) {
 	p := &Priority{Prefer: PreferReads}
 	p.Push(req(1, iface.Read, iface.SourceApp))
 	p.Push(req(2, iface.Read, iface.SourceApp))
-	if r := p.Pop(0, yes); r.ID != 1 {
+	if r := pop(p, 0, yes); r.ID != 1 {
 		t.Fatalf("tie broke to %d, want arrival order", r.ID)
 	}
 }
@@ -86,7 +92,7 @@ func TestPriorityInternalLast(t *testing.T) {
 	p := &Priority{Internal: InternalLast}
 	p.Push(req(1, iface.Write, iface.SourceGC))
 	p.Push(req(2, iface.Write, iface.SourceApp))
-	if r := p.Pop(0, yes); r.ID != 2 {
+	if r := pop(p, 0, yes); r.ID != 2 {
 		t.Fatalf("got %d, want app write before GC", r.ID)
 	}
 }
@@ -95,7 +101,7 @@ func TestPriorityInternalFirst(t *testing.T) {
 	p := &Priority{Internal: InternalFirst}
 	p.Push(req(1, iface.Write, iface.SourceApp))
 	p.Push(req(2, iface.Write, iface.SourceGC))
-	if r := p.Pop(0, yes); r.ID != 2 {
+	if r := pop(p, 0, yes); r.ID != 2 {
 		t.Fatalf("got %d, want GC first", r.ID)
 	}
 }
@@ -106,7 +112,7 @@ func TestPriorityTagDominates(t *testing.T) {
 	hi := req(2, iface.Read, iface.SourceApp)
 	hi.Tags.Priority = iface.PriorityHigh
 	p.Push(hi)
-	if r := p.Pop(0, yes); r.ID != 2 {
+	if r := pop(p, 0, yes); r.ID != 2 {
 		t.Fatalf("got %d, want high-priority tag to beat type preference", r.ID)
 	}
 }
@@ -117,7 +123,7 @@ func TestPriorityTagIgnoredWhenLocked(t *testing.T) {
 	hi := req(2, iface.Read, iface.SourceApp)
 	hi.Tags.Priority = iface.PriorityHigh
 	p.Push(hi)
-	if r := p.Pop(0, yes); r.ID != 1 {
+	if r := pop(p, 0, yes); r.ID != 1 {
 		t.Fatalf("got %d; block-device mode must ignore tags", r.ID)
 	}
 }
@@ -131,12 +137,12 @@ func TestDeadlineOverdueFirst(t *testing.T) {
 	d.Push(w)
 	d.Push(r)
 	// At t=200 the read (deadline 150) is overdue, the write (1000) is not.
-	if got := d.Pop(200, yes); got.ID != 2 {
+	if got := pop(d, 200, yes); got.ID != 2 {
 		t.Fatalf("got %d, want overdue read", got.ID)
 	}
 	// At t=60 nothing is overdue: FIFO fallback -> write first.
 	d.Push(r)
-	if got := d.Pop(60, yes); got.ID != 1 {
+	if got := pop(d, 60, yes); got.ID != 1 {
 		t.Fatalf("got %d, want FIFO order when nothing overdue", got.ID)
 	}
 }
@@ -149,7 +155,7 @@ func TestDeadlineEarliestOverdueWins(t *testing.T) {
 	b.Submitted = 0 // deadline 100
 	d.Push(a)
 	d.Push(b)
-	if got := d.Pop(500, yes); got.ID != 2 {
+	if got := pop(d, 500, yes); got.ID != 2 {
 		t.Fatalf("got %d, want earliest deadline", got.ID)
 	}
 }
@@ -158,7 +164,7 @@ func TestDeadlineZeroMeansNone(t *testing.T) {
 	d := &Deadline{} // no deadlines at all
 	a := req(1, iface.Write, iface.SourceApp)
 	d.Push(a)
-	if got := d.Pop(sim.Time(1<<40), yes); got.ID != 1 {
+	if got := pop(d, sim.Time(1<<40), yes); got.ID != 1 {
 		t.Fatal("fallback did not serve request")
 	}
 }
@@ -169,13 +175,13 @@ func TestDeadlineWithPriorityFallback(t *testing.T) {
 	r := req(2, iface.Read, iface.SourceApp)
 	d.Push(w)
 	d.Push(r)
-	if got := d.Pop(0, yes); got.ID != 2 {
+	if got := pop(d, 0, yes); got.ID != 2 {
 		t.Fatalf("got %d, want fallback to prefer reads", got.ID)
 	}
 	if d.Len() != 1 {
 		t.Fatalf("Len = %d after one pop", d.Len())
 	}
-	if got := d.Pop(0, yes); got.ID != 1 {
+	if got := pop(d, 0, yes); got.ID != 1 {
 		t.Fatalf("second pop = %d", got.ID)
 	}
 }
@@ -188,7 +194,7 @@ func TestDeadlineInternal(t *testing.T) {
 	a.Submitted = 0
 	d.Push(a)
 	d.Push(g)
-	if got := d.Pop(150, yes); got.ID != 1 {
+	if got := pop(d, 150, yes); got.ID != 1 {
 		t.Fatalf("got %d, want overdue GC write", got.ID)
 	}
 }
@@ -201,7 +207,7 @@ func TestFairAlternatesSources(t *testing.T) {
 	}
 	var srcs []iface.Source
 	for f.Len() > 0 {
-		srcs = append(srcs, f.Pop(0, yes).Source)
+		srcs = append(srcs, pop(f, 0, yes).Source)
 	}
 	// Weight 1 each: app, gc, app, gc, ...
 	for i := 1; i < len(srcs); i++ {
@@ -222,7 +228,7 @@ func TestFairWeights(t *testing.T) {
 	}
 	var srcs []iface.Source
 	for f.Len() > 0 {
-		srcs = append(srcs, f.Pop(0, yes).Source)
+		srcs = append(srcs, pop(f, 0, yes).Source)
 	}
 	want := []iface.Source{iface.SourceApp, iface.SourceApp, iface.SourceGC, iface.SourceApp, iface.SourceApp, iface.SourceGC}
 	for i := range want {
@@ -235,7 +241,7 @@ func TestFairWeights(t *testing.T) {
 func TestFairSkipsEmptySources(t *testing.T) {
 	f := &Fair{}
 	f.Push(req(1, iface.Write, iface.SourceWL))
-	if r := f.Pop(0, yes); r == nil || r.ID != 1 {
+	if r := pop(f, 0, yes); r == nil || r.ID != 1 {
 		t.Fatal("fair policy starved the only source")
 	}
 }

@@ -120,9 +120,7 @@ func registerPolicies() {
 				WriteDeadline:         p.Dur("write_deadline", 0),
 				InternalDeadline:      p.Dur("internal_deadline", 0),
 				MaxConsecutiveOverdue: p.Int("max_consecutive_overdue", 0),
-			}
-			if fb := p.Component("fallback", KindPolicy); fb != nil {
-				d.Fallback = fb.(sched.Policy)
+				Fallback:              componentParam[sched.Policy](p, "fallback", KindPolicy),
 			}
 			return d, nil
 		},

@@ -129,73 +129,56 @@ func (c Config) Resolve() (core.Config, error) {
 	cfg.OS.QueueDepth = c.OS.QueueDepth
 
 	var env Env // configurations carry no workload expressions
+	var err error
 	if !c.Timing.None() {
-		v, err := Make(KindTiming, c.Timing, env)
-		if err != nil {
+		if ctl.Timing, err = makeAs[flash.Timing](KindTiming, c.Timing, env); err != nil {
 			return cfg, fmt.Errorf("spec: timing: %w", err)
 		}
-		ctl.Timing = v.(flash.Timing)
 	}
 	if !c.Mapping.None() {
-		v, err := Make(KindMapping, c.Mapping, env)
+		m, err := makeAs[MappingChoice](KindMapping, c.Mapping, env)
 		if err != nil {
 			return cfg, fmt.Errorf("spec: mapping: %w", err)
 		}
-		m := v.(MappingChoice)
 		ctl.Mapping = m.Scheme
 		ctl.CMTEntries = m.CMTEntries
 		ctl.ReservedTransBlocks = m.ReservedTransBlocks
 	}
 	if !c.GC.Policy.None() {
-		v, err := Make(KindGCPolicy, c.GC.Policy, env)
-		if err != nil {
+		if ctl.GCPolicy, err = makeAs[gc.VictimPolicy](KindGCPolicy, c.GC.Policy, env); err != nil {
 			return cfg, fmt.Errorf("spec: gc policy: %w", err)
 		}
-		ctl.GCPolicy = v.(gc.VictimPolicy)
 	}
 	if !c.WL.None() {
-		v, err := Make(KindWL, c.WL, env)
-		if err != nil {
+		if ctl.WL, err = makeAs[wl.Config](KindWL, c.WL, env); err != nil {
 			return cfg, fmt.Errorf("spec: wear leveling: %w", err)
 		}
-		ctl.WL = v.(wl.Config)
 	}
 	if !c.Policy.None() {
-		v, err := Make(KindPolicy, c.Policy, env)
-		if err != nil {
+		if ctl.Policy, err = makeAs[sched.Policy](KindPolicy, c.Policy, env); err != nil {
 			return cfg, fmt.Errorf("spec: scheduling policy: %w", err)
 		}
-		ctl.Policy = v.(sched.Policy)
 	}
 	if !c.Alloc.None() {
-		v, err := Make(KindAllocator, c.Alloc, env)
-		if err != nil {
+		if ctl.Alloc, err = makeAs[sched.Allocator](KindAllocator, c.Alloc, env); err != nil {
 			return cfg, fmt.Errorf("spec: allocator: %w", err)
 		}
-		ctl.Alloc = v.(sched.Allocator)
 	}
 	if !c.Detector.None() {
-		v, err := Make(KindDetector, c.Detector, env)
-		if err != nil {
+		if ctl.Detector, err = makeAs[hotcold.Detector](KindDetector, c.Detector, env); err != nil {
 			return cfg, fmt.Errorf("spec: detector: %w", err)
 		}
-		ctl.Detector = v.(hotcold.Detector)
 	}
 	if c.Fault != nil && !c.Fault.None() {
-		v, err := Make(KindFault, *c.Fault, env)
-		if err != nil {
+		// The "none" model builds nil: no injector at all.
+		if ctl.Fault, err = makeAs[fault.Model](KindFault, *c.Fault, env); err != nil {
 			return cfg, fmt.Errorf("spec: fault model: %w", err)
-		}
-		if v != nil { // the "none" model resolves to no injector at all
-			ctl.Fault = v.(fault.Model)
 		}
 	}
 	if !c.OS.Policy.None() {
-		v, err := Make(KindOSPolicy, c.OS.Policy, env)
-		if err != nil {
+		if cfg.OS.Policy, err = makeAs[osched.Policy](KindOSPolicy, c.OS.Policy, env); err != nil {
 			return cfg, fmt.Errorf("spec: os policy: %w", err)
 		}
-		cfg.OS.Policy = v.(osched.Policy)
 	}
 	return cfg, nil
 }

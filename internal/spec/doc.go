@@ -536,11 +536,7 @@ func coerceFloat(v any) (float64, error) {
 
 // MakeThread resolves one thread declaration into a live workload thread.
 func MakeThread(t Thread, env Env) (workload.Thread, error) {
-	v, err := Make(KindThread, Ref{Name: t.Type, Params: t.Params}, env)
-	if err != nil {
-		return nil, err
-	}
-	return v.(workload.Thread), nil
+	return makeAs[workload.Thread](KindThread, Ref{Name: t.Type, Params: t.Params}, env)
 }
 
 // RepeatCount evaluates a thread's replica count (0 or absent = 1).

@@ -321,19 +321,26 @@ func (p *Params) Ints(name string) []int {
 // Component reads a nested component parameter of the given kind, building
 // it through the registry. Absent (or null) means nil.
 func (p *Params) Component(name string, kind Kind) any {
+	return componentParam[any](p, name, kind)
+}
+
+// componentParam is Component for a slot of Go type T; a nested component of
+// another type fails the build with a *ComponentTypeError.
+func componentParam[T any](p *Params, name string, kind Kind) T {
+	var zero T
 	v, ok := p.raw(name)
 	if !ok || v == nil {
-		return nil
+		return zero
 	}
 	ref, err := coerceRef(v)
 	if err != nil {
 		p.fail(name, err)
-		return nil
+		return zero
 	}
-	c, err := Make(kind, ref, p.env)
+	c, err := makeAs[T](kind, ref, p.env)
 	if err != nil {
 		p.fail(name, err)
-		return nil
+		return zero
 	}
 	return c
 }

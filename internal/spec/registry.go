@@ -20,6 +20,7 @@ package spec
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 )
@@ -177,6 +178,22 @@ func (e *ParamError) Error() string {
 
 func (e *ParamError) Unwrap() error { return e.Err }
 
+// ComponentTypeError reports a registered component whose factory built a
+// value that does not fit the slot its kind plugs into — a "policy" that does
+// not implement sched.Policy, say. Anyone can register components, so this is
+// an error of the document's environment, not a bug to panic on.
+type ComponentTypeError struct {
+	Kind Kind
+	Name string
+	// Want is the Go type the slot holds; Got is what the factory returned.
+	Want string
+	Got  string
+}
+
+func (e *ComponentTypeError) Error() string {
+	return fmt.Sprintf("spec: %s component %q builds a %s, which is not a %s", e.Kind, e.Name, e.Got, e.Want)
+}
+
 var (
 	regMu    sync.RWMutex
 	registry = map[Kind]map[string]*Component{}
@@ -261,6 +278,23 @@ func Make(kind Kind, ref Ref, env Env) (any, error) {
 		return nil, p.err
 	}
 	return v, nil
+}
+
+// makeAs is Make for a slot of Go type T: a value that is not a T is a
+// *ComponentTypeError. A factory may build nil (the "none" fault model), which
+// is T's zero value.
+func makeAs[T any](kind Kind, ref Ref, env Env) (T, error) {
+	var zero T
+	v, err := Make(kind, ref, env)
+	if err != nil || v == nil {
+		return zero, err
+	}
+	t, ok := v.(T)
+	if !ok {
+		return zero, &ComponentTypeError{Kind: kind, Name: ref.Name,
+			Want: reflect.TypeOf(&zero).Elem().String(), Got: fmt.Sprintf("%T", v)}
+	}
+	return t, nil
 }
 
 // ValidateRef checks a reference without building it: the name must be
