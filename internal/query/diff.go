@@ -3,8 +3,8 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strconv"
 
 	"eagletree/internal/resultstore"
 	"eagletree/internal/stats"
@@ -66,41 +66,37 @@ func Diff(rows []resultstore.Row, a, b string, metrics []string) (*Table, DiffSu
 		specs[i] = cs
 	}
 
-	// One group per variant position; within it, one row per side per seed.
-	// The variant's canonical config key embeds its seed, so the key itself
+	// One group per variant position; within it, one row index per side per
+	// seed. The variant's canonical config key embeds its seed, so the key
 	// cannot be the group identity — replicates of one variant under several
 	// seeds must land in one group to pair up. (experiment, index, label)
 	// names the grid position; seeds pair inside it.
-	type group struct {
-		experiment string
-		index      int
-		label      string
-		sideA      map[uint64]resultstore.Row
-		sideB      map[uint64]resultstore.Row
+	type position struct {
+		experiment, label string
+		index             int
 	}
-	groupOf := make(map[string]*group)
+	type group struct {
+		position
+		sideA, sideB map[uint64]int32
+	}
+	groupOf := make(map[position]*group)
 	var groups []*group
-	for _, r := range rows {
+	for i := range rows {
+		r := &rows[i]
 		if r.Commit != a && r.Commit != b {
 			continue
 		}
-		key := r.Experiment + "\x00" + strconv.Itoa(r.Index) + "\x00" + r.Label
-		g, ok := groupOf[key]
+		pos := position{r.Experiment, r.Label, r.Index}
+		g, ok := groupOf[pos]
 		if !ok {
-			g = &group{
-				experiment: r.Experiment,
-				index:      r.Index,
-				label:      r.Label,
-				sideA:      make(map[uint64]resultstore.Row),
-				sideB:      make(map[uint64]resultstore.Row),
-			}
-			groupOf[key] = g
+			g = &group{position: pos, sideA: make(map[uint64]int32), sideB: make(map[uint64]int32)}
+			groupOf[pos] = g
 			groups = append(groups, g)
 		}
 		if r.Commit == a {
-			g.sideA[r.Seed] = r
+			g.sideA[r.Seed] = int32(i)
 		} else {
-			g.sideB[r.Seed] = r
+			g.sideB[r.Seed] = int32(i)
 		}
 	}
 	sort.SliceStable(groups, func(i, j int) bool {
@@ -114,7 +110,7 @@ func Diff(rows []resultstore.Row, a, b string, metrics []string) (*Table, DiffSu
 		return gi.label < gj.label
 	})
 
-	out := &Table{cols: []column{
+	out := &Table{cols: []*column{
 		{name: "experiment", kind: resultstore.KindString},
 		{name: "label", kind: resultstore.KindString},
 		{name: "metric", kind: resultstore.KindString},
@@ -135,10 +131,11 @@ func Diff(rows []resultstore.Row, a, b string, metrics []string) (*Table, DiffSu
 		out.cols[6].floats = append(out.cols[6].floats, delta)
 		out.cols[7].floats = append(out.cols[7].floats, pct)
 		out.cols[8].strs = append(out.cols[8].strs, verdict)
+		out.n++
 	}
 
-	toFloat := func(cs resultstore.ColumnSpec, r resultstore.Row) float64 {
-		v := cs.Get(&r)
+	toFloat := func(cs resultstore.ColumnSpec, row int32) float64 {
+		v := cs.Get(&rows[row])
 		switch cs.Kind {
 		case resultstore.KindInt:
 			return float64(v.Int)
@@ -149,8 +146,10 @@ func Diff(rows []resultstore.Row, a, b string, metrics []string) (*Table, DiffSu
 		}
 	}
 
+	var seeds []uint64
+	var xa, xb, deltas []float64
 	for _, g := range groups {
-		var seeds []uint64
+		seeds = seeds[:0]
 		for s := range g.sideA { //lint:ordered seeds are sorted immediately below
 			if _, ok := g.sideB[s]; ok {
 				seeds = append(seeds, s)
@@ -160,18 +159,15 @@ func Diff(rows []resultstore.Row, a, b string, metrics []string) (*Table, DiffSu
 			sum.Unpaired++
 			continue
 		}
-		sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
+		slices.Sort(seeds)
 
 		for _, cs := range specs {
-			xa := make([]float64, len(seeds))
-			xb := make([]float64, len(seeds))
-			deltas := make([]float64, len(seeds))
+			xa, xb, deltas = xa[:0], xb[:0], deltas[:0]
 			allZero := true
-			for i, s := range seeds {
-				xa[i] = toFloat(cs, g.sideA[s])
-				xb[i] = toFloat(cs, g.sideB[s])
-				deltas[i] = xb[i] - xa[i]
-				if deltas[i] != 0 {
+			for _, s := range seeds {
+				va, vb := toFloat(cs, g.sideA[s]), toFloat(cs, g.sideB[s])
+				xa, xb, deltas = append(xa, va), append(xb, vb), append(deltas, vb-va)
+				if vb-va != 0 {
 					allZero = false
 				}
 			}

@@ -2,7 +2,7 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -21,45 +21,49 @@ type Predicate struct {
 // parsing never splits ">=" into ">" and "=".
 var filterOps = []string{"!=", ">=", "<=", "=", "<", ">", "~"}
 
-// ParsePredicate parses one "column OP literal" clause. Spaces around the
-// operator are optional; the literal runs to the end of the clause.
+// ParsePredicate parses one "column OP literal" clause, split at its leftmost
+// operator: the literal runs to the end of the clause and may itself hold
+// operator characters ("label~qd=8"). Spaces around the operator are optional.
 func ParsePredicate(expr string) (Predicate, error) {
-	for _, op := range filterOps {
-		i := strings.Index(expr, op)
-		if i <= 0 {
-			continue
+	at, op := len(expr), ""
+	for _, o := range filterOps {
+		if i := strings.Index(expr, o); i >= 0 && i < at {
+			at, op = i, o
 		}
-		col := strings.TrimSpace(expr[:i])
-		val := strings.TrimSpace(expr[i+len(op):])
-		if col == "" {
-			break
-		}
-		return Predicate{Col: col, Op: op, Val: val}, nil
+	}
+	if col := strings.TrimSpace(expr[:at]); op != "" && col != "" {
+		return Predicate{Col: col, Op: op, Val: strings.TrimSpace(expr[at+len(op):])}, nil
 	}
 	return Predicate{}, fmt.Errorf("%w: %q (want column OP value with OP one of %s)",
 		ErrPredicate, expr, strings.Join(filterOps, " "))
+}
+
+// compiled is one predicate bound to its column: the literal as a one-cell
+// column of the same kind, and which signs of cell − literal the operator
+// accepts, indexed by sign+1 (none for ~, which asks for a substring).
+type compiled struct {
+	c, lit *column
+	accept [3]bool
+	substr bool
+}
+
+var accepts = map[string][3]bool{
+	"=": {false, true, false}, "!=": {true, false, true},
+	"<": {true, false, false}, "<=": {true, true, false},
+	">": {false, false, true}, ">=": {false, true, true},
 }
 
 // Filter returns the rows of t satisfying every predicate, in order.
 // String columns support = != ~ (substring); numeric columns support
 // = != < <= > >=.
 func (t *Table) Filter(preds []Predicate) (*Table, error) {
-	type compiled struct {
-		c  *column
-		op string
-		// exactly one literal representation is valid, chosen by column kind
-		s string
-		i int64
-		u uint64
-		f float64
-	}
 	comp := make([]compiled, len(preds))
 	for k, p := range preds {
 		c, err := t.col(p.Col)
 		if err != nil {
 			return nil, err
 		}
-		cp := compiled{c: c, op: p.Op, s: p.Val}
+		lit := &column{kind: c.kind, strs: []string{p.Val}, ints: []int64{0}, uints: []uint64{0}, floats: []float64{0}}
 		switch c.kind {
 		case resultstore.KindString:
 			switch p.Op {
@@ -68,11 +72,11 @@ func (t *Table) Filter(preds []Predicate) (*Table, error) {
 				return nil, fmt.Errorf("%w: operator %q does not apply to string column %q", ErrPredicate, p.Op, p.Col)
 			}
 		case resultstore.KindInt:
-			cp.i, err = strconv.ParseInt(p.Val, 10, 64)
+			lit.ints[0], err = strconv.ParseInt(p.Val, 10, 64)
 		case resultstore.KindUint:
-			cp.u, err = strconv.ParseUint(p.Val, 10, 64)
+			lit.uints[0], err = strconv.ParseUint(p.Val, 10, 64)
 		case resultstore.KindFloat:
-			cp.f, err = strconv.ParseFloat(p.Val, 64)
+			lit.floats[0], err = strconv.ParseFloat(p.Val, 64)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: %q is not a valid literal for %s column %q", ErrPredicate, p.Val, c.kind, p.Col)
@@ -80,60 +84,48 @@ func (t *Table) Filter(preds []Predicate) (*Table, error) {
 		if c.kind != resultstore.KindString && p.Op == "~" {
 			return nil, fmt.Errorf("%w: operator ~ applies only to string columns, not %s %q", ErrPredicate, c.kind, p.Col)
 		}
-		comp[k] = cp
+		comp[k] = compiled{c: c, lit: lit, accept: accepts[p.Op], substr: p.Op == "~"}
 	}
+	sel := t.matching(comp, []int32{}) // never nil: nil would select every row
+	return &Table{cols: t.cols, sel: sel, n: len(sel)}, nil
+}
 
-	var idx []int
-	for r := 0; r < t.Len(); r++ {
-		keep := true
-		for _, cp := range comp {
-			var ord int // sign of cell - literal, for numeric kinds
-			var ok bool
-			switch cp.c.kind {
-			case resultstore.KindString:
-				cell := cp.c.strs[r]
-				switch cp.op {
-				case "=":
-					ok = cell == cp.s
-				case "!=":
-					ok = cell != cp.s
-				case "~":
-					ok = strings.Contains(cell, cp.s)
+// matching appends to sel the column rows of t that satisfy all of comp.
+//
+//eagletree:hotpath
+func (t *Table) matching(comp []compiled, sel []int32) []int32 {
+rows:
+	for i := 0; i < t.n; i++ {
+		r := t.row(i)
+		for k := range comp {
+			cp := &comp[k]
+			if cp.substr {
+				if !strings.Contains(cp.c.strs[r], cp.lit.strs[0]) {
+					continue rows
 				}
-				if !ok {
-					keep = false
-				}
-				continue
-			case resultstore.KindInt:
-				ord = cmpOrd(cp.c.ints[r], cp.i)
-			case resultstore.KindUint:
-				ord = cmpOrd(cp.c.uints[r], cp.u)
-			case resultstore.KindFloat:
-				ord = cmpOrd(cp.c.floats[r], cp.f)
-			}
-			switch cp.op {
-			case "=":
-				ok = ord == 0
-			case "!=":
-				ok = ord != 0
-			case "<":
-				ok = ord < 0
-			case "<=":
-				ok = ord <= 0
-			case ">":
-				ok = ord > 0
-			case ">=":
-				ok = ord >= 0
-			}
-			if !ok {
-				keep = false
+			} else if !cp.accept[order(cp.c, r, cp.lit, 0)+1] {
+				continue rows
 			}
 		}
-		if keep {
-			idx = append(idx, r)
-		}
+		sel = append(sel, int32(r))
 	}
-	return t.take(idx), nil
+	return sel
+}
+
+// order returns the sign of a's cell ra − b's cell rb, for columns of one kind.
+//
+//eagletree:hotpath
+func order(a *column, ra int, b *column, rb int) int {
+	switch a.kind {
+	case resultstore.KindString:
+		return strings.Compare(a.strs[ra], b.strs[rb])
+	case resultstore.KindInt:
+		return cmpOrd(a.ints[ra], b.ints[rb])
+	case resultstore.KindUint:
+		return cmpOrd(a.uints[ra], b.uints[rb])
+	default:
+		return cmpOrd(a.floats[ra], b.floats[rb])
+	}
 }
 
 func cmpOrd[T int64 | uint64 | float64](a, b T) int {
@@ -149,62 +141,62 @@ func cmpOrd[T int64 | uint64 | float64](a, b T) int {
 
 // Project returns a table holding only the named columns, in the given order.
 func (t *Table) Project(names []string) (*Table, error) {
-	out := &Table{cols: make([]column, 0, len(names))}
+	out := &Table{cols: make([]*column, 0, len(names)), sel: t.sel, n: t.n}
 	for _, name := range names {
 		c, err := t.col(name)
 		if err != nil {
 			return nil, err
 		}
-		out.cols = append(out.cols, *c)
+		out.cols = append(out.cols, c)
 	}
 	return out, nil
+}
+
+// sorter orders table positions by key columns, earliest most significant.
+type sorter struct {
+	t    *Table
+	keys []*column
+	desc []bool
+}
+
+// compare orders two table positions; equal keys fall back to the positions
+// themselves, which makes the order total and the sort stable.
+//
+//eagletree:hotpath
+func (s *sorter) compare(a, b int32) int {
+	ra, rb := s.t.row(int(a)), s.t.row(int(b))
+	for k, c := range s.keys {
+		if ord := order(c, ra, c, rb); ord != 0 {
+			if s.desc[k] {
+				return -ord
+			}
+			return ord
+		}
+	}
+	return int(a - b)
 }
 
 // Sort returns the rows of t stably ordered by the named columns, earliest
 // name most significant. Prefix a name with "-" for descending order.
 func (t *Table) Sort(names []string) (*Table, error) {
-	type key struct {
-		c    *column
-		desc bool
-	}
-	keys := make([]key, len(names))
+	s := &sorter{t: t, keys: make([]*column, len(names)), desc: make([]bool, len(names))}
 	for i, name := range names {
-		desc := strings.HasPrefix(name, "-")
+		s.desc[i] = strings.HasPrefix(name, "-")
 		c, err := t.col(strings.TrimPrefix(name, "-"))
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = key{c: c, desc: desc}
+		s.keys[i] = c
 	}
-	idx := make([]int, t.Len())
-	for i := range idx {
-		idx[i] = i
+	sel := make([]int32, t.n)
+	for i := range sel {
+		sel[i] = int32(i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ra, rb := idx[a], idx[b]
-		for _, k := range keys {
-			var ord int
-			switch k.c.kind {
-			case resultstore.KindString:
-				ord = strings.Compare(k.c.strs[ra], k.c.strs[rb])
-			case resultstore.KindInt:
-				ord = cmpOrd(k.c.ints[ra], k.c.ints[rb])
-			case resultstore.KindUint:
-				ord = cmpOrd(k.c.uints[ra], k.c.uints[rb])
-			case resultstore.KindFloat:
-				ord = cmpOrd(k.c.floats[ra], k.c.floats[rb])
-			}
-			if ord == 0 {
-				continue
-			}
-			if k.desc {
-				return ord > 0
-			}
-			return ord < 0
-		}
-		return false
-	})
-	return t.take(idx), nil
+	slices.SortFunc(sel, s.compare)
+	for i, pos := range sel {
+		sel[i] = int32(t.row(int(pos)))
+	}
+	return &Table{cols: t.cols, sel: sel, n: t.n}, nil
 }
 
 // Agg is one aggregate request: a function applied to a column within each
@@ -260,56 +252,33 @@ func (t *Table) GroupBy(keyNames []string, aggs []Agg) (*Table, error) {
 		aggCols[i] = c
 	}
 
-	// Group membership by composite key, groups in first-appearance order.
-	groupOf := make(map[string]int)
-	var members [][]int
-	var firstRow []int
-	var keyBuf []byte
-	for r := 0; r < t.Len(); r++ {
-		keyBuf = keyBuf[:0]
-		for _, c := range keyCols {
-			cell := c.cell(r)
-			keyBuf = binaryLenPrefix(keyBuf, cell)
-		}
-		g, ok := groupOf[string(keyBuf)]
-		if !ok {
-			g = len(members)
-			groupOf[string(keyBuf)] = g
-			members = append(members, nil)
-			firstRow = append(firstRow, r)
-		}
-		members[g] = append(members[g], r)
-	}
-
-	out := &Table{cols: make([]column, 0, len(keyCols)+len(aggs))}
+	ch := t.chains(keyCols, 0)
+	out := &Table{cols: make([]*column, 0, len(keyCols)+len(aggs)), n: len(ch.head)}
 	for i, c := range keyCols {
-		kc := column{name: keyNames[i], kind: c.kind, better: c.better}
-		for _, r := range firstRow {
-			kc.append(c.value(r))
-		}
-		out.cols = append(out.cols, kc)
+		out.cols = append(out.cols, c.gather(keyNames[i], ch.first))
 	}
+	var xs []float64 // one group's values in row order, reused from group to group
 	for i, a := range aggs {
 		name := a.Fn
 		if a.Col != "" {
 			name = a.Fn + "(" + a.Col + ")"
 		}
 		if a.Fn == "count" {
-			c := column{name: name, kind: resultstore.KindUint}
-			for _, rows := range members {
-				c.uints = append(c.uints, uint64(len(rows)))
+			c := &column{name: name, kind: resultstore.KindUint, uints: make([]uint64, out.n)}
+			for g, size := range ch.size {
+				c.uints[g] = uint64(size)
 			}
 			out.cols = append(out.cols, c)
 			continue
 		}
 		src := aggCols[i]
-		c := column{name: name, kind: resultstore.KindFloat, better: src.better}
-		for _, rows := range members {
-			xs := make([]float64, len(rows))
-			for j, r := range rows {
-				xs[j] = src.float(r)
+		c := &column{name: name, kind: resultstore.KindFloat, better: src.better, floats: make([]float64, out.n)}
+		for g := range c.floats {
+			xs = xs[:0]
+			for i := ch.head[g]; i >= 0; i = ch.next[i] {
+				xs = append(xs, src.float(t.row(int(i))))
 			}
-			c.floats = append(c.floats, aggregate(a.Fn, xs))
+			c.floats[g] = aggregate(a.Fn, xs)
 		}
 		out.cols = append(out.cols, c)
 	}
@@ -349,12 +318,59 @@ func aggregate(fn string, xs []float64) float64 {
 	}
 }
 
-// binaryLenPrefix appends s length-prefixed, so composite keys never collide
-// across cell boundaries ("a"+"bc" vs "ab"+"c").
-func binaryLenPrefix(b []byte, s string) []byte {
-	b = strconv.AppendInt(b, int64(len(s)), 10)
-	b = append(b, ':')
-	return append(b, s...)
+// chains partitions a table's positions by composite key: the positions
+// sharing a key form one chain in table order, and chains are numbered in
+// order of first appearance.
+type chains struct {
+	of    map[string]int32 // composite key → chain
+	head  []int32          // chain → its first position
+	first []int32          // chain → the column row at that position
+	size  []int32          // chain → how many positions it holds
+	next  []int32          // position → the next one in its chain, -1 at the end
+}
+
+func (t *Table) chains(keys []*column, distinct int) *chains {
+	ch := &chains{of: make(map[string]int32, distinct), next: make([]int32, t.n)}
+	var tail []int32 // chain → its last position so far
+	var key []byte
+	for i := range ch.next {
+		key = appendKey(key[:0], keys, t.row(i))
+		g, ok := ch.of[string(key)]
+		if !ok {
+			g = int32(len(ch.head))
+			ch.of[string(key)] = g
+			ch.head = append(ch.head, int32(i))
+			ch.first = append(ch.first, int32(t.row(i)))
+			ch.size = append(ch.size, 0)
+			tail = append(tail, int32(i))
+		}
+		ch.next[tail[g]], tail[g] = int32(i), int32(i)
+		ch.next[i] = -1
+		ch.size[g]++
+	}
+	return ch
+}
+
+// appendKey appends one row's key cells such that two keys are equal exactly
+// when every cell's canonical text is: strings length-prefixed, so cells never
+// collide across boundaries ("a"+"bc" vs "ab"+"c"), numbers ';'-terminated.
+func appendKey(b []byte, keys []*column, row int) []byte {
+	for _, c := range keys {
+		switch c.kind {
+		case resultstore.KindString:
+			b = strconv.AppendInt(b, int64(len(c.strs[row])), 10)
+			b = append(append(b, ':'), c.strs[row]...)
+			continue
+		case resultstore.KindInt:
+			b = strconv.AppendInt(b, c.ints[row], 10)
+		case resultstore.KindUint:
+			b = strconv.AppendUint(b, c.uints[row], 10)
+		default:
+			b = strconv.AppendFloat(b, c.floats[row], 'g', -1, 64)
+		}
+		b = append(b, ';')
+	}
+	return b
 }
 
 // Join inner-joins t with other on the named key columns, which must exist
@@ -380,54 +396,35 @@ func (t *Table) Join(other *Table, on []string, suffixL, suffixR string) (*Table
 		}
 		lk[i], rk[i] = lc, rc
 	}
-	isKey := func(name string) bool {
-		for _, k := range on {
-			if k == name {
-				return true
-			}
-		}
-		return false
-	}
 
-	// Index the right side: composite key -> row indices in order.
-	rIdx := make(map[string][]int)
-	var keyBuf []byte
-	for r := 0; r < other.Len(); r++ {
-		keyBuf = keyBuf[:0]
-		for _, c := range rk {
-			keyBuf = binaryLenPrefix(keyBuf, c.cell(r))
+	// Every left row beside each right row of the chain its key names.
+	ch := other.chains(rk, other.n) // a join key is close to unique on one side
+	lRows := make([]int32, 0, t.n)
+	rRows := make([]int32, 0, t.n)
+	var key []byte
+	for i := 0; i < t.n; i++ {
+		key = appendKey(key[:0], lk, t.row(i))
+		g, ok := ch.of[string(key)]
+		if !ok {
+			continue
 		}
-		rIdx[string(keyBuf)] = append(rIdx[string(keyBuf)], r)
-	}
-
-	var lRows, rRows []int
-	for r := 0; r < t.Len(); r++ {
-		keyBuf = keyBuf[:0]
-		for _, c := range lk {
-			keyBuf = binaryLenPrefix(keyBuf, c.cell(r))
-		}
-		for _, rr := range rIdx[string(keyBuf)] {
-			lRows = append(lRows, r)
-			rRows = append(rRows, rr)
+		for j := ch.head[g]; j >= 0; j = ch.next[j] {
+			lRows = append(lRows, int32(t.row(i)))
+			rRows = append(rRows, int32(other.row(int(j))))
 		}
 	}
 
-	out := &Table{}
-	appendSide := func(src *Table, rows []int, suffix string, keysToo bool) {
-		for i := range src.cols {
-			c := &src.cols[i]
-			if isKey(c.name) != keysToo {
+	out := &Table{n: len(lRows)}
+	appendSide := func(src *Table, rows []int32, suffix string, keysToo bool) {
+		for _, c := range src.cols {
+			if slices.Contains(on, c.name) != keysToo {
 				continue
 			}
 			name := c.name
-			if !keysToo && collides(t, other, name, on) {
+			if !keysToo && collides(t, other, name) {
 				name += suffix
 			}
-			nc := column{name: name, kind: c.kind, better: c.better}
-			for _, r := range rows {
-				nc.append(c.value(r))
-			}
-			out.cols = append(out.cols, nc)
+			out.cols = append(out.cols, c.gather(name, rows))
 		}
 	}
 	appendSide(t, lRows, suffixL, true)
@@ -437,12 +434,7 @@ func (t *Table) Join(other *Table, on []string, suffixL, suffixR string) (*Table
 }
 
 // collides reports whether a non-key column name exists on both sides.
-func collides(l, r *Table, name string, on []string) bool {
-	for _, k := range on {
-		if k == name {
-			return false
-		}
-	}
+func collides(l, r *Table, name string) bool {
 	_, lerr := l.col(name)
 	_, rerr := r.col(name)
 	return lerr == nil && rerr == nil

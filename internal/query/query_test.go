@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"eagletree/internal/core"
@@ -318,5 +319,193 @@ func TestDiffErrors(t *testing.T) {
 	}
 	if sum.Comparisons != 0 || sum.Unpaired != 2 {
 		t.Fatalf("ghost side: %+v", sum)
+	}
+}
+
+func TestParsePredicateLeftmostOperator(t *testing.T) {
+	cases := []struct {
+		expr string
+		want query.Predicate
+	}{
+		{"label~qd=8", query.Predicate{Col: "label", Op: "~", Val: "qd=8"}},
+		{"label!=qd=8", query.Predicate{Col: "label", Op: "!=", Val: "qd=8"}},
+		{"label=a<b", query.Predicate{Col: "label", Op: "=", Val: "a<b"}},
+		{"label~a>=b", query.Predicate{Col: "label", Op: "~", Val: "a>=b"}},
+		{"x<=3", query.Predicate{Col: "x", Op: "<=", Val: "3"}},
+		{"x<3", query.Predicate{Col: "x", Op: "<", Val: "3"}},
+		{" seed >= 7 ", query.Predicate{Col: "seed", Op: ">=", Val: "7"}},
+	}
+	for _, tc := range cases {
+		got, err := query.ParsePredicate(tc.expr)
+		if err != nil || got != tc.want {
+			t.Errorf("ParsePredicate(%q) = %+v, %v; want %+v", tc.expr, got, err, tc.want)
+		}
+	}
+	for _, expr := range []string{"garbage", "", "=8", " ~x"} {
+		if _, err := query.ParsePredicate(expr); !errors.Is(err, query.ErrPredicate) {
+			t.Errorf("ParsePredicate(%q): got %v, want ErrPredicate", expr, err)
+		}
+	}
+
+	// The clause that motivated the fix selects by label substring end to end.
+	rows := corpus()
+	for i := range rows {
+		rows[i].Label = fmt.Sprintf("qd=%d", 8<<(i%2))
+	}
+	got, err := query.FromRows(rows).Filter([]query.Predicate{mustPred(t, "label~qd=8")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != len(rows)/2 {
+		t.Fatalf("label~qd=8 kept %d rows, want %d", got.Len(), len(rows)/2)
+	}
+}
+
+func TestTextPadsInRunes(t *testing.T) {
+	rows := corpus()[:2]
+	rows[0].Experiment, rows[1].Experiment = "µ=1", "a=10"
+	tab, err := query.FromRows(rows).Project([]string{"experiment", "seed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := tab.Text()
+	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
+	// Every line's second column ends at the same rune offset, and the first
+	// column is as wide as its widest cell in runes ("experiment", 10).
+	for _, ln := range lines {
+		if n := len([]rune(ln)); n != len("experiment")+2+len("seed") {
+			t.Fatalf("line %q is %d runes wide, want %d:\n%s", ln, n, len("experiment")+2+len("seed"), text)
+		}
+	}
+	if !strings.HasPrefix(lines[2], "µ=1         ") || !strings.HasPrefix(lines[3], "a=10        ") {
+		t.Fatalf("first column is not padded to one rune width:\n%s", text)
+	}
+}
+
+// TestViewsDoNotAliasResults: deriving tables from a parent changes neither
+// the parent nor its other children.
+func TestViewsDoNotAliasResults(t *testing.T) {
+	parent := query.FromRows(corpus())
+	before := parent.Text()
+
+	fast, err := parent.Filter([]query.Predicate{mustPred(t, "label=fast")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fastBefore := fast.Text()
+	sorted, err := parent.Sort([]string{"-seed", "label"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortedBefore := sorted.Text()
+	if _, err := fast.Sort([]string{"-throughput_iops"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sorted.Filter([]query.Predicate{mustPred(t, "commit=new")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sorted.Project([]string{"seed"}); err != nil {
+		t.Fatal(err)
+	}
+
+	if parent.Text() != before {
+		t.Fatal("filtering and sorting children changed the parent")
+	}
+	if fast.Text() != fastBefore {
+		t.Fatal("sorting a filtered child, or deriving its sibling, changed it")
+	}
+	if sorted.Text() != sortedBefore {
+		t.Fatal("filtering and projecting a sorted child changed it")
+	}
+	if fast.Len() != 4 || sorted.Len() != 8 || fastBefore == sortedBefore {
+		t.Fatalf("children are not independent: fast has %d rows, sorted %d", fast.Len(), sorted.Len())
+	}
+}
+
+// TestConcurrentReaders builds the columns of one fresh table from eight
+// goroutines at once (run under -race): each groups by a different column,
+// and all aggregate the same one, so first-use builds collide.
+func TestConcurrentReaders(t *testing.T) {
+	tab := query.FromRows(corpus())
+	keys := []string{"experiment", "commit", "seed", "index", "label", "x", "variant", "write_mean_ns"}
+	texts := make([]string, len(keys))
+	var wg sync.WaitGroup
+	for i, key := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := tab.GroupBy([]string{key}, []query.Agg{{Fn: "count"}, {Fn: "mean", Col: "throughput_iops"}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			texts[i] = g.Text()
+		}()
+	}
+	wg.Wait()
+	for i, key := range keys {
+		g, err := tab.GroupBy([]string{key}, []query.Agg{{Fn: "count"}, {Fn: "mean", Col: "throughput_iops"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Text() != texts[i] {
+			t.Fatalf("group by %s read differently under concurrency:\n%s\nvs\n%s", key, texts[i], g.Text())
+		}
+	}
+}
+
+// TestFilterAllocsIndependentOfWidth: a filter allocates its selection and a
+// header, whatever the width of the table it selects from.
+func TestFilterAllocsIndependentOfWidth(t *testing.T) {
+	rows := archive(2000)[0]
+	wide := query.FromRows(rows)
+	narrow, err := wide.Project([]string{"commit", "throughput_iops"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := []query.Predicate{mustPred(t, "commit=base"), mustPred(t, "throughput_iops>4000")}
+	allocs := func(tab *query.Table) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := tab.Filter(preds); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	w, n := allocs(wide), allocs(narrow)
+	// The selection grows by doubling, a dozen steps for a thousand rows;
+	// each predicate adds its one-cell literal column.
+	if w != n || w > 25 {
+		t.Fatalf("Filter allocates %.0f objects on %d columns, %.0f on 2: want equal and at most 25", w, len(wide.Names()), n)
+	}
+}
+
+// TestDiffAllocatesNoPerRowStrings: Diff's allocations follow the number of
+// variants it pairs, not the number of rows it reads.
+func TestDiffAllocatesNoPerRowStrings(t *testing.T) {
+	var rows []resultstore.Row
+	for _, seg := range archive(16000) {
+		for _, r := range seg {
+			if r.Index < 2 && r.Experiment == "X01-synthetic" {
+				rows = append(rows, r)
+			}
+		}
+	}
+	if len(rows) != 32 {
+		t.Fatalf("corpus has %d rows, want 2 variants × 8 seeds × 2 labels", len(rows))
+	}
+	small := testing.AllocsPerRun(10, func() {
+		if _, _, err := query.Diff(rows[:16], "base", "cand", []string{"throughput_iops"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	all := testing.AllocsPerRun(10, func() {
+		if _, _, err := query.Diff(rows, "base", "cand", []string{"throughput_iops"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Twice the seeds under the same two variants: the per-seed maps grow a
+	// few times, nothing is allocated per row.
+	if all-small >= float64(len(rows)-16) {
+		t.Fatalf("Diff allocates %.0f objects for 16 rows and %.0f for 32: one or more per added row", small, all)
 	}
 }

@@ -2,21 +2,20 @@ package query
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"eagletree/internal/resultstore"
 )
 
 // Text renders the table as an aligned monospace grid: a header row, a rule,
 // then one line per row. String cells are left-aligned, numeric cells
-// right-aligned. The output is a pure function of the table.
+// right-aligned, padded by rune count. Output is a pure function of the table.
 func (t *Table) Text() string {
 	widths := make([]int, len(t.cols))
-	for i := range t.cols {
-		widths[i] = len(t.cols[i].name)
-		for r := 0; r < t.cols[i].len(); r++ {
-			if n := len(t.cols[i].cell(r)); n > widths[i] {
-				widths[i] = n
-			}
+	for i, c := range t.cols {
+		widths[i] = utf8.RuneCountInString(c.name)
+		for r := 0; r < t.n; r++ {
+			widths[i] = max(widths[i], utf8.RuneCountInString(c.cell(t.row(r))))
 		}
 	}
 	var b strings.Builder
@@ -24,7 +23,7 @@ func (t *Table) Text() string {
 		if i > 0 {
 			b.WriteString("  ")
 		}
-		pad := widths[i] - len(s)
+		pad := widths[i] - utf8.RuneCountInString(s)
 		if !leftAlign {
 			b.WriteString(strings.Repeat(" ", pad))
 		}
@@ -44,9 +43,9 @@ func (t *Table) Text() string {
 		b.WriteString(strings.Repeat("-", w))
 	}
 	b.WriteByte('\n')
-	for r := 0; r < t.Len(); r++ {
-		for i := range t.cols {
-			writeCell(i, t.cols[i].cell(r), t.cols[i].kind == resultstore.KindString)
+	for r := 0; r < t.n; r++ {
+		for i, c := range t.cols {
+			writeCell(i, c.cell(t.row(r)), c.kind == resultstore.KindString)
 		}
 		b.WriteByte('\n')
 	}
@@ -64,12 +63,12 @@ func (t *Table) CSV() string {
 		b.WriteString(csvCell(t.cols[i].name))
 	}
 	b.WriteByte('\n')
-	for r := 0; r < t.Len(); r++ {
-		for i := range t.cols {
+	for r := 0; r < t.n; r++ {
+		for i, c := range t.cols {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(csvCell(t.cols[i].cell(r)))
+			b.WriteString(csvCell(c.cell(t.row(r))))
 		}
 		b.WriteByte('\n')
 	}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"eagletree/internal/resultstore"
 )
@@ -37,8 +38,10 @@ var (
 	ErrJoin = errors.New("query: bad join")
 )
 
-// column is one typed column; exactly one value slice is populated,
-// selected by kind.
+// column is one typed, immutable column, shared by pointer; exactly one value
+// slice is populated, selected by kind. One made by FromRows starts as a
+// promise: it keeps the rows and fills its slice, in one allocation of exact
+// size, the first time a query names it.
 type column struct {
 	name   string
 	kind   resultstore.Kind
@@ -47,59 +50,93 @@ type column struct {
 	ints   []int64
 	uints  []uint64
 	floats []float64
+
+	once sync.Once
+	rows []resultstore.Row // nil on a column made with its values
+	get  func(*resultstore.Row) resultstore.Value
 }
 
-func (c *column) len() int {
+// build populates a promised column's value slice; it runs under c.once.
+func (c *column) build() {
+	if c.rows == nil {
+		return
+	}
 	switch c.kind {
 	case resultstore.KindString:
-		return len(c.strs)
+		c.strs = make([]string, len(c.rows))
 	case resultstore.KindInt:
-		return len(c.ints)
+		c.ints = make([]int64, len(c.rows))
 	case resultstore.KindUint:
-		return len(c.uints)
+		c.uints = make([]uint64, len(c.rows))
 	default:
-		return len(c.floats)
+		c.floats = make([]float64, len(c.rows))
+	}
+	c.fill()
+}
+
+// fill copies the column's cell out of every row into the slice build sized.
+//
+//eagletree:hotpath
+func (c *column) fill() {
+	for i := range c.rows {
+		switch v := c.get(&c.rows[i]); c.kind {
+		case resultstore.KindString:
+			c.strs[i] = v.Str
+		case resultstore.KindInt:
+			c.ints[i] = v.Int
+		case resultstore.KindUint:
+			c.uints[i] = v.Uint
+		default:
+			c.floats[i] = v.Float
+		}
 	}
 }
 
-func (c *column) value(i int) resultstore.Value {
-	switch c.kind {
-	case resultstore.KindString:
-		return resultstore.Value{Str: c.strs[i]}
-	case resultstore.KindInt:
-		return resultstore.Value{Int: c.ints[i]}
-	case resultstore.KindUint:
-		return resultstore.Value{Uint: c.uints[i]}
-	default:
-		return resultstore.Value{Float: c.floats[i]}
-	}
+// gather returns a new column called name holding c's cells at the given rows:
+// the one populated value slice is gathered, the nil ones stay nil.
+func (c *column) gather(name string, rows []int32) *column {
+	c.once.Do(c.build)
+	return &column{name: name, kind: c.kind, better: c.better, strs: gather(c.strs, rows),
+		ints: gather(c.ints, rows), uints: gather(c.uints, rows), floats: gather(c.floats, rows)}
 }
 
-func (c *column) append(v resultstore.Value) {
-	switch c.kind {
-	case resultstore.KindString:
-		c.strs = append(c.strs, v.Str)
-	case resultstore.KindInt:
-		c.ints = append(c.ints, v.Int)
-	case resultstore.KindUint:
-		c.uints = append(c.uints, v.Uint)
-	default:
-		c.floats = append(c.floats, v.Float)
+func gather[T any](src []T, rows []int32) []T {
+	if src == nil {
+		return nil
 	}
+	dst := make([]T, len(rows))
+	for i, r := range rows {
+		dst[i] = src[r]
+	}
+	return dst
 }
 
 // cell renders one value as its canonical text: strings verbatim, integers
-// in decimal, floats in shortest round-trip form.
+// in decimal, floats in shortest round-trip form. A promised column reads its
+// rows directly, so rendering a wide view builds nothing.
 func (c *column) cell(i int) string {
+	var v resultstore.Value
+	switch {
+	case c.rows != nil:
+		v = c.get(&c.rows[i])
+	case c.kind == resultstore.KindString:
+		v.Str = c.strs[i]
+	case c.kind == resultstore.KindInt:
+		v.Int = c.ints[i]
+	case c.kind == resultstore.KindUint:
+		v.Uint = c.uints[i]
+	default:
+		v.Float = c.floats[i]
+	}
 	switch c.kind {
 	case resultstore.KindString:
-		return c.strs[i]
+		return v.Str
 	case resultstore.KindInt:
-		return strconv.FormatInt(c.ints[i], 10)
+		return strconv.FormatInt(v.Int, 10)
 	case resultstore.KindUint:
-		return strconv.FormatUint(c.uints[i], 10)
+		return strconv.FormatUint(v.Uint, 10)
 	default:
-		return strconv.FormatFloat(c.floats[i], 'g', -1, 64)
+		return strconv.FormatFloat(v.Float, 'g', -1, 64)
 	}
 }
 
@@ -118,17 +155,25 @@ func (c *column) float(i int) float64 {
 	}
 }
 
-// Table is an ordered set of rows over named typed columns.
+// Table is an ordered set of rows over named typed columns: a view. sel lists,
+// in table order, which rows of the shared columns it holds (nil: all n, in
+// column order). Filter, Sort and Project return a new header over the same
+// columns; a table never changes and is safe for concurrent readers.
 type Table struct {
-	cols []column
+	cols []*column
+	sel  []int32
+	n    int
 }
 
 // Len returns the row count.
-func (t *Table) Len() int {
-	if len(t.cols) == 0 {
-		return 0
+func (t *Table) Len() int { return t.n }
+
+// row maps table position i to its row in the columns.
+func (t *Table) row(i int) int {
+	if t.sel == nil {
+		return i
 	}
-	return t.cols[0].len()
+	return int(t.sel[i])
 }
 
 // Names returns the column names in table order.
@@ -140,40 +185,25 @@ func (t *Table) Names() []string {
 	return names
 }
 
-// col finds a column by name.
+// col finds a column by name, building it if it is still a promise.
 func (t *Table) col(name string) (*column, error) {
-	for i := range t.cols {
-		if t.cols[i].name == name {
-			return &t.cols[i], nil
+	for _, c := range t.cols {
+		if c.name == name {
+			c.once.Do(c.build)
+			return c, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: %q (have %s)", ErrColumn, name, strings.Join(t.Names(), ", "))
 }
 
 // FromRows builds a table over the full result-store schema, one table row
-// per store row, preserving row order.
+// per store row, preserving row order. It keeps rows and reads a column out
+// of them the first time a query names it: do not change rows afterwards.
 func FromRows(rows []resultstore.Row) *Table {
 	specs := resultstore.Columns()
-	t := &Table{cols: make([]column, len(specs))}
+	t := &Table{cols: make([]*column, len(specs)), n: len(rows)}
 	for i, cs := range specs {
-		t.cols[i] = column{name: cs.Name, kind: cs.Kind, better: cs.Better}
-		for r := range rows {
-			t.cols[i].append(cs.Get(&rows[r]))
-		}
+		t.cols[i] = &column{name: cs.Name, kind: cs.Kind, better: cs.Better, rows: rows, get: cs.Get}
 	}
 	return t
-}
-
-// take builds a new table holding the given row indices of t, in order.
-func (t *Table) take(idx []int) *Table {
-	out := &Table{cols: make([]column, len(t.cols))}
-	for i := range t.cols {
-		src := &t.cols[i]
-		dst := &out.cols[i]
-		dst.name, dst.kind, dst.better = src.name, src.kind, src.better
-		for _, r := range idx {
-			dst.append(src.value(r))
-		}
-	}
-	return out
 }

@@ -1,11 +1,13 @@
 package resultstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync"
 )
 
 // The segment layout follows the snapshot codec's conventions: 6 magic
@@ -39,13 +41,14 @@ var (
 	ErrCorrupt = errors.New("resultstore: corrupt segment")
 )
 
+// encoders recycles the encoder's buffer, dictionary and reference scratch
+// from one segment to the next; they settle at the largest segment's size.
+var encoders = sync.Pool{New: func() any { return &enc{dictIdx: make(map[string]uint64)} }}
+
 // EncodeSegment serializes rows to one immutable columnar segment.
 func EncodeSegment(rows []Row) []byte {
-	e := &enc{b: make([]byte, 0, 1<<12)}
-	e.b = append(e.b, segMagic...)
-	e.b = append(e.b, segVersion)
-	start := len(e.b)
-
+	e := encoders.Get().(*enc)
+	e.b = append(append(e.b[:0], segMagic...), segVersion)
 	cols := Columns()
 	e.u64(uint64(len(cols)))
 	for _, c := range cols {
@@ -54,33 +57,51 @@ func EncodeSegment(rows []Row) []byte {
 	}
 	e.u64(uint64(len(rows)))
 	for _, c := range cols {
-		for i := range rows {
-			v := c.Get(&rows[i])
-			switch c.Kind {
-			case KindString:
-				e.dictRef(v.Str)
-			case KindInt:
-				e.i64(v.Int)
-			case KindUint:
-				e.u64(v.Uint)
-			case KindFloat:
-				e.fix64(math.Float64bits(v.Float))
+		switch c.Kind {
+		case KindString:
+			for i := range rows {
+				e.dictRef(*c.atStr(&rows[i]))
+			}
+			e.flushDict()
+		case KindInt:
+			for i := range rows {
+				e.i64(c.getInt(&rows[i]))
+			}
+		case KindUint:
+			for i := range rows {
+				e.u64(*c.atUint(&rows[i]))
+			}
+		case KindFloat:
+			for i := range rows {
+				e.fix64(math.Float64bits(*c.atFloat(&rows[i])))
 			}
 		}
-		if c.Kind == KindString {
-			e.flushDict()
-		}
 	}
-
-	sum := crc32.ChecksumIEEE(e.b[start:])
+	sum := crc32.ChecksumIEEE(e.b[len(segMagic)+1:])
 	e.b = binary.LittleEndian.AppendUint32(e.b, sum)
-	return e.b
+	out := bytes.Clone(e.b) // the caller's own, at exactly the segment's size
+	encoders.Put(e)
+	return out
 }
 
 // DecodeSegment parses a segment produced by EncodeSegment, verifying magic,
 // version, checksum and the embedded column schema before reconstructing any
 // row. All failures are the package's typed errors.
 func DecodeSegment(data []byte) ([]Row, error) {
+	d, err := openSegment(data)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, d.nrows)
+	if err := d.columns(rows); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// openSegment runs every check that needs no row — magic, version, checksum,
+// embedded schema, row-count bound — and returns a decoder at the first column.
+func openSegment(data []byte) (*dec, error) {
 	if len(data) < len(segMagic)+1 || string(data[:len(segMagic)]) != segMagic {
 		return nil, ErrNotStore
 	}
@@ -121,50 +142,53 @@ func DecodeSegment(data []byte) ([]Row, error) {
 		return nil, d.err
 	}
 	// Bounded allocation: every row contributes at least one byte per column
-	// to the payload, so a row count exceeding the remaining bytes is
+	// to the payload, so more rows than remaining bytes / columns is
 	// structurally impossible — refuse before allocating.
-	if nrows > uint64(len(d.b)-d.off)+1 {
-		return nil, fmt.Errorf("%w: %d rows promised, %d payload bytes remain", ErrCorrupt, nrows, len(d.b)-d.off)
+	if remain := uint64(len(d.b) - d.off); nrows > remain/ncols {
+		return nil, fmt.Errorf("%w: %d rows of %d columns promised, %d payload bytes remain", ErrCorrupt, nrows, ncols, remain)
 	}
-	rows := make([]Row, nrows)
-	for _, c := range cols {
+	d.nrows = int(nrows)
+	return d, nil
+}
+
+// columns decodes every column into rows, d.nrows of them, and requires the
+// payload to end there.
+func (d *dec) columns(rows []Row) error {
+	for _, c := range Columns() {
 		switch c.Kind {
 		case KindString:
-			dict := d.dict(nrows)
+			dict := d.dict(uint64(len(rows)))
 			for i := range rows {
 				idx := d.u64()
 				if d.err != nil {
-					return nil, d.err
+					return d.err
 				}
 				if idx >= uint64(len(dict)) {
-					return nil, fmt.Errorf("%w: column %q: dictionary index %d of %d", ErrCorrupt, c.Name, idx, len(dict))
+					return fmt.Errorf("%w: column %q: dictionary index %d of %d", ErrCorrupt, c.Name, idx, len(dict))
 				}
-				c.Set(&rows[i], Value{Str: dict[idx]})
+				*c.atStr(&rows[i]) = dict[idx]
 			}
 		case KindInt:
 			for i := range rows {
-				c.Set(&rows[i], Value{Int: d.i64()})
+				c.setInt(&rows[i], d.i64())
 			}
 		case KindUint:
 			for i := range rows {
-				c.Set(&rows[i], Value{Uint: d.u64()})
+				*c.atUint(&rows[i]) = d.u64()
 			}
 		case KindFloat:
 			for i := range rows {
-				c.Set(&rows[i], Value{Float: math.Float64frombits(d.fix64())})
+				*c.atFloat(&rows[i]) = math.Float64frombits(d.fix64())
 			}
 		}
 		if d.err != nil {
-			return nil, d.err
+			return d.err
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
 	if len(d.b) != d.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
 	}
-	return rows, nil
+	return nil
 }
 
 // --- encoder ---
@@ -185,9 +209,6 @@ func (e *enc) str(s string)   { e.u64(uint64(len(s))); e.b = append(e.b, s...) }
 
 // dictRef records one string cell against the current column's dictionary.
 func (e *enc) dictRef(s string) {
-	if e.dictIdx == nil {
-		e.dictIdx = make(map[string]uint64)
-	}
 	idx, ok := e.dictIdx[s]
 	if !ok {
 		idx = uint64(len(e.dictVal))
@@ -208,15 +229,18 @@ func (e *enc) flushDict() {
 	for _, r := range e.refs {
 		e.u64(r)
 	}
-	e.dictIdx, e.dictVal, e.refs = nil, nil, nil
+	clear(e.dictIdx)
+	clear(e.dictVal) // the pool must not pin the caller's strings
+	e.dictVal, e.refs = e.dictVal[:0], e.refs[:0]
 }
 
 // --- decoder ---
 
 type dec struct {
-	b   []byte
-	off int
-	err error
+	b     []byte
+	off   int
+	err   error
+	nrows int // set by openSegment: how many rows columns must be handed
 }
 
 func (d *dec) fail(err error) {

@@ -13,7 +13,8 @@ import (
 // never panics, never over-allocates on hostile length fields, and any input
 // it accepts re-encodes cleanly. The committed corpus under
 // testdata/fuzz/FuzzDecodeStore seeds the interesting shapes: a whole valid
-// segment, a truncation, a bit flip and a bare magic header.
+// segment, a truncation, a bit flip and a bare magic header; the last seed
+// promises more rows than its payload could hold.
 func FuzzDecodeStore(f *testing.F) {
 	valid := resultstore.EncodeSegment(sampleRows(3))
 	f.Add(valid)
@@ -23,6 +24,7 @@ func FuzzDecodeStore(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("EGTRES"))
 	f.Add([]byte{})
+	f.Add(inflatedSegment(4096))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, err := resultstore.DecodeSegment(data)
 		if err != nil {

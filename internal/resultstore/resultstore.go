@@ -102,12 +102,19 @@ type ColumnSpec struct {
 	// Get reads the column's cell out of a row; Set writes it back.
 	Get func(*Row) Value
 	Set func(*Row, Value)
+	// The codec walks rows through the typed accessor of the column's Kind, no
+	// Value in between; int columns span field types, so theirs is a pair.
+	atStr   func(*Row) *string
+	atUint  func(*Row) *uint64
+	atFloat func(*Row) *float64
+	getInt  func(*Row) int64
+	setInt  func(*Row, int64)
 }
 
-// at builds the Get/Set pair from one pointer accessor, so each field is
-// named exactly once in the schema below.
+// Each constructor builds the accessors from one pointer accessor, so each
+// field is named exactly once in the schema below.
 func scol(name string, at func(*Row) *string) ColumnSpec {
-	return ColumnSpec{Name: name, Kind: KindString,
+	return ColumnSpec{Name: name, Kind: KindString, atStr: at,
 		Get: func(r *Row) Value { return Value{Str: *at(r)} },
 		Set: func(r *Row, v Value) { *at(r) = v.Str },
 	}
@@ -115,20 +122,22 @@ func scol(name string, at func(*Row) *string) ColumnSpec {
 
 func icol[T ~int | ~int64](name string, better int8, at func(*Row) *T) ColumnSpec {
 	return ColumnSpec{Name: name, Kind: KindInt, Better: better,
-		Get: func(r *Row) Value { return Value{Int: int64(*at(r))} },
-		Set: func(r *Row, v Value) { *at(r) = T(v.Int) },
+		getInt: func(r *Row) int64 { return int64(*at(r)) },
+		setInt: func(r *Row, v int64) { *at(r) = T(v) },
+		Get:    func(r *Row) Value { return Value{Int: int64(*at(r))} },
+		Set:    func(r *Row, v Value) { *at(r) = T(v.Int) },
 	}
 }
 
 func ucol(name string, better int8, at func(*Row) *uint64) ColumnSpec {
-	return ColumnSpec{Name: name, Kind: KindUint, Better: better,
+	return ColumnSpec{Name: name, Kind: KindUint, Better: better, atUint: at,
 		Get: func(r *Row) Value { return Value{Uint: *at(r)} },
 		Set: func(r *Row, v Value) { *at(r) = v.Uint },
 	}
 }
 
 func fcol(name string, better int8, at func(*Row) *float64) ColumnSpec {
-	return ColumnSpec{Name: name, Kind: KindFloat, Better: better,
+	return ColumnSpec{Name: name, Kind: KindFloat, Better: better, atFloat: at,
 		Get: func(r *Row) Value { return Value{Float: *at(r)} },
 		Set: func(r *Row, v Value) { *at(r) = v.Float },
 	}

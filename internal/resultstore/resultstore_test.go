@@ -1,6 +1,7 @@
 package resultstore_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,8 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"eagletree/internal/core"
 	"eagletree/internal/experiment"
@@ -145,6 +148,74 @@ func TestDecodeTypedErrors(t *testing.T) {
 	}
 }
 
+// inflatedSegment is a checksum-valid segment of this schema that promises
+// nrows rows and then holds only nrows zero bytes: one byte per row, where
+// the narrowest real row takes one per column.
+func inflatedSegment(nrows int) []byte {
+	empty := resultstore.EncodeSegment(nil)
+	// An empty segment ends: row count 0, one empty dictionary per string
+	// column, checksum.
+	strCols := 0
+	for _, c := range resultstore.Columns() {
+		if c.Kind == resultstore.KindString {
+			strCols++
+		}
+	}
+	data := append([]byte(nil), empty[:len(empty)-4-strCols-1]...)
+	data = binary.AppendUvarint(data, uint64(nrows))
+	data = append(data, make([]byte, nrows+4)...)
+	return reseal(data)
+}
+
+// TestDecodeRejectsInflatedRowCount: a row count the payload cannot hold is
+// refused before any row is allocated — 65536 promised rows would be 22 MB.
+func TestDecodeRejectsInflatedRowCount(t *testing.T) {
+	data := inflatedSegment(1 << 16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := resultstore.DecodeSegment(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, resultstore.ErrCorrupt) || !strings.Contains(err.Error(), "rows") {
+		t.Fatalf("got %v, want ErrCorrupt naming the row count", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("DecodeSegment allocated %d bytes before refusing %d bytes of input", got, len(data))
+	}
+
+	// The store's decode-into path runs the same check.
+	st, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(st.Dir(), "seg-000001.etres"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Rows(); !errors.Is(err, resultstore.ErrCorrupt) || !strings.Contains(err.Error(), "seg-000001.etres") {
+		t.Fatalf("Rows: got %v, want ErrCorrupt naming the segment", err)
+	}
+}
+
+// TestGoldenSegment pins the on-disk format across commits: testdata holds
+// sampleRows(5) as the encoder wrote them before the codec walked rows
+// through typed accessors (commit d065266). Today's decoder must read exactly
+// those rows out of it and today's encoder must write exactly those bytes.
+func TestGoldenSegment(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden-v1.etres"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := resultstore.DecodeSegment(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sampleRows(5); !reflect.DeepEqual(rows, want) {
+		t.Fatalf("golden segment decodes to\n%#v\nwant\n%#v", rows, want)
+	}
+	if got := resultstore.EncodeSegment(rows); !bytes.Equal(got, golden) {
+		t.Fatalf("re-encoding the golden rows gives %d bytes that differ from the %d golden ones", len(got), len(golden))
+	}
+}
+
 func TestStoreAppendRead(t *testing.T) {
 	dir := t.TempDir()
 	st, err := resultstore.Open(filepath.Join(dir, "results"))
@@ -175,6 +246,48 @@ func TestStoreAppendRead(t *testing.T) {
 	}
 	if want := append(append([]resultstore.Row(nil), first...), second...); !reflect.DeepEqual(rows, want) {
 		t.Fatalf("rows mismatch: got %d rows", len(rows))
+	}
+}
+
+// TestRowsAllocatesItsResultOnce: reading 20 segments back allocates the
+// result slice once at its final size — not one slice per segment copied
+// into a tail that regrows as it goes.
+func TestRowsAllocatesItsResultOnce(t *testing.T) {
+	st, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const segments, perSegment = 20, 250
+	for i := 0; i < segments; i++ {
+		if err := st.Append(sampleRows(perSegment)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fileBytes uint64
+	segs, err := st.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		fi, err := os.Stat(filepath.Join(st.Dir(), seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fileBytes += uint64(fi.Size())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rows, err := st.Rows()
+	runtime.ReadMemStats(&after)
+	if err != nil || len(rows) != segments*perSegment {
+		t.Fatalf("Rows: %d rows, %v", len(rows), err)
+	}
+	// One result slice, plus the segment files read and the dictionary
+	// strings cut out of them — both bounded by the bytes on disk.
+	rowBytes := uint64(len(rows)) * uint64(unsafe.Sizeof(resultstore.Row{}))
+	if got, budget := after.TotalAlloc-before.TotalAlloc, rowBytes+3*fileBytes; got > budget {
+		t.Fatalf("Rows allocated %d bytes for %d bytes of rows and %d bytes of segments (budget %d): the result is being copied",
+			got, rowBytes, fileBytes, budget)
 	}
 }
 

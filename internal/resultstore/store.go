@@ -103,23 +103,33 @@ func (s *Store) Append(rows []Row) error {
 }
 
 // Rows reads every segment and returns their rows concatenated in segment
-// order. A segment that fails to decode is a typed error naming the file.
+// order. Every segment is read and checked (checksum, schema, row count)
+// before the result is allocated, once; each then decodes straight into its
+// part of it. A segment that fails to decode is a typed error naming the file.
 func (s *Store) Rows() ([]Row, error) {
 	segs, err := s.Segments()
 	if err != nil {
 		return nil, err
 	}
-	var rows []Row
-	for _, seg := range segs {
+	open := make([]*dec, len(segs))
+	total := 0
+	for i, seg := range segs {
 		data, err := os.ReadFile(filepath.Join(s.dir, seg))
 		if err != nil {
 			return nil, fmt.Errorf("resultstore: %w", err)
 		}
-		segRows, err := DecodeSegment(data)
-		if err != nil {
+		if open[i], err = openSegment(data); err != nil {
 			return nil, fmt.Errorf("resultstore: segment %s: %w", seg, err)
 		}
-		rows = append(rows, segRows...)
+		total += open[i].nrows
+	}
+	rows := make([]Row, 0, total)
+	for i, d := range open {
+		rows = rows[:len(rows)+d.nrows]
+		if err := d.columns(rows[len(rows)-d.nrows:]); err != nil {
+			return nil, fmt.Errorf("resultstore: segment %s: %w", segs[i], err)
+		}
+		open[i] = nil // the segment's bytes are garbage from here on
 	}
 	return rows, nil
 }
