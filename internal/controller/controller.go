@@ -393,25 +393,52 @@ type Controller struct {
 	buffer *writeBuffer
 }
 
-// New builds the controller and its substrates on the given engine and bus.
+// New builds the controller and its substrates on the given engine and bus,
+// over an erased flash array and an empty mapping table.
 func New(eng *sim.Engine, bus *iface.Bus, col *stats.Collector, cfg Config) (*Controller, error) {
+	return Restore(eng, bus, col, cfg, nil)
+}
+
+// Restore is New continuing from a snapshot (nil: an erased device). The
+// configuration must be structurally compatible with the snapshot's: same
+// geometry, mapping scheme (and a CMT at least as large), translation
+// reservation and factory bad blocks. Policy-level knobs (scheduler,
+// allocator, GC greediness, queue depth) may differ — that is the point of
+// prepare-once-restore-many sweeps. The page-state column and the page map's
+// two columns stay shared with st, and with every controller restored from
+// it, until this one first writes to them: st must not be modified again.
+// Call Kick once the engine clock is restored, so GC sees a changed target.
+func Restore(eng *sim.Engine, bus *iface.Bus, col *stats.Collector, cfg Config, st *State) (*Controller, error) {
 	cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	array := flash.NewArray(cfg.Geometry, cfg.Timing, cfg.Features)
+	geo := cfg.Geometry
+	var array *flash.Array
+	var err error
+	if st == nil {
+		array = flash.NewArray(geo, cfg.Timing, cfg.Features)
+	} else if array, err = flash.RestoreArray(geo, cfg.Timing, cfg.Features, st.Array); err != nil {
+		return nil, err
+	}
 	reserved := 0
 	if cfg.Mapping == MapDFTL {
 		reserved = cfg.ReservedTransBlocks
 	}
+	// Exported capacity follows from the configuration alone (data blocks
+	// less factory bad blocks): a snapshot's array may carry grown ones too.
+	usable := geo.LUNs() * (geo.BlocksPerLUN - reserved)
 	if cfg.BadBlockFraction > 0 {
 		// Factory bad blocks, confined to the data region: the translation
-		// ring assumes its reserved blocks are usable.
+		// ring assumes its reserved blocks are usable. A snapshot has them.
 		rng := sim.NewRNG(cfg.BadBlockSeed + 1)
-		for lun := 0; lun < cfg.Geometry.LUNs(); lun++ {
-			for blk := reserved; blk < cfg.Geometry.BlocksPerLUN; blk++ {
+		for lun := 0; lun < geo.LUNs(); lun++ {
+			for blk := reserved; blk < geo.BlocksPerLUN; blk++ {
 				if rng.Float64() < cfg.BadBlockFraction {
-					array.MarkBad(flash.BlockID{LUN: lun, Block: blk})
+					usable--
+					if st == nil {
+						array.MarkBad(flash.BlockID{LUN: lun, Block: blk})
+					}
 				}
 			}
 		}
@@ -422,13 +449,10 @@ func New(eng *sim.Engine, bus *iface.Bus, col *stats.Collector, cfg Config) (*Co
 		array.SetInjector(cfg.Fault, reserved)
 	}
 	bm := ftl.NewBlockManager(array, reserved, cfg.GCGreediness, cfg.WL.Dynamic)
-	logical := int(float64(bm.DataPages()) * (1 - cfg.Overprovision))
-	var mapper ftl.Mapper
-	switch cfg.Mapping {
-	case MapDFTL:
-		mapper = ftl.NewDFTL(cfg.Geometry, logical, cfg.CMTEntries, cfg.ReservedTransBlocks)
-	default:
-		mapper = ftl.NewPageMap(cfg.Geometry, logical)
+	logical := int(float64(usable*geo.PagesPerBlock) * (1 - cfg.Overprovision))
+	mapper, err := buildMapper(cfg, logical, st)
+	if err != nil {
+		return nil, err
 	}
 
 	c := &Controller{
@@ -475,10 +499,41 @@ func New(eng *sim.Engine, bus *iface.Bus, col *stats.Collector, cfg Config) (*Co
 		}
 	}
 	c.subscribe()
-	if cfg.WL.Static {
+	if st != nil {
+		// No static-WL scan is armed: the first post-restore submission arms
+		// it, exactly as it would after the device went quiet.
+		if err := c.restore(st); err != nil {
+			return nil, err
+		}
+	} else if cfg.WL.Static {
 		c.scheduleWLScan()
 	}
 	return c, nil
+}
+
+// buildMapper returns the configured scheme over an empty page map or the
+// snapshot's, adopted (a DFTL's cache, directory and ring follow in restore).
+func buildMapper(cfg Config, logical int, st *State) (ftl.Mapper, error) {
+	var pm *ftl.PageMap
+	if st == nil {
+		pm = ftl.NewPageMap(cfg.Geometry, logical)
+	} else {
+		pms := st.PageMap
+		if cfg.Mapping == MapDFTL && st.DFTL != nil {
+			pms = &st.DFTL.Truth
+		}
+		if pms == nil || (cfg.Mapping == MapDFTL) != (st.DFTL != nil) {
+			return nil, fmt.Errorf("%w: snapshot has no %v state but config maps with it", ErrStateMismatch, cfg.Mapping)
+		}
+		var err error
+		if pm, err = ftl.RestorePageMap(cfg.Geometry, logical, *pms); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.Mapping == MapDFTL {
+		return ftl.NewDFTLOver(pm, cfg.CMTEntries, cfg.ReservedTransBlocks), nil
+	}
+	return pm, nil
 }
 
 // LogicalPages returns the exported logical capacity in pages.

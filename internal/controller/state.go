@@ -174,38 +174,13 @@ func (c *Controller) State() (*State, error) {
 	return st, nil
 }
 
-// RestoreState overwrites a freshly built controller with a snapshot. The
-// controller's configuration must be structurally compatible with the one
-// the snapshot was taken under: same geometry, same mapping scheme (and a
-// CMT at least as large), same translation reservation. Policy-level knobs
-// (scheduler, allocator, GC greediness, queue depth) may differ — that is
-// the point of prepare-once-restore-many sweeps. Call Kick afterwards, once
-// the engine clock has been restored, so GC reacts to any configuration
-// change (for example a raised greediness target).
-func (c *Controller) RestoreState(st *State) error {
-	if err := c.checkQuiescent(); err != nil {
-		return fmt.Errorf("restore target not quiescent: %w", err)
-	}
-	switch m := c.mapper.(type) {
-	case *ftl.DFTL:
-		if st.DFTL == nil {
-			return fmt.Errorf("%w: snapshot has no DFTL state but config maps with DFTL", ErrStateMismatch)
-		}
-		if err := m.RestoreState(*st.DFTL); err != nil {
+// restore finishes Restore: the array and the page map were built from st;
+// everything else — small next to those columns — is copied in here.
+func (c *Controller) restore(st *State) error {
+	if d, ok := c.mapper.(*ftl.DFTL); ok {
+		if err := d.RestoreState(*st.DFTL); err != nil {
 			return err
 		}
-	case *ftl.PageMap:
-		if st.PageMap == nil {
-			return fmt.Errorf("%w: snapshot has no page-map state but config maps with a page map", ErrStateMismatch)
-		}
-		if err := m.RestoreState(*st.PageMap); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("%w (mapper %q)", ErrSnapshotUnsupported, c.mapper.Name())
-	}
-	if err := c.array.RestoreState(st.Array); err != nil {
-		return err
 	}
 	if err := c.bm.RestoreState(st.BlockManager); err != nil {
 		return err
@@ -220,19 +195,15 @@ func (c *Controller) RestoreState(st *State) error {
 	c.completions = st.Completions
 	c.opsSinceScan = st.OpsSinceScan
 
-	c.threadPrio = make(map[int]iface.Priority, len(st.ThreadPrio))
 	for _, e := range st.ThreadPrio {
 		c.threadPrio[e.Thread] = e.Prio
 	}
-	c.locality = make(map[iface.LPN]int, len(st.Locality))
 	for _, e := range st.Locality {
 		c.locality[e.LPN] = e.Group
 	}
-	c.tempHints = make(map[iface.LPN]iface.Temperature, len(st.TempHints))
 	for _, e := range st.TempHints {
 		c.tempHints[e.LPN] = e.Temp
 	}
-	c.wlCold = make(map[iface.LPN]struct{}, len(st.WLCold))
 	for _, lpn := range st.WLCold {
 		c.wlCold[lpn] = struct{}{}
 	}
@@ -256,23 +227,6 @@ func (c *Controller) RestoreState(st *State) error {
 	}
 	if c.cfg.Fault != nil && st.Fault != nil {
 		c.cfg.Fault.RestoreState(*st.Fault)
-	}
-
-	// The construction-time static-WL scan arm belongs to the pre-restore
-	// clock; drop it. The first post-restore submission re-arms the scan,
-	// exactly as it would after the device went quiet.
-	if c.wlScanArmed {
-		c.wlScanEv.Cancel()
-		c.wlScanEv = nil
-		c.wlScanArmed = false
-	}
-	// Invalidate every readiness cache: restored state has no relation to
-	// whatever epochs the fresh controller handed out before restore.
-	c.mapEpoch++
-	c.tempEpoch++
-	c.writeEpoch++
-	for i := range c.writeMemo {
-		c.writeMemo[i] = writeMemoEntry{}
 	}
 	return nil
 }

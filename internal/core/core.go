@@ -76,7 +76,10 @@ type flashCountersSnapshot struct {
 
 // New assembles a stack. The controller's OnComplete is wired to the OS; do
 // not set it in the config.
-func New(cfg Config) (*Stack, error) {
+func New(cfg Config) (*Stack, error) { return build(cfg, nil) }
+
+// build assembles a stack over an erased device, or over the one ctl records.
+func build(cfg Config, ctl *controller.State) (*Stack, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -93,15 +96,14 @@ func New(cfg Config) (*Stack, error) {
 
 	ctlCfg := cfg.Controller
 	ctlCfg.OnComplete = func(r *iface.Request) { s.OS.Completed(r) }
-	ctl, err := controller.New(s.Engine, s.Bus, s.Stats, ctlCfg)
-	if err != nil {
+	var err error
+	if s.Controller, err = controller.Restore(s.Engine, s.Bus, s.Stats, ctlCfg, ctl); err != nil {
 		return nil, err
 	}
-	s.Controller = ctl
 
 	osCfg := cfg.OS
 	osCfg.Trace = s.Stats.Trace() // nil unless TraceCap enabled tracing
-	os, err := osched.New(s.Engine, ctl, osCfg)
+	os, err := osched.New(s.Engine, s.Controller, osCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -50,34 +50,35 @@ func (s *Stack) Snapshot() (*snapshot.DeviceState, error) {
 	}, nil
 }
 
-// Restore builds a stack from the configuration and overwrites its device
-// state with the snapshot: flash contents and wear, mapping tables, free
-// lists, counters, the virtual clock and the thread/RNG origins. The
-// configuration must be structurally compatible with the one the snapshot
-// was prepared under (same geometry, mapping scheme and logical capacity);
-// policy-level knobs — schedulers, allocators, GC greediness, queue depth —
-// may differ, which is what lets one prepared state serve a whole variant
-// sweep.
+// Restore builds a stack from the configuration on top of the snapshot's
+// device state: flash contents and wear, mapping tables, free lists,
+// counters, the virtual clock and the thread/RNG origins. The configuration
+// must be structurally compatible with the one the snapshot was prepared
+// under (same geometry, mapping scheme and logical capacity); policy-level
+// knobs — schedulers, allocators, GC greediness, queue depth — may differ,
+// which is what lets one prepared state serve a whole variant sweep.
+//
+// ds is immutable from here on: the stack shares its page-state and page-map
+// columns — with every other stack restored from ds, concurrently too — and
+// copies one only when it first writes to it, so a variant that only reads
+// allocates none of them.
 //
 // Threads registered on the restored stack continue the original run's
 // thread-id, RNG and request-id sequences exactly, so a restored run is bit-
 // identical to one that prepared the device in-process.
 func Restore(cfg Config, ds *snapshot.DeviceState) (*Stack, error) {
-	s, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if got := s.cfg.Controller.Geometry; got != ds.Meta.Geometry {
+	if got := cfg.Controller.Geometry; got != ds.Meta.Geometry {
 		return nil, fmt.Errorf("%w: snapshot geometry %+v does not match config geometry %+v", ErrSnapshotMismatch, ds.Meta.Geometry, got)
 	}
-	if got := s.Controller.Mapper().Name(); got != ds.Meta.Mapping {
+	if got := cfg.Controller.Mapping.String(); got != ds.Meta.Mapping {
 		return nil, fmt.Errorf("%w: snapshot maps with %q, config maps with %q", ErrSnapshotMismatch, ds.Meta.Mapping, got)
+	}
+	s, err := build(cfg, &ds.Controller)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if got := s.Controller.LogicalPages(); got != ds.Meta.LogicalPages {
 		return nil, fmt.Errorf("%w: snapshot exports %d logical pages, config exports %d", ErrSnapshotMismatch, ds.Meta.LogicalPages, got)
-	}
-	if err := s.Controller.RestoreState(&ds.Controller); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	s.OS.RestoreStats(ds.OS)
 	if err := s.Runner.RestoreState(ds.Runner); err != nil {

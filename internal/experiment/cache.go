@@ -35,9 +35,29 @@ type StateCache struct {
 }
 
 type cacheEntry struct {
-	ready chan struct{} // closed once data/err are set
+	ready chan struct{} // closed once data/err (and ds, when validated) are set
 	data  []byte
 	err   error
+
+	// The entry owns the one decoded form of data: the decode that validated
+	// a disk or remote load, else one made on first use. It is immutable —
+	// every variant restored from this key shares it (see core.Restore).
+	decode sync.Once
+	ds     *snapshot.DeviceState
+	dsErr  error
+}
+
+// state returns the entry's decoded snapshot; call it only after ready.
+func (e *cacheEntry) state() (*snapshot.DeviceState, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	e.decode.Do(func() {
+		if e.ds == nil {
+			e.ds, e.dsErr = snapshot.Decode(e.data)
+		}
+	})
+	return e.ds, e.dsErr
 }
 
 // NewStateCache returns a cache, disk-backed under dir when dir is non-empty
@@ -69,30 +89,36 @@ func (c *StateCache) Get(key string, build func() ([]byte, error)) ([]byte, erro
 // released, so a later Fetch of the same key (a canceled preparation, say)
 // builds again.
 func (c *StateCache) Fetch(key string, build func() ([]byte, error)) (data []byte, hit bool, err error) {
+	e, hit := c.fetch(key, build)
+	return e.data, hit, e.err
+}
+
+// fetch is Fetch returning the entry, for callers that want its decoded state.
+func (c *StateCache) fetch(key string, build func() ([]byte, error)) (*cacheEntry, bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
 		<-e.ready
-		return e.data, true, e.err
+		return e, true
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.entries[key] = e
 	c.mu.Unlock()
 
-	if data := c.loadDisk(key); data != nil {
-		e.data = data
-		close(e.ready)
-		return data, true, nil
-	}
-	if c.remoteFetch != nil {
-		// A remote miss and a remote failure both fall through to the local
-		// build: the remote store is an accelerator, never a dependency.
+	if e.data, e.ds = c.loadDisk(key); e.data == nil && c.remoteFetch != nil {
+		// A remote miss, a remote failure and a payload that does not decode
+		// all fall through to the local build: the remote store is an
+		// accelerator, never a dependency, never trusted unverified.
 		if data, err := c.remoteFetch(key); err == nil && data != nil {
-			e.data = data
-			c.saveDisk(key, data)
-			close(e.ready)
-			return data, true, nil
+			if ds, err := snapshot.Decode(data); err == nil {
+				e.data, e.ds = data, ds
+				c.saveDisk(key, data)
+			}
 		}
+	}
+	if e.data != nil {
+		close(e.ready)
+		return e, true
 	}
 	e.data, e.err = build()
 	if e.err == nil {
@@ -109,12 +135,13 @@ func (c *StateCache) Fetch(key string, build func() ([]byte, error)) (data []byt
 		}
 		c.mu.Unlock()
 	}
-	return e.data, false, e.err
+	return e, false
 }
 
 // SetRemote attaches a secondary store consulted between the disk cache and
 // a local build. fetch returns the encoded snapshot for a key, or (nil, nil)
-// on a remote miss; publish (optional) is handed every locally built state.
+// on a remote miss; the cache validates what it returns by decoding it.
+// publish (optional) is handed every locally built state.
 // Set it before the cache is shared across goroutines — the fields are not
 // synchronized.
 func (c *StateCache) SetRemote(fetch func(key string) ([]byte, error), publish func(key string, data []byte)) {
@@ -134,11 +161,11 @@ func (c *StateCache) Peek(key string) ([]byte, bool) {
 		return e.data, e.err == nil
 	}
 	c.mu.Unlock()
-	data := c.loadDisk(key)
+	data, ds := c.loadDisk(key)
 	if data == nil {
 		return nil, false
 	}
-	c.Put(key, data)
+	c.admit(key, data, ds) // no saveDisk: the file is where data came from
 	return data, true
 }
 
@@ -147,16 +174,23 @@ func (c *StateCache) Peek(key string) ([]byte, bool) {
 // bound to a key stays bound to it. The caller is responsible for having
 // verified the payload (snapshot.Verify); Put stores bytes, not trust.
 func (c *StateCache) Put(key string, data []byte) {
-	c.mu.Lock()
-	if _, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		return
+	if c.admit(key, data, nil) {
+		c.saveDisk(key, data)
 	}
-	e := &cacheEntry{ready: make(chan struct{}), data: data}
+}
+
+// admit binds data — and its decoded form, when the caller has one — to key
+// unless the key is already bound, and reports whether it did.
+func (c *StateCache) admit(key string, data []byte, ds *snapshot.DeviceState) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[key]; ok {
+		return false
+	}
+	e := &cacheEntry{ready: make(chan struct{}), data: data, ds: ds}
 	close(e.ready)
 	c.entries[key] = e
-	c.mu.Unlock()
-	c.saveDisk(key, data)
+	return true
 }
 
 // path maps a key to a stable filename; keys are long canonical
@@ -166,21 +200,22 @@ func (c *StateCache) path(key string) string {
 	return filepath.Join(c.dir, hex.EncodeToString(sum[:16])+".state")
 }
 
-// loadDisk returns the stored bytes for key, or nil when the cache is
-// memory-only, the file is missing, or its content does not decode — a
-// corrupt cache entry silently falls back to rebuilding.
-func (c *StateCache) loadDisk(key string) []byte {
+// loadDisk returns the stored bytes for key and the decode that validated
+// them, or nils when the cache is memory-only, the file is missing, or its
+// content does not decode — a corrupt entry silently falls back to rebuilding.
+func (c *StateCache) loadDisk(key string) ([]byte, *snapshot.DeviceState) {
 	if c.dir == "" {
-		return nil
+		return nil, nil
 	}
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	if _, err := snapshot.Decode(data); err != nil {
-		return nil
+	ds, err := snapshot.Decode(data)
+	if err != nil {
+		return nil, nil
 	}
-	return data
+	return data, ds
 }
 
 // saveDisk persists an entry, best-effort: an unwritable cache directory

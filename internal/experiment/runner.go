@@ -265,21 +265,7 @@ func (r *Runner) Run(ctx context.Context, def Definition) (Results, error) {
 	if workers > len(def.Variants) {
 		workers = len(def.Variants)
 	}
-	cache := r.opts.Cache
-	if r.opts.NoPrepareCache {
-		cache = nil
-	} else if cache == nil {
-		cache = NewStateCache("")
-	}
-	run := &runState{
-		def:      def,
-		cache:    cache,
-		observer: r.opts.Observer,
-		started:  time.Now(), //lint:wallclock run wall-time telemetry, never canonical
-		rows:     make([]Row, len(def.Variants)),
-		errs:     make([]error, len(def.Variants)),
-		canceled: make([]bool, len(def.Variants)),
-	}
+	run := r.newRunState(def)
 	for i, v := range def.Variants {
 		run.emit(Event{Kind: EventVariantQueued, Experiment: def.Name,
 			Variant: v.Label, Index: i, Variants: len(def.Variants)})
@@ -317,6 +303,26 @@ func (r *Runner) Run(ctx context.Context, def Definition) (Results, error) {
 	return res, err
 }
 
+// newRunState is one Run's or RunVariant's bookkeeping. Prepared states, and
+// their decoded form, outlive it only in a cache the caller provided.
+func (r *Runner) newRunState(def Definition) *runState {
+	cache := r.opts.Cache
+	if r.opts.NoPrepareCache {
+		cache = nil
+	} else if cache == nil {
+		cache = NewStateCache("")
+	}
+	return &runState{
+		def:      def,
+		cache:    cache,
+		observer: r.opts.Observer,
+		started:  time.Now(), //lint:wallclock run wall-time telemetry, never canonical
+		rows:     make([]Row, len(def.Variants)),
+		errs:     make([]error, len(def.Variants)),
+		canceled: make([]bool, len(def.Variants)),
+	}
+}
+
 // runState is one Run invocation's bookkeeping, shared by its workers.
 type runState struct {
 	def      Definition
@@ -329,39 +335,6 @@ type runState struct {
 	canceled []bool
 
 	emitMu sync.Mutex
-
-	// decoded shares one decoded snapshot per cache key across variants
-	// (see decodeShared).
-	decMu   sync.Mutex
-	decoded map[string]*snapshot.DeviceState
-}
-
-// decodeShared decodes an encoded snapshot once per cache key and hands the
-// same decoded state to every variant that restores from it. Sharing is
-// safe — concurrently, too — because restoration never mutates the decoded
-// state: every RestoreState implementation copies out of it into the
-// stack's own storage. A full-scale prepared device decodes to a
-// multi-megabyte state; paying that once per prepared device instead of
-// once per variant is the lazy-restore half of the snapshot fast path.
-// Keyless states (cacheless reference runs) decode privately.
-func (rs *runState) decodeShared(key string, data []byte) (*snapshot.DeviceState, error) {
-	if key == "" {
-		return snapshot.Decode(data)
-	}
-	rs.decMu.Lock()
-	defer rs.decMu.Unlock()
-	if ds, ok := rs.decoded[key]; ok {
-		return ds, nil
-	}
-	ds, err := snapshot.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if rs.decoded == nil {
-		rs.decoded = make(map[string]*snapshot.DeviceState)
-	}
-	rs.decoded[key] = ds
-	return ds, nil
 }
 
 // emit delivers one event to the observer, serialized across workers.
@@ -512,16 +485,11 @@ func (rs *runState) runVariant(ctx context.Context, i int, v Variant) (Row, erro
 		}
 		stack = st
 	} else {
-		data, key, err := rs.preparedState(ctx, i, v, cfg, spec)
+		ds, err := rs.preparedState(ctx, i, v, cfg, spec)
 		if err != nil {
 			if wasCanceled(err) {
 				return Row{}, err
 			}
-			return Row{}, fmt.Errorf("experiment %q variant %q: %w", def.Name, v.Label, err)
-		}
-		// One decode per prepared state; restoration never mutates it.
-		ds, err := rs.decodeShared(key, data)
-		if err != nil {
 			return Row{}, fmt.Errorf("experiment %q variant %q: %w", def.Name, v.Label, err)
 		}
 		st, err := core.Restore(cfg, ds)
@@ -534,26 +502,30 @@ func (rs *runState) runVariant(ctx context.Context, i int, v Variant) (Row, erro
 	return rs.finishVariant(ctx, v, stack)
 }
 
-// preparedState returns the encoded snapshot of the prepared device for the
-// variant's configuration and its cache key ("" when no cache is in play),
-// building it (once per distinct key when a cache is present) by running
-// the preparation workload to a full drain, and emits the cache-provenance
-// event.
-func (rs *runState) preparedState(ctx context.Context, i int, v Variant, cfg core.Config, spec PrepareSpec) ([]byte, string, error) {
+// preparedState returns the decoded snapshot of the prepared device for the
+// variant's configuration, building it (once per distinct key when a cache
+// is present) by running the preparation workload to a full drain, and emits
+// the cache-provenance event. The cache entry owns the decoded state, one
+// for all variants; without a cache the variant decodes its own.
+func (rs *runState) preparedState(ctx context.Context, i int, v Variant, cfg core.Config, spec PrepareSpec) (*snapshot.DeviceState, error) {
 	def := rs.def
 	pcfg := prepConfig(cfg, def.Base())
 	if rs.cache == nil {
 		data, err := buildPrepared(ctx, pcfg, spec)
-		return data, "", err
+		if err != nil {
+			return nil, err
+		}
+		return snapshot.Decode(data)
 	}
 	key, err := prepKey(pcfg, spec)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	start := time.Now() //lint:wallclock cache-fetch wall-time telemetry
-	data, hit, err := rs.cache.Fetch(key, func() ([]byte, error) {
+	e, hit := rs.cache.fetch(key, func() ([]byte, error) {
 		return buildPrepared(ctx, pcfg, spec)
 	})
+	ds, err := e.state()
 	if err == nil {
 		kind := EventPrepareMiss
 		if hit {
@@ -562,7 +534,7 @@ func (rs *runState) preparedState(ctx context.Context, i int, v Variant, cfg cor
 		rs.emit(Event{Kind: kind, Experiment: def.Name, Variant: v.Label, Index: i,
 			Variants: len(def.Variants), CacheKey: key, Wall: time.Since(start)})
 	}
-	return data, key, err
+	return ds, err
 }
 
 // buildPrepared ages a fresh device under the preparation config to a full

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrVariantIndex reports a RunVariant lease index outside the definition's
@@ -32,21 +31,7 @@ func (r *Runner) RunVariant(ctx context.Context, def Definition, index int) (Row
 		return Row{}, fmt.Errorf("experiment %q: %w: %d not in [0,%d)",
 			def.Name, ErrVariantIndex, index, len(def.Variants))
 	}
-	cache := r.opts.Cache
-	if r.opts.NoPrepareCache {
-		cache = nil
-	} else if cache == nil {
-		cache = NewStateCache("")
-	}
-	rs := &runState{
-		def:      def,
-		cache:    cache,
-		observer: r.opts.Observer,
-		started:  time.Now(), //lint:wallclock run wall-time telemetry, never canonical
-		rows:     make([]Row, len(def.Variants)),
-		errs:     make([]error, len(def.Variants)),
-		canceled: make([]bool, len(def.Variants)),
-	}
+	rs := r.newRunState(def)
 	v := def.Variants[index]
 	rs.emit(Event{Kind: EventVariantQueued, Experiment: def.Name,
 		Variant: v.Label, Index: index, Variants: len(def.Variants)})

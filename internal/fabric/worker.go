@@ -12,7 +12,6 @@ import (
 
 	"eagletree/internal/experiment"
 	"eagletree/internal/sim"
-	"eagletree/internal/snapshot"
 	"eagletree/internal/spec"
 )
 
@@ -158,9 +157,10 @@ func (s *workerSession) runLease(ctx context.Context, runner *experiment.Runner,
 }
 
 // remoteFetch asks the coordinator's cache for a prepared state. (nil, nil)
-// is a remote miss — the build is delegated to this worker. Every payload is
-// verified before it is trusted: a transport that corrupts a snapshot must
-// surface as a typed error here, not as a diverging simulation later.
+// is a remote miss — the build is delegated to this worker. The state cache
+// decodes every payload before it trusts it (and keeps the decode), so a
+// transport that corrupts a snapshot costs a local rebuild, never a
+// diverging simulation.
 func (s *workerSession) remoteFetch(key string) ([]byte, error) {
 	if err := s.codec.Send(Msg{Type: MsgFetch, Key: key}); err != nil {
 		return nil, err
@@ -177,9 +177,6 @@ func (s *workerSession) remoteFetch(key string) ([]byte, error) {
 	}
 	if m.Miss {
 		return nil, nil
-	}
-	if err := snapshot.Verify(m.Data); err != nil {
-		return nil, fmt.Errorf("fabric: fetched state for %q: %w", key, err)
 	}
 	return m.Data, nil
 }

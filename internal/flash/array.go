@@ -43,7 +43,10 @@ type Array struct {
 	timing Timing
 	feat   Features
 
-	pages []PageState
+	// A restored array adopts the snapshot's page-state column (pagesShared)
+	// and copies it on its first write; arrays that only read share one.
+	pages       []PageState
+	pagesShared bool
 
 	// Per-block metadata columns, indexed by Geometry.BlockIndex. These are
 	// the SoA decomposition of BlockMeta; Block() reassembles the struct for
@@ -79,6 +82,17 @@ type Array struct {
 // geometry or timing: configurations are validated once at the public API
 // boundary and an invalid one here is a bug.
 func NewArray(geo Geometry, timing Timing, feat Features) *Array {
+	a := newArray(geo, timing, feat)
+	a.pages = make([]PageState, geo.Pages())
+	for i := range a.freePerLUN {
+		a.freePerLUN[i] = geo.BlocksPerLUN
+	}
+	return a
+}
+
+// newArray builds everything but the page-state column and the free counts:
+// NewArray's are an erased device's, RestoreArray's a snapshot's.
+func newArray(geo Geometry, timing Timing, feat Features) *Array {
 	if err := geo.Validate(); err != nil {
 		panic(err)
 	}
@@ -87,11 +101,10 @@ func NewArray(geo Geometry, timing Timing, feat Features) *Array {
 	}
 	nb := geo.Blocks()
 	bWords := (geo.BlocksPerLUN + 63) / 64
-	a := &Array{
+	return &Array{
 		geo:        geo,
 		timing:     timing,
 		feat:       feat,
-		pages:      make([]PageState, geo.Pages()),
 		eraseCount: make([]int32, nb),
 		lastErase:  make([]sim.Time, nb),
 		validPages: make([]int32, nb),
@@ -103,10 +116,13 @@ func NewArray(geo Geometry, timing Timing, feat Features) *Array {
 		luns:       make([]resource, geo.LUNs()),
 		freePerLUN: make([]int, geo.LUNs()),
 	}
-	for i := range a.freePerLUN {
-		a.freePerLUN[i] = geo.BlocksPerLUN
-	}
-	return a
+}
+
+// own gives the array a private page-state column before its first write.
+// Out of line and unannotated: the hot write paths pay one predictable branch.
+func (a *Array) own() {
+	a.pages = append([]PageState(nil), a.pages...)
+	a.pagesShared = false
 }
 
 // Geometry returns the array's shape.
@@ -328,6 +344,9 @@ func (a *Array) ScheduleWrite(p PPA, at sim.Time) (Schedule, error) {
 		a.bucketDel(p.LUN, p.Block, v)
 	}
 	a.bucketAdd(p.LUN, p.Block, v+1)
+	if a.pagesShared {
+		a.own()
+	}
 	a.pages[a.geo.Index(p)] = PageValid
 	a.writePtr[bi]++
 	a.validPages[bi]++
@@ -384,6 +403,9 @@ func (a *Array) ScheduleErase(b BlockID, at sim.Time) (Schedule, error) {
 	}
 	wasFree := a.writePtr[bi] == 0 // bad was ruled out above
 	base := a.geo.Index(PPA{LUN: b.LUN, Block: b.Block, Page: 0})
+	if a.pagesShared {
+		a.own()
+	}
 	for i := 0; i < a.geo.PagesPerBlock; i++ {
 		a.pages[base+i] = PageFree
 	}
@@ -474,6 +496,9 @@ func (a *Array) ScheduleCopyback(src, dst PPA, at sim.Time) (Schedule, error) {
 		a.bucketDel(dst.LUN, dst.Block, v)
 	}
 	a.bucketAdd(dst.LUN, dst.Block, v+1)
+	if a.pagesShared {
+		a.own()
+	}
 	a.pages[a.geo.Index(dst)] = PageValid
 	a.writePtr[bi]++
 	a.validPages[bi]++
@@ -491,6 +516,9 @@ func (a *Array) Invalidate(p PPA) error {
 	idx := a.geo.Index(p)
 	switch a.pages[idx] {
 	case PageValid:
+		if a.pagesShared {
+			a.own()
+		}
 		a.pages[idx] = PageInvalid
 		bi := a.geo.BlockIndex(p.BlockOf())
 		v := int(a.validPages[bi])

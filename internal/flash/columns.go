@@ -62,13 +62,10 @@ func (a *Array) MinValidBlock(lun int, eligible []uint64, maxValid int) (blk, va
 	return 0, 0, false
 }
 
-// rebuildBuckets recomputes the (LUN, valid-count) bucket bitsets from the
-// block columns after a snapshot restore. Membership invariant: a block is
-// bucketed iff it is programmed (WritePtr > 0) and not retired.
-func (a *Array) rebuildBuckets() {
-	for i := range a.buckets {
-		a.buckets[i] = 0
-	}
+// fillBuckets computes the (still empty) (LUN, valid-count) bucket bitsets
+// from restored block columns. Membership invariant: a block is bucketed
+// iff it is programmed (WritePtr > 0) and not retired.
+func (a *Array) fillBuckets() {
 	for lun := 0; lun < a.geo.LUNs(); lun++ {
 		base := lun * a.geo.BlocksPerLUN
 		for b := 0; b < a.geo.BlocksPerLUN; b++ {

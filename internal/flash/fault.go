@@ -75,6 +75,9 @@ func (a *Array) injectProgram(p PPA, bi int, done sim.Time) *FaultError {
 		a.freePerLUN[p.LUN]--
 		a.bucketAdd(p.LUN, p.Block, int(a.validPages[bi]))
 	}
+	if a.pagesShared {
+		a.own()
+	}
 	a.pages[a.geo.Index(p)] = PageInvalid
 	a.writePtr[bi]++
 	a.counters.Writes++

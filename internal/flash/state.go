@@ -116,23 +116,25 @@ func copyIntervals(ivs []interval) []Interval {
 	return out
 }
 
-// RestoreState overwrites the array's mutable state with a snapshot. The
-// snapshot must match the array's geometry; a shape mismatch is an error and
-// leaves the array unchanged.
-func (a *Array) RestoreState(st ArrayState) error {
+// RestoreArray builds an array that continues from a snapshot, which must
+// match the geometry. st.Pages is adopted, not copied — shared with every
+// array restored from st until this one first writes a page — so the caller
+// must not modify it afterwards. Everything else is small and copied.
+func RestoreArray(geo Geometry, timing Timing, feat Features, st ArrayState) (*Array, error) {
 	switch {
-	case len(st.Pages) != len(a.pages):
-		return fmt.Errorf("%w: snapshot has %d pages, array has %d", ErrStateMismatch, len(st.Pages), len(a.pages))
-	case len(st.Blocks) != len(a.eraseCount):
-		return fmt.Errorf("%w: snapshot has %d blocks, array has %d", ErrStateMismatch, len(st.Blocks), len(a.eraseCount))
-	case len(st.FreePerLUN) != len(a.freePerLUN):
-		return fmt.Errorf("%w: snapshot has %d LUN free counts, array has %d", ErrStateMismatch, len(st.FreePerLUN), len(a.freePerLUN))
-	case len(st.Channels) != len(a.channels):
-		return fmt.Errorf("%w: snapshot has %d channels, array has %d", ErrStateMismatch, len(st.Channels), len(a.channels))
-	case len(st.LUNs) != len(a.luns):
-		return fmt.Errorf("%w: snapshot has %d LUNs, array has %d", ErrStateMismatch, len(st.LUNs), len(a.luns))
+	case len(st.Pages) != geo.Pages():
+		return nil, fmt.Errorf("%w: snapshot has %d pages, array has %d", ErrStateMismatch, len(st.Pages), geo.Pages())
+	case len(st.Blocks) != geo.Blocks():
+		return nil, fmt.Errorf("%w: snapshot has %d blocks, array has %d", ErrStateMismatch, len(st.Blocks), geo.Blocks())
+	case len(st.FreePerLUN) != geo.LUNs():
+		return nil, fmt.Errorf("%w: snapshot has %d LUN free counts, array has %d", ErrStateMismatch, len(st.FreePerLUN), geo.LUNs())
+	case len(st.Channels) != geo.Channels:
+		return nil, fmt.Errorf("%w: snapshot has %d channels, array has %d", ErrStateMismatch, len(st.Channels), geo.Channels)
+	case len(st.LUNs) != geo.LUNs():
+		return nil, fmt.Errorf("%w: snapshot has %d LUNs, array has %d", ErrStateMismatch, len(st.LUNs), geo.LUNs())
 	}
-	copy(a.pages, st.Pages)
+	a := newArray(geo, timing, feat)
+	a.pages, a.pagesShared = st.Pages, true
 	for i, b := range st.Blocks {
 		a.eraseCount[i] = int32(b.EraseCount)
 		a.lastErase[i] = b.LastErase
@@ -140,7 +142,7 @@ func (a *Array) RestoreState(st ArrayState) error {
 		a.writePtr[i] = int32(b.WritePtr)
 		a.bad[i] = b.Bad
 	}
-	a.rebuildBuckets()
+	a.fillBuckets()
 	copy(a.freePerLUN, st.FreePerLUN)
 	a.counters = st.Counters
 	for i := range a.channels {
@@ -149,7 +151,7 @@ func (a *Array) RestoreState(st ArrayState) error {
 	for i := range a.luns {
 		a.luns[i].intervals = restoreIntervals(st.LUNs[i].Intervals)
 	}
-	return nil
+	return a, nil
 }
 
 func restoreIntervals(ivs []Interval) []interval {

@@ -61,6 +61,13 @@ type DFTL struct {
 // per LUN forming the translation ring. The ring is ordered across LUNs
 // round-robin so translation load spreads over channels.
 func NewDFTL(geo flash.Geometry, nLPNs, cmtEntries, reservedTrans int) *DFTL {
+	return NewDFTLOver(NewPageMap(geo, nLPNs), cmtEntries, reservedTrans)
+}
+
+// NewDFTLOver is NewDFTL over a given authoritative map — an empty one, or
+// one restored from a snapshot (RestoreState then fills in the rest).
+func NewDFTLOver(truth *PageMap, cmtEntries, reservedTrans int) *DFTL {
+	geo := truth.geo
 	if cmtEntries < 1 {
 		panic("ftl: DFTL needs a CMT of at least 1 entry")
 	}
@@ -69,7 +76,7 @@ func NewDFTL(geo flash.Geometry, nLPNs, cmtEntries, reservedTrans int) *DFTL {
 	}
 	d := &DFTL{
 		geo:            geo,
-		truth:          NewPageMap(geo, nLPNs),
+		truth:          truth,
 		entriesPerPage: geo.PageSize / 8,
 		cmt:            make(map[iface.LPN]*list.Element, cmtEntries),
 		lru:            list.New(),

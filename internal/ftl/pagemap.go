@@ -8,11 +8,15 @@ import (
 // PageMap is the most flexible mapping scheme: a full page-level map held
 // entirely in controller RAM. Any logical page can be bound to any physical
 // page, and accesses never touch flash for metadata.
+//
+// A restored map adopts the snapshot's two columns (shared) and copies them
+// on the first Map or Unmap, so stacks that only read share one table.
 type PageMap struct {
 	geo     flash.Geometry
 	forward []int32 // LPN -> dense page index, -1 if unmapped
 	reverse []int64 // dense page index -> LPN, -1 if none
 	mapped  int
+	shared  bool
 }
 
 // NewPageMap builds an empty page map for nLPNs logical pages over geometry
@@ -31,6 +35,14 @@ func NewPageMap(geo flash.Geometry, nLPNs int) *PageMap {
 		pm.reverse[i] = -1
 	}
 	return pm
+}
+
+// own gives the map private columns before its first mutation. Out of line
+// and unannotated: Map and Unmap pay one predictable branch.
+func (pm *PageMap) own() {
+	pm.forward = append([]int32(nil), pm.forward...)
+	pm.reverse = append([]int64(nil), pm.reverse...)
+	pm.shared = false
 }
 
 // Name implements Mapper.
@@ -70,6 +82,9 @@ func (pm *PageMap) Map(lpn iface.LPN, ppa flash.PPA) (flash.PPA, bool) {
 	if int(oldIdx) == newIdx {
 		return flash.PPA{}, false
 	}
+	if pm.shared {
+		pm.own()
+	}
 	pm.forward[lpn] = int32(newIdx)
 	pm.reverse[newIdx] = int64(lpn)
 	if oldIdx < 0 {
@@ -90,6 +105,9 @@ func (pm *PageMap) Unmap(lpn iface.LPN) (flash.PPA, bool) {
 	oldIdx := pm.forward[lpn]
 	if oldIdx < 0 {
 		return flash.PPA{}, false
+	}
+	if pm.shared {
+		pm.own()
 	}
 	pm.forward[lpn] = -1
 	pm.reverse[oldIdx] = -1

@@ -31,19 +31,18 @@ func (pm *PageMap) State() PageMapState {
 	}
 }
 
-// RestoreState overwrites the page map with a snapshot. The snapshot's
-// logical and physical sizes must match the map's.
-func (pm *PageMap) RestoreState(st PageMapState) error {
-	if len(st.Forward) != len(pm.forward) {
-		return fmt.Errorf("%w: snapshot page map has %d LPNs, map has %d", ErrStateMismatch, len(st.Forward), len(pm.forward))
+// RestorePageMap builds a page map that continues from a snapshot of nLPNs
+// logical and geo.Pages() physical entries. The two columns are adopted, not
+// copied — shared with every map restored from st until this one first
+// mutates — so the caller must not modify them afterwards.
+func RestorePageMap(geo flash.Geometry, nLPNs int, st PageMapState) (*PageMap, error) {
+	if len(st.Forward) != nLPNs {
+		return nil, fmt.Errorf("%w: snapshot page map has %d LPNs, map has %d", ErrStateMismatch, len(st.Forward), nLPNs)
 	}
-	if len(st.Reverse) != len(pm.reverse) {
-		return fmt.Errorf("%w: snapshot page map has %d physical pages, map has %d", ErrStateMismatch, len(st.Reverse), len(pm.reverse))
+	if len(st.Reverse) != geo.Pages() {
+		return nil, fmt.Errorf("%w: snapshot page map has %d physical pages, map has %d", ErrStateMismatch, len(st.Reverse), geo.Pages())
 	}
-	copy(pm.forward, st.Forward)
-	copy(pm.reverse, st.Reverse)
-	pm.mapped = st.Mapped
-	return nil
+	return &PageMap{geo: geo, forward: st.Forward, reverse: st.Reverse, mapped: st.Mapped, shared: true}, nil
 }
 
 // CMTEntryState is one cached mapping entry, in LRU order.
@@ -109,13 +108,10 @@ func (d *DFTL) State() DFTLState {
 	return st
 }
 
-// RestoreState overwrites the DFTL with a snapshot. The snapshot must fit
-// the mapper's shape: same truth-map sizes, same ring layout, and a CMT no
-// larger than the configured capacity.
+// RestoreState overwrites the cache, directory and translation ring of a
+// DFTL built by NewDFTLOver on the snapshot's restored truth map (st.Truth is
+// not read here). The snapshot must fit: same ring layout, a CMT no larger.
 func (d *DFTL) RestoreState(st DFTLState) error {
-	if err := d.truth.RestoreState(st.Truth); err != nil {
-		return err
-	}
 	if len(st.CMT) > d.capacity {
 		return fmt.Errorf("%w: snapshot CMT holds %d entries, capacity is %d", ErrStateMismatch, len(st.CMT), d.capacity)
 	}
@@ -201,9 +197,9 @@ func (bm *BlockManager) State() BlockManagerState {
 	return st
 }
 
-// RestoreState overwrites the block manager's allocation state. The array
-// must already hold the matching snapshot: an age-aware pool re-buckets the
-// flat free list by the blocks' restored erase counts.
+// RestoreState replaces a just-built block manager's allocation state. The
+// array must already hold the matching snapshot: an age-aware pool re-buckets
+// the flat free list by the blocks' restored erase counts.
 func (bm *BlockManager) RestoreState(st BlockManagerState) error {
 	if len(st.LUNs) != len(bm.luns) {
 		return fmt.Errorf("%w: snapshot has %d LUN alloc states, manager has %d", ErrStateMismatch, len(st.LUNs), len(bm.luns))
@@ -222,11 +218,6 @@ func (bm *BlockManager) RestoreState(st BlockManagerState) error {
 			for _, b := range src.Free {
 				ls.bucketAppend(cols.EraseCount[base+b], b)
 			}
-		}
-		ls.open = [NumStreams]openBlock{}
-		ls.openCount = 0
-		for w := range ls.openMask {
-			ls.openMask[w] = 0
 		}
 		for _, ob := range src.Open {
 			if int(ob.Stream) >= NumStreams {

@@ -447,15 +447,55 @@ func (d *dec) str() string {
 	return s
 }
 
+// raw returns a length-prefixed byte string as a view of the input.
 func (d *dec) raw() []byte {
 	n := d.count(len(d.b))
 	if d.err != nil || d.off+n > len(d.b) {
 		d.fail()
 		return nil
 	}
-	p := append([]byte(nil), d.b[d.off:d.off+n]...)
+	p := d.b[d.off : d.off+n]
 	d.off += n
 	return p
+}
+
+// column reads a count and that many signed varints: the page map's two
+// columns, a million elements at full scale, hence one loop with the one- to
+// three-byte encodings (every page index and LPN of a 2 GiB device) decoded
+// inline and only wider ones handed to binary.Uvarint. Short input fails as
+// d.i64 would: ErrTruncated at the offset of the varint that does not fit.
+func column[T int32 | int64](d *dec) []T {
+	out := make([]T, d.count(len(d.b)))
+	if d.err != nil {
+		return out
+	}
+	b, off := d.b, d.off
+	for i := range out {
+		var u uint64
+		n := 0
+		if len(b)-off >= 3 {
+			s := b[off : off+3]
+			switch {
+			case s[0] < 0x80:
+				u, n = uint64(s[0]), 1
+			case s[1] < 0x80:
+				u, n = uint64(s[0]&0x7f)|uint64(s[1])<<7, 2
+			case s[2] < 0x80:
+				u, n = uint64(s[0]&0x7f)|uint64(s[1]&0x7f)<<7|uint64(s[2])<<14, 3
+			}
+		}
+		if n == 0 { // four bytes or more, or the last two bytes of the input
+			if u, n = binary.Uvarint(b[off:]); n <= 0 {
+				d.off = off
+				d.fail()
+				return out
+			}
+		}
+		off += n
+		out[i] = T(int64(u>>1) ^ -int64(u&1))
+	}
+	d.off = off
+	return out
 }
 
 // count reads a length prefix and bounds it by what the remaining input
@@ -671,14 +711,8 @@ func (d *dec) blockManagerInto(bm *ftl.BlockManagerState) {
 
 //eagletree:snapshot decode ftl.PageMapState
 func (d *dec) pageMapInto(pm *ftl.PageMapState) {
-	pm.Forward = make([]int32, d.count(len(d.b)))
-	for i := range pm.Forward {
-		pm.Forward[i] = int32(d.i64())
-	}
-	pm.Reverse = make([]int64, d.count(len(d.b)))
-	for i := range pm.Reverse {
-		pm.Reverse[i] = d.i64()
-	}
+	pm.Forward = column[int32](d)
+	pm.Reverse = column[int64](d)
 	pm.Mapped = d.int()
 }
 

@@ -1,8 +1,10 @@
 package snapshot
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 // WriteFile atomically writes the encoded state to path.
@@ -13,14 +15,21 @@ func WriteFile(path string, ds *DeviceState) error {
 // WriteRawFile atomically writes already-encoded snapshot bytes: they land
 // in a temporary sibling first, so a crash mid-write never leaves a
 // truncated snapshot where a valid one is expected (state caches tolerate
-// missing files, not half files).
+// missing files, not half files). The sibling's name is unique to the call,
+// so concurrent writers of one path — two processes sharing a cache
+// directory — each rename a complete file; the last rename wins.
 func WriteRawFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	_, err = f.Write(data)
+	// CreateTemp's 0600 would hide a shared cache's entries from its other users.
+	if err = errors.Join(err, f.Chmod(0o644), f.Close()); err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil

@@ -1,7 +1,10 @@
 package snapshot_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"testing"
 
 	"eagletree/internal/controller"
@@ -49,6 +52,13 @@ func fuzzSeedState(tb testing.TB) *snapshot.DeviceState {
 	return ds
 }
 
+// reseal gives a cut-short snapshot (header and a payload prefix) a matching
+// checksum, so the cut reaches the field decoders instead of the CRC gate.
+func reseal(prefix []byte) []byte {
+	const header = 8 // magic + version
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), prefix...), crc32.ChecksumIEEE(prefix[header:]))
+}
+
 // FuzzDecode hammers the snapshot decoder with mutated and truncated inputs.
 // The contract under test: Decode returns one of the codec's typed errors —
 // ErrNotSnapshot, ErrVersion, ErrTruncated, ErrCorrupt — and never panics,
@@ -65,6 +75,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("EGTSNAP"))
 	f.Add([]byte{})
+	// The page-map columns go through the bulk varint loop, whose inline
+	// path stops at three bytes: seed wider varints (a small device has
+	// none of its own) and a checksummed input that ends inside one.
+	wideState := fuzzSeedState(f)
+	pm := wideState.Controller.PageMap
+	pm.Reverse[0], pm.Reverse[1], pm.Forward[0] = 1<<40, math.MinInt64, math.MaxInt32
+	wide := snapshot.Encode(wideState)
+	f.Add(wide)
+	at := 0
+	for wide[at] == valid[at] {
+		at++ // first byte of the first widened varint
+	}
+	f.Add(reseal(wide[:at+3]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, err := snapshot.Decode(data)
 		if err != nil {

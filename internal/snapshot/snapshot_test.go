@@ -3,9 +3,11 @@ package snapshot_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"eagletree/internal/controller"
@@ -84,6 +86,101 @@ func TestRoundTripExact(t *testing.T) {
 				t.Fatalf("re-encoded bytes differ: %d vs %d bytes", len(data), len(again))
 			}
 		})
+	}
+}
+
+// TestGoldenSnapshot pins the format: testdata/golden-v2-*.snap were written
+// by the encoder as it stood before the page-map columns got their bulk
+// decode loop (commit ac495d8, agedState's two devices). They must decode,
+// describe the device they were taken from, and re-encode to the same bytes.
+func TestGoldenSnapshot(t *testing.T) {
+	for _, mapping := range []string{"pagemap", "dftl"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "golden-v2-"+mapping+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := snapshot.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", mapping, err)
+		}
+		pm := ds.Controller.PageMap
+		if ds.Controller.DFTL != nil {
+			pm = &ds.Controller.DFTL.Truth
+		}
+		if ds.Meta.Mapping != mapping || ds.Meta.Seed != 5 || len(pm.Forward) != ds.Meta.LogicalPages ||
+			len(pm.Reverse) != ds.Meta.Geometry.Pages() || pm.Mapped != ds.Meta.LogicalPages {
+			t.Fatalf("%s: decoded meta %+v, %d forward, %d reverse, %d mapped", mapping, ds.Meta, len(pm.Forward), len(pm.Reverse), pm.Mapped)
+		}
+		if !bytes.Equal(snapshot.Encode(ds), data) {
+			t.Fatalf("%s: re-encoding the golden snapshot changed its bytes", mapping)
+		}
+	}
+}
+
+// TestDecodeTruncatedInsideColumn: a checksummed input that ends inside the
+// page-map columns — between varints, and inside a four-byte one — is
+// ErrTruncated, never a short column.
+func TestDecodeTruncatedInsideColumn(t *testing.T) {
+	ds := agedState(t, controller.MapPageRAM)
+	valid := snapshot.Encode(ds)
+	ds.Controller.PageMap.Forward[0] = math.MaxInt32
+	wide := snapshot.Encode(ds)
+	at := 0
+	for wide[at] == valid[at] {
+		at++
+	}
+	for _, keep := range []int{at, at + 1, at + 3, at + 40} {
+		if _, err := snapshot.Decode(reseal(wide[:keep])); !errors.Is(err, snapshot.ErrTruncated) {
+			t.Fatalf("payload cut at %d (column starts its first varint at %d): got %v, want ErrTruncated", keep, at, err)
+		}
+	}
+}
+
+// TestWriteRawFileConcurrentWriters: eight writers of one path beside a
+// reader. Every read must see a whole snapshot, and no writer may leave a
+// temporary file behind — with one fixed temp name the writers truncated and
+// renamed each other's half-written files.
+func TestWriteRawFileConcurrentWriters(t *testing.T) {
+	data := snapshot.Encode(agedState(t, controller.MapPageRAM))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shared.state")
+	if err := snapshot.WriteRawFile(path, data); err != nil {
+		t.Fatal(err)
+	}
+	var writers sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 40; i++ {
+				if err := snapshot.WriteRawFile(path, data); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { writers.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if _, err := snapshot.ReadFile(path); err != nil {
+			t.Fatalf("reader saw a broken file: %v", err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "shared.state" {
+		t.Fatalf("directory holds %v after the writers finished, want only shared.state", entries)
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
+		t.Fatalf("shared.state: mode %v, err %v; want 0644 so other users of a shared cache can read it", info.Mode(), err)
 	}
 }
 
