@@ -200,6 +200,11 @@ func TestClassedDispatchMatchesPlainScan(t *testing.T) {
 		w.IdleFactor = 2
 		cfg.WL = w
 	}
+	dftl := func(cfg *Config) {
+		cfg.Mapping = MapDFTL
+		cfg.CMTEntries = 32
+		cfg.ReservedTransBlocks = 4
+	}
 	writeOnly := diffLoad{ops: 6000, depth: 24}
 	mixed := diffLoad{ops: 6000, depth: 24, readPct: 40, trimPct: 5}
 	cases := []struct {
@@ -238,10 +243,26 @@ func TestClassedDispatchMatchesPlainScan(t *testing.T) {
 			check: wantGC,
 		},
 		{
+			name: "deadline-priority-fallback",
+			policy: func() sched.Policy {
+				return &sched.Deadline{ReadDeadline: 300 * sim.Microsecond, WriteDeadline: 3 * sim.Millisecond,
+					InternalDeadline: 5 * sim.Millisecond, Fallback: &sched.Priority{Prefer: sched.PreferReads, Internal: sched.InternalLast}}
+			},
+			load:  mixed,
+			check: wantGC,
+		},
+		{
 			name:   "fair",
 			policy: func() sched.Policy { return &sched.Fair{Weights: [iface.NumSources]int{2, 1, 1, 1}} },
 			load:   mixed,
 			check:  wantGC,
+		},
+		{
+			name:   "fair-weighted/dftl-chains",
+			policy: func() sched.Policy { return &sched.Fair{Weights: [iface.NumSources]int{3, 1, 2, 1}} },
+			mutate: dftl,
+			load:   mixed,
+			check:  wantTransWrites,
 		},
 		{
 			name:   "lun-free-probes-under-saturation",
@@ -269,17 +290,9 @@ func TestClassedDispatchMatchesPlainScan(t *testing.T) {
 		{
 			name:   "dftl-chains",
 			policy: func() sched.Policy { return &sched.FIFO{} },
-			mutate: func(cfg *Config) {
-				cfg.Mapping = MapDFTL
-				cfg.CMTEntries = 32
-				cfg.ReservedTransBlocks = 4
-			},
-			load: mixed,
-			check: func(t *testing.T, r *diffRun) {
-				if r.flash.Writes <= r.counters.AppWrites+r.counters.GCMigratedPages {
-					t.Error("no translation writes: the case does not exercise DFTL chains")
-				}
-			},
+			mutate: dftl,
+			load:   mixed,
+			check:  wantTransWrites,
 		},
 	}
 	for _, tc := range cases {
@@ -306,5 +319,83 @@ func wantGC(t *testing.T, r *diffRun) {
 	t.Helper()
 	if r.counters.GCMigratedPages == 0 {
 		t.Error("GC never migrated a page: the case is not GC-bound")
+	}
+}
+
+func wantTransWrites(t *testing.T, r *diffRun) {
+	t.Helper()
+	if r.flash.Writes <= r.counters.AppWrites+r.counters.GCMigratedPages {
+		t.Error("no translation writes: the case does not exercise DFTL chains")
+	}
+}
+
+// TestAcceptedReadLeftQueuedStaysWakeable is the directed case behind the
+// sweeps' class skip. Three overdue reads wait on one LUN. When it goes idle
+// Deadline's overdue sweep asks about all three, gets three yeses and pops the
+// earliest deadline, which makes the LUN busy again; the next sweep is refused
+// at the second read and leaves the class there, so the third — accepted once,
+// never dispatched — is not asked about again. A trim then unmaps the third
+// read's page (GC's remap wakes through the same wakeRead; on this controller
+// GC keeps a page on its LUN, so unmap is the retarget whose effect shows): the
+// read needs no LUN any more and must complete one command time later, not
+// sleep in its old class until that LUN's next completion.
+func TestAcceptedReadLeftQueuedStaysWakeable(t *testing.T) {
+	eng := sim.NewEngine()
+	var ctl *Controller
+	var busy, first, second, third, trim *iface.Request
+	var id uint64
+	submit := func(typ iface.ReqType, lpn iface.LPN) *iface.Request {
+		id++
+		r := &iface.Request{ID: id, Type: typ, LPN: lpn, Source: iface.SourceApp, Submitted: eng.Now()}
+		ctl.Submit(r)
+		return r
+	}
+	cfg := Config{
+		Geometry:      flash.Geometry{Channels: 2, LUNsPerChannel: 2, BlocksPerLUN: 24, PagesPerBlock: 8, PageSize: 4096},
+		Timing:        flash.TimingSLC(),
+		Overprovision: 0.2,
+		GCGreediness:  2,
+		WL:            WLOff(),
+		Policy:        &sched.Deadline{ReadDeadline: 1}, // every queued read is overdue; a trim never is
+		OnComplete: func(r *iface.Request) {
+			if r == busy {
+				// The LUN's first completion wakes the class and dispatches the
+				// first read; the trim arrives while that one is in flight.
+				eng.ScheduleAfter(sim.Microsecond, func() { trim = submit(iface.Trim, third.LPN) })
+			}
+		},
+	}
+	var err error
+	ctl, err = New(eng, iface.NewBus(), stats.NewCollector(0, 0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lpn := 0; lpn < 64; lpn++ {
+		submit(iface.Write, iface.LPN(lpn))
+	}
+	eng.RunUntilIdle()
+	var onLUN []iface.LPN // four pages of one LUN
+	for lpn := 0; lpn < 64 && len(onLUN) < 4; lpn++ {
+		if ppa, ok := ctl.mapper.Lookup(iface.LPN(lpn)); ok && ppa.LUN == 0 {
+			onLUN = append(onLUN, iface.LPN(lpn))
+		}
+	}
+	if len(onLUN) < 4 {
+		t.Fatalf("only %d of 64 filled pages sit on LUN 0", len(onLUN))
+	}
+	busy = submit(iface.Read, onLUN[0])
+	eng.ScheduleAfter(sim.Microsecond, func() {
+		first, second, third = submit(iface.Read, onLUN[1]), submit(iface.Read, onLUN[2]), submit(iface.Read, onLUN[3])
+	})
+	eng.RunUntilIdle()
+	if err := ctl.checkQuiescent(); err != nil {
+		t.Fatalf("not quiescent after drain: %v", err)
+	}
+	if trim == nil || !(first.Dispatched < trim.Submitted && trim.Submitted < first.Completed) {
+		t.Fatalf("the trim did not arrive while the first read held the LUN: first %v..%v, trim %+v", first.Dispatched, first.Completed, trim)
+	}
+	if want := trim.Completed.Add(cfg.Timing.Cmd); third.Completed != want {
+		t.Errorf("read unmapped at %v completed at %v, want %v: it slept on in the class of a LUN it no longer waits for (first read done %v, second %v)",
+			trim.Completed, third.Completed, want, first.Completed, second.Completed)
 	}
 }

@@ -843,9 +843,11 @@ func (c *Controller) Saturated() bool {
 // while tempEpoch stands still; the capacity class waits on canRunAppWrite,
 // constant while writeEpoch stands still, and an untagged app write belongs
 // to it whatever stream the detector assigns next. Reads are additionally
-// indexed in readWait: a mapping change can retarget a parked read without
-// either token moving, so remap/unmap wake the affected LPN's waiters
-// directly.
+// indexed in readWait from their first refusal until executeData dispatches
+// them: a mapping change can retarget a parked read without either token
+// moving, so remap/unmap wake the affected LPN's waiters directly. A yes
+// changes nothing — the policy may ask about many candidates and pop one, and
+// a sweep that leaves a class at its first refusal never asks the rest.
 //
 //eagletree:hotpath
 func (c *Controller) Evaluate(r *iface.Request) (bool, int) {
@@ -880,14 +882,13 @@ func (c *Controller) Evaluate(r *iface.Request) (bool, int) {
 	case iface.Read:
 		ppa, mapped := c.lookup(r, st)
 		if !mapped || !c.inflight[ppa.LUN] {
-			if st.waitRead {
-				c.readWaitDel(r, st)
-			}
+			// A yes is not a dispatch: a read the policy asks about and
+			// leaves queued stays indexed until executeData takes it.
 			return true, -1
 		}
+		st.waitClass = int32(ppa.LUN)
 		if !st.waitRead {
 			st.waitRead = true
-			st.waitClass = int32(ppa.LUN)
 			c.readWait[r.LPN] = append(c.readWait[r.LPN], r)
 		}
 		return false, ppa.LUN
@@ -972,7 +973,7 @@ func (c *Controller) wakeRead(lpn iface.LPN) {
 	}
 }
 
-// readWaitDel removes a read that is about to dispatch from the readWait
+// readWaitDel removes a read that executeData is dispatching from the readWait
 // index.
 //
 //eagletree:hotpath

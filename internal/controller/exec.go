@@ -288,6 +288,9 @@ func (c *Controller) executeData(r *iface.Request, st *reqState) {
 	}
 	switch r.Type {
 	case iface.Read:
+		if st.waitRead {
+			c.readWaitDel(r, st)
+		}
 		ppa, ok := c.lookup(r, st)
 		if !ok {
 			// Reading a never-written page: nothing on flash. Complete after

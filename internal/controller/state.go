@@ -95,6 +95,9 @@ func (c *Controller) checkQuiescent() error {
 	if c.lunFree != 0 || c.busyLUNs != 0 {
 		return fmt.Errorf("controller: saturation counters read %d LUN-free requests and %d busy LUNs at rest", c.lunFree, c.busyLUNs)
 	}
+	if len(c.readWait) != 0 {
+		return fmt.Errorf("controller: %d LPNs still index parked reads", len(c.readWait))
+	}
 	if len(c.deferred) != 0 {
 		return fmt.Errorf("controller: %d writes deferred", len(c.deferred))
 	}

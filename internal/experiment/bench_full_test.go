@@ -13,11 +13,14 @@ import (
 // they are the regression tripwire for the data-layer restructure (SoA
 // flash columns, constant-cost victim search, classed dispatch).
 //
-// The three guarded experiments cover the distinct full-scale cost shapes:
+// The guarded experiments cover the distinct full-scale cost shapes:
 // E4 is GC/wear-leveling bound (victim selection and migration dominate),
 // E8 is stream/temperature bound (write-readiness classing dominates), and
 // E13 replays the aged-file-system trace (mixed read path with mapping
-// churn).
+// churn). E2 and E10 hold the two per-IO host costs that must not grow with
+// queue depth or history: E2's deadline variant sweeps the awake wait-classes
+// twice a pop, E10's interleaving variants slot every command and transfer
+// into a channel's reservation timeline between two prunes.
 
 func benchFullExperiment(b *testing.B, def Definition) {
 	b.ReportAllocs()
@@ -28,6 +31,8 @@ func benchFullExperiment(b *testing.B, def Definition) {
 	}
 }
 
+func BenchmarkFullScaleE2(b *testing.B)  { benchFullExperiment(b, suiteDef(b, "e2", Full)) }
 func BenchmarkFullScaleE4(b *testing.B)  { benchFullExperiment(b, suiteDef(b, "e4", Full)) }
 func BenchmarkFullScaleE8(b *testing.B)  { benchFullExperiment(b, suiteDef(b, "e8", Full)) }
+func BenchmarkFullScaleE10(b *testing.B) { benchFullExperiment(b, suiteDef(b, "e10", Full)) }
 func BenchmarkFullScaleE13(b *testing.B) { benchFullExperiment(b, suiteDef(b, "e13", Full)) }

@@ -46,31 +46,44 @@ func (r *resource) reserveTail(at sim.Time, d sim.Duration) sim.Time {
 	return start
 }
 
+// firstEndingAfter returns the index of the first reservation that ends after
+// t, or len(intervals). Intervals are sorted and disjoint, so their ends are
+// sorted too, and one ending at or before t can neither cover t nor bound a
+// gap usable from t: everything before the index is history.
+//
+//eagletree:hotpath
+func (r *resource) firstEndingAfter(t sim.Time) int {
+	lo, hi := 0, len(r.intervals)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.intervals[mid].end <= t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // reserveEarliest books d time units in the earliest gap beginning at or
 // after at, and returns the start time.
 //
 //eagletree:hotpath
 func (r *resource) reserveEarliest(at sim.Time, d sim.Duration) sim.Time {
-	// Find the first gap [gapStart, gapEnd) with gapEnd-gapStart >= d and
-	// gapStart >= at (clamping gap starts up to at).
-	prevEnd := sim.Time(0)
-	for i, iv := range r.intervals {
-		gapStart := prevEnd
-		if gapStart < at {
-			gapStart = at
-		}
+	// Find the first gap of at least d starting at or after at. Only the
+	// reservations that end after at can bound one, so the candidate gap
+	// starts at at and moves to each such reservation's end in turn.
+	gapStart := at
+	for i := r.firstEndingAfter(at); i < len(r.intervals); i++ {
+		iv := r.intervals[i]
 		if iv.start >= gapStart && iv.start.Sub(gapStart) >= d {
 			r.insert(i, interval{gapStart, gapStart.Add(d)})
 			return gapStart
 		}
-		prevEnd = iv.end
+		gapStart = iv.end
 	}
-	start := prevEnd
-	if start < at {
-		start = at
-	}
-	r.intervals = append(r.intervals, interval{start, start.Add(d)})
-	return start
+	r.intervals = append(r.intervals, interval{gapStart, gapStart.Add(d)})
+	return gapStart
 }
 
 //eagletree:hotpath
@@ -83,27 +96,13 @@ func (r *resource) insert(i int, iv interval) {
 // prune discards reservations that ended at or before now. The controller
 // calls it periodically so interval lists stay short.
 func (r *resource) prune(now sim.Time) {
-	keep := 0
-	for _, iv := range r.intervals {
-		if iv.end > now {
-			r.intervals[keep] = iv
-			keep++
-		}
-	}
-	r.intervals = r.intervals[:keep]
+	r.intervals = r.intervals[:copy(r.intervals, r.intervals[r.firstEndingAfter(now):])]
 }
 
 // busyAt reports whether the resource has a reservation covering t.
 //
 //eagletree:hotpath
 func (r *resource) busyAt(t sim.Time) bool {
-	for _, iv := range r.intervals {
-		if iv.start <= t && t < iv.end {
-			return true
-		}
-		if iv.start > t {
-			break
-		}
-	}
-	return false
+	i := r.firstEndingAfter(t)
+	return i < len(r.intervals) && r.intervals[i].start <= t
 }

@@ -117,3 +117,47 @@ func TestDeadlineRunCounterResets(t *testing.T) {
 		t.Fatalf("fifth pop %d", got.ID)
 	}
 }
+
+// lunGate refuses every request whose LPN names one of its eight wait-classes
+// and accepts the rest: a device with eight busy LUNs.
+type lunGate struct{ tokens [8]uint64 }
+
+func (g *lunGate) Evaluate(r *iface.Request) (bool, int) {
+	if int(r.LPN) < len(g.tokens) {
+		return false, int(r.LPN)
+	}
+	return true, -1
+}
+func (g *lunGate) ClassToken(c int) uint64 { return g.tokens[c] }
+func (*lunGate) ClassStable(int) uint64    { return 0 }
+
+// BenchmarkDeadlinePopAwakeClasses pops one runnable request past 256 overdue
+// ones filed under eight wait-classes that all just woke and are all still
+// blocked — every LUN completed something and took the next operation. The pop
+// must cost one refusal per class, not one evaluation per member.
+func BenchmarkDeadlinePopAwakeClasses(b *testing.B) {
+	d := &Deadline{ReadDeadline: 1, WriteDeadline: 1}
+	g := &lunGate{}
+	now := sim.Time(1000)
+	for i := 0; i < 256; i++ {
+		r := dlRead(uint64(i), 0)
+		r.LPN = iface.LPN(i % len(g.tokens))
+		d.Push(r)
+	}
+	if d.PopClassed(now, g) != nil || len(d.q.items) != d.q.head {
+		b.Fatal("the blocked requests did not all park")
+	}
+	free := dlWrite(1<<20, 0)
+	free.LPN = iface.LPN(len(g.tokens))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := range g.tokens {
+			g.tokens[c]++
+		}
+		d.Push(free)
+		if d.PopClassed(now, g) != free {
+			b.Fatal("the runnable request was not popped")
+		}
+	}
+}

@@ -28,11 +28,13 @@ import (
 //
 // The contract a policy — in this package or written against the facade —
 // must meet: return only a request g.Evaluate accepted during this call,
-// chosen by the policy's own order among all that it would accept. The
-// wait-class Evaluate names with a refusal is an offer, not a demand: parking
-// by class is cost-only, because a sleeping class's members are provably
-// undispatchable while its token stands still, so a policy that ignores
-// classes and asks again on every pop selects the same requests.
+// chosen by the policy's own order among all that it would accept. Evaluate
+// has no effect a policy must honour by dispatching; a policy may evaluate any
+// number of candidates and pop one. The wait-class Evaluate names with a
+// refusal is an offer, not a demand: parking by class is cost-only, because a
+// sleeping class's members are provably undispatchable while its token stands
+// still, so a policy that ignores classes and asks again on every pop selects
+// the same requests.
 type Policy interface {
 	Name() string
 	Push(r *iface.Request)
@@ -59,11 +61,16 @@ type ClassedPolicy = Policy
 // Gate is the controller side of dispatch. Evaluate says whether a request
 // can start now — it encapsulates the hardware and space constraints the
 // policy cannot see: the target LUN of a read must be idle, a write needs
-// some LUN with room, and translation dependencies must have drained. When
+// some LUN with room, and translation dependencies must have drained. A yes
+// is an answer, not a dispatch: Evaluate has no effect a policy must honour by
+// dispatching; a policy may evaluate any number of candidates and pop one, and
+// a request accepted and left queued is exactly as wakeable as before. When
 // the request cannot run, Evaluate names the wait-class its failure belongs
 // to — or -1 when the failure is not class-wide. Every member of a class
-// waits on the same condition, so one member's failure proves the whole
-// class undispatchable. The class returned with a yes carries no meaning.
+// waits on the same condition, so one member refused under the number of the
+// class it is filed in proves the whole class undispatchable, and a sweep may
+// leave the class at that first refusal. The class returned with a yes
+// carries no meaning.
 //
 // ClassToken returns a monotonic token per class that changes whenever the
 // class's blocking condition may have cleared. A class that slept at token
@@ -396,7 +403,8 @@ type scanLoc struct{ class, idx int }
 // seq order without mutating the queue — the classed counterpart of ranging
 // over view(). Sleeping classes are skipped: their members are provably
 // undispatchable while their token stands still, so a scan that filters on
-// dispatchability loses nothing by never visiting them. Per-class cursor
+// dispatchability loses nothing by never visiting them — a class that
+// queue.refuse puts to sleep mid-scan stops yielding there. Per-class cursor
 // state lives in the queue's scratch slice, so iteration does not allocate
 // once the scratch has grown.
 type classCursor struct {
@@ -456,6 +464,35 @@ func (c *classCursor) next() (qent, scanLoc, bool) {
 	return cl.ents[p], scanLoc{ci, p}, true
 }
 
+// refuse takes the gate's refusal of the entry a classCursor yielded at loc.
+// A member refused under the number of the class it is filed in proves the
+// whole class undispatchable: the class goes back to sleep at once, so the
+// sweep — and every later sweep of this pop — asks about none of the rest.
+// Any other class-wide refusal is logged for parking once the sweep ends;
+// moving the entry now would invalidate the cursor's locations.
+//
+//eagletree:hotpath
+func (q *queue) refuse(p *parkLog, g Gate, r *iface.Request, loc scanLoc, class int) {
+	switch {
+	case class < 0:
+	case class == loc.class:
+		q.classSleep(class, g)
+	default:
+		p.record(r, class)
+	}
+}
+
+// classSleep puts a class to sleep at the gate's current tokens: a member
+// just proved the class-wide condition still holds.
+//
+//eagletree:hotpath
+func (q *queue) classSleep(ci int, g Gate) {
+	cl := &q.classes[ci]
+	cl.asleep = true
+	cl.token = g.ClassToken(ci)
+	cl.stable = g.ClassStable(ci)
+}
+
 // removeLoc removes the entry at a location produced by a classCursor (with
 // no intervening queue mutations) and returns its request.
 func (q *queue) removeLoc(loc scanLoc) *iface.Request {
@@ -470,6 +507,8 @@ func (q *queue) removeLoc(loc scanLoc) *iface.Request {
 // locate finds a scannable request by pointer, searching the fresh slice then
 // the occupied class lists. It reports false when the request is not
 // scannable (parked via PushBlocked, or already removed).
+//
+//eagletree:hotpath
 func (q *queue) locate(r *iface.Request) (scanLoc, bool) {
 	for i, e := range q.view() {
 		if e.r == r {
@@ -494,16 +533,15 @@ func (q *queue) locate(r *iface.Request) (scanLoc, bool) {
 // one token comparison. A request already filed under the right class only
 // puts that class to sleep: the member just proved the class-wide condition
 // still holds.
+//
+//eagletree:hotpath
 func (q *queue) parkRequest(r *iface.Request, class int, g Gate) {
 	loc, ok := q.locate(r)
 	if !ok {
 		return
 	}
 	if loc.class == class {
-		cl := &q.classes[class]
-		cl.asleep = true
-		cl.token = g.ClassToken(class)
-		cl.stable = g.ClassStable(class)
+		q.classSleep(class, g)
 		return
 	}
 	var e qent
@@ -530,6 +568,8 @@ func (p *parkLog) record(r *iface.Request, class int) {
 }
 
 // apply parks every recorded request and resets the log.
+//
+//eagletree:hotpath
 func (p *parkLog) apply(q *queue, g Gate) {
 	for i, r := range p.rs {
 		q.parkRequest(r, p.cs[i], g)
@@ -885,6 +925,8 @@ func (d *Deadline) WakeRequest(r *iface.Request, class int) { d.q.wakeRequest(r,
 // among dispatchable entries wins, ties in arrival order.
 // Class-wide failures discovered along the way are parked once the sweep
 // ends.
+//
+//eagletree:hotpath
 func (d *Deadline) popOverdueClassed(now sim.Time, g Gate) *iface.Request {
 	cur := d.q.scanStart()
 	best := scanLoc{}
@@ -895,17 +937,16 @@ func (d *Deadline) popOverdueClassed(now sim.Time, g Gate) *iface.Request {
 		if !more {
 			break
 		}
-		if d.deadlineFor(e.r) > now {
+		dl := d.deadlineFor(e.r)
+		if dl > now {
 			continue
 		}
 		ok, class := g.Evaluate(e.r)
 		if !ok {
-			if class >= 0 {
-				d.parks.record(e.r, class)
-			}
+			d.q.refuse(&d.parks, g, e.r, loc, class)
 			continue
 		}
-		if dl := d.deadlineFor(e.r); dl < bestDL {
+		if dl < bestDL {
 			best, bestDL, found = loc, dl, true
 		}
 	}
@@ -919,6 +960,8 @@ func (d *Deadline) popOverdueClassed(now sim.Time, g Gate) *iface.Request {
 
 // popFreshClassed picks among not-yet-overdue requests: via the fallback
 // ordering when there is one, in arrival order otherwise.
+//
+//eagletree:hotpath
 func (d *Deadline) popFreshClassed(now sim.Time, g Gate) *iface.Request {
 	if d.Fallback != nil {
 		return d.popViaFallbackClassed(now, g)
@@ -938,9 +981,7 @@ func (d *Deadline) popFreshClassed(now sim.Time, g Gate) *iface.Request {
 			d.parks.apply(&d.q, g)
 			return r
 		}
-		if class >= 0 {
-			d.parks.record(e.r, class)
-		}
+		d.q.refuse(&d.parks, g, e.r, loc, class)
 	}
 	d.parks.apply(&d.q, g)
 	return nil
@@ -1047,9 +1088,7 @@ func (f *Fair) PopClassed(_ sim.Time, g Gate) *iface.Request {
 			}
 			ok, class := g.Evaluate(r)
 			if !ok {
-				if class >= 0 {
-					f.parks.record(r, class)
-				}
+				f.q.refuse(&f.parks, g, r, loc, class)
 				continue
 			}
 			if tried != 0 {
