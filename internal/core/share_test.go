@@ -225,9 +225,10 @@ func TestRestoreSharesUntilWrite(t *testing.T) {
 	}
 }
 
-// TestRestoreReadOnlyAllocates: on the 2 GiB-class geometry the three big
-// columns are 6.3 MB; a restore that shares them allocates only the small
-// state — block columns, buckets, free pools, reservation lists.
+// TestRestoreReadOnlyAllocates: on the 2 GiB-class geometry the two stored
+// columns are 2.3 MB; a restore that shares them allocates only the small
+// state — block columns, buckets, free pools, reservation lists — and a run
+// that only reads allocates neither them nor the derived reverse column.
 func TestRestoreReadOnlyAllocates(t *testing.T) {
 	cfg := func() core.Config {
 		return core.Config{
@@ -251,7 +252,7 @@ func TestRestoreReadOnlyAllocates(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := snapshot.Encode(ds)
-	columns := uint64(len(ds.Controller.Array.Pages) + 4*len(ds.Controller.PageMap.Forward) + 8*len(ds.Controller.PageMap.Reverse))
+	columns := uint64(len(ds.Controller.Array.Pages) + 4*len(ds.Controller.PageMap.Forward))
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -47,6 +47,9 @@ type cacheEntry struct {
 	dsErr  error
 }
 
+// decodeState is snapshot.Decode, a variable so tests can count decodes.
+var decodeState = snapshot.Decode
+
 // state returns the entry's decoded snapshot; call it only after ready.
 func (e *cacheEntry) state() (*snapshot.DeviceState, error) {
 	if e.err != nil {
@@ -54,7 +57,7 @@ func (e *cacheEntry) state() (*snapshot.DeviceState, error) {
 	}
 	e.decode.Do(func() {
 		if e.ds == nil {
-			e.ds, e.dsErr = snapshot.Decode(e.data)
+			e.ds, e.dsErr = decodeState(e.data)
 		}
 	})
 	return e.ds, e.dsErr
@@ -110,7 +113,7 @@ func (c *StateCache) fetch(key string, build func() ([]byte, error)) (*cacheEntr
 		// all fall through to the local build: the remote store is an
 		// accelerator, never a dependency, never trusted unverified.
 		if data, err := c.remoteFetch(key); err == nil && data != nil {
-			if ds, err := snapshot.Decode(data); err == nil {
+			if ds, err := decodeState(data); err == nil {
 				e.data, e.ds = data, ds
 				c.saveDisk(key, data)
 			}
@@ -211,7 +214,7 @@ func (c *StateCache) loadDisk(key string) ([]byte, *snapshot.DeviceState) {
 	if err != nil {
 		return nil, nil
 	}
-	ds, err := snapshot.Decode(data)
+	ds, err := decodeState(data)
 	if err != nil {
 		return nil, nil
 	}

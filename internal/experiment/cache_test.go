@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,20 +53,22 @@ func readOnlyGrid(geo spec.Geometry) spec.Experiment {
 	}
 }
 
-// allocated returns the bytes f allocates (TotalAlloc delta, this goroutine
-// and any it starts).
-func allocated(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+// countDecodes counts every snapshot decode the cache and the Runner make
+// until the test ends.
+func countDecodes(t *testing.T) *atomic.Int64 {
+	var n atomic.Int64
+	t.Cleanup(func() { decodeState = snapshot.Decode })
+	decodeState = func(data []byte) (*snapshot.DeviceState, error) {
+		n.Add(1)
+		return snapshot.Decode(data)
+	}
+	return &n
 }
 
 // TestRunVariantDecodesOncePerKey: the fabric worker runs every lease
 // through RunVariant on one runner and one cache. The decoded state belongs
-// to the cache entry, so sixteen leases of one prepared device decode it
-// once — they used to decode it sixteen times, once per lease's runState.
+// to the cache entry, so seventeen leases of one prepared device decode it
+// once — they used to decode it once per lease's runState.
 func TestRunVariantDecodesOncePerKey(t *testing.T) {
 	def, err := FromSpec(readOnlyGrid(spec.Geometry{Channels: 4, LUNsPerChannel: 2, BlocksPerLUN: 256, PagesPerBlock: 128, PageSize: 4096}))
 	if err != nil {
@@ -75,38 +77,25 @@ func TestRunVariantDecodesOncePerKey(t *testing.T) {
 	if len(def.Variants) != 16 {
 		t.Fatalf("grid expands to %d variants, want 16", len(def.Variants))
 	}
+	decodes := countDecodes(t)
 	cache := NewStateCache("")
 	runner := New(Options{Workers: 1, Cache: cache})
 	ctx := context.Background()
-	// Lease 0 prepares the device; what it built is what every lease decodes.
+	// Lease 0 prepares the device and decodes what it built.
 	if _, err := runner.RunVariant(ctx, def, 0); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d states after one lease, want 1", cache.Len())
+	if cache.Len() != 1 || decodes.Load() != 1 {
+		t.Fatalf("after one lease the cache holds %d states decoded %d times, want 1 and 1", cache.Len(), decodes.Load())
 	}
-	var data []byte
-	for _, e := range cache.entries {
-		data = e.data
-	}
-	oneDecode := allocated(func() {
-		if _, err := snapshot.Decode(data); err != nil {
+	for i := range def.Variants {
+		if _, err := runner.RunVariant(ctx, def, i); err != nil {
 			t.Fatal(err)
 		}
-	})
-	leases := allocated(func() {
-		for i := range def.Variants {
-			if _, err := runner.RunVariant(ctx, def, i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d states after sixteen leases, want 1", cache.Len())
 	}
-	t.Logf("one decode allocates %d bytes, sixteen leases %d", oneDecode, leases)
-	if leases >= 2*oneDecode {
-		t.Fatalf("sixteen RunVariant leases allocated %d bytes, two decodes' worth is %d: the state is decoded per lease", leases, 2*oneDecode)
+	if cache.Len() != 1 || decodes.Load() != 1 {
+		t.Fatalf("after seventeen leases the cache holds %d states decoded %d times, want 1 and 1: the state is decoded per lease",
+			cache.Len(), decodes.Load())
 	}
 }
 

@@ -515,7 +515,7 @@ func (rs *runState) preparedState(ctx context.Context, i int, v Variant, cfg cor
 		if err != nil {
 			return nil, err
 		}
-		return snapshot.Decode(data)
+		return decodeState(data)
 	}
 	key, err := prepKey(pcfg, spec)
 	if err != nil {

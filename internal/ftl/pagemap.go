@@ -9,12 +9,15 @@ import (
 // entirely in controller RAM. Any logical page can be bound to any physical
 // page, and accesses never touch flash for metadata.
 //
-// A restored map adopts the snapshot's two columns (shared) and copies them
-// on the first Map or Unmap, so stacks that only read share one table.
+// The forward column is the ground truth. The reverse column is an index over
+// it, built from it at the first LPNAt and kept by Map and Unmap from then on,
+// so a stack that never collects garbage never builds it. A restored map
+// adopts the snapshot's forward column (shared) and copies it on the first
+// Map or Unmap, so stacks that only read share one table.
 type PageMap struct {
 	geo     flash.Geometry
 	forward []int32 // LPN -> dense page index, -1 if unmapped
-	reverse []int64 // dense page index -> LPN, -1 if none
+	reverse []int64 // dense page index -> LPN, -1 if none; nil until LPNAt
 	mapped  int
 	shared  bool
 }
@@ -23,26 +26,32 @@ type PageMap struct {
 // geo. nLPNs is the exported (logical) capacity, smaller than the physical
 // page count by the overprovisioning factor.
 func NewPageMap(geo flash.Geometry, nLPNs int) *PageMap {
-	pm := &PageMap{
-		geo:     geo,
-		forward: make([]int32, nLPNs),
-		reverse: make([]int64, geo.Pages()),
-	}
+	pm := &PageMap{geo: geo, forward: make([]int32, nLPNs)}
 	for i := range pm.forward {
 		pm.forward[i] = -1
-	}
-	for i := range pm.reverse {
-		pm.reverse[i] = -1
 	}
 	return pm
 }
 
-// own gives the map private columns before its first mutation. Out of line
-// and unannotated: Map and Unmap pay one predictable branch.
+// own gives the map a private forward column before its first mutation. Out
+// of line and unannotated: Map and Unmap pay one predictable branch.
 func (pm *PageMap) own() {
 	pm.forward = append([]int32(nil), pm.forward...)
-	pm.reverse = append([]int64(nil), pm.reverse...)
 	pm.shared = false
+}
+
+// derive builds the reverse column from the forward one. Out of line and
+// unannotated, like own: LPNAt pays one predictable branch.
+func (pm *PageMap) derive() {
+	pm.reverse = make([]int64, pm.geo.Pages())
+	for i := range pm.reverse {
+		pm.reverse[i] = -1
+	}
+	for lpn, idx := range pm.forward {
+		if idx >= 0 {
+			pm.reverse[idx] = int64(lpn)
+		}
+	}
 }
 
 // Name implements Mapper.
@@ -86,12 +95,16 @@ func (pm *PageMap) Map(lpn iface.LPN, ppa flash.PPA) (flash.PPA, bool) {
 		pm.own()
 	}
 	pm.forward[lpn] = int32(newIdx)
-	pm.reverse[newIdx] = int64(lpn)
+	if pm.reverse != nil {
+		pm.reverse[newIdx] = int64(lpn)
+		if oldIdx >= 0 {
+			pm.reverse[oldIdx] = -1
+		}
+	}
 	if oldIdx < 0 {
 		pm.mapped++
 		return flash.PPA{}, false
 	}
-	pm.reverse[oldIdx] = -1
 	return pm.geo.PPAOf(int(oldIdx)), true
 }
 
@@ -110,7 +123,9 @@ func (pm *PageMap) Unmap(lpn iface.LPN) (flash.PPA, bool) {
 		pm.own()
 	}
 	pm.forward[lpn] = -1
-	pm.reverse[oldIdx] = -1
+	if pm.reverse != nil {
+		pm.reverse[oldIdx] = -1
+	}
 	pm.mapped--
 	return pm.geo.PPAOf(int(oldIdx)), true
 }
@@ -119,6 +134,9 @@ func (pm *PageMap) Unmap(lpn iface.LPN) (flash.PPA, bool) {
 //
 //eagletree:hotpath
 func (pm *PageMap) LPNAt(ppa flash.PPA) (iface.LPN, bool) {
+	if pm.reverse == nil {
+		pm.derive()
+	}
 	lpn := pm.reverse[pm.geo.Index(ppa)]
 	if lpn < 0 {
 		return 0, false
@@ -126,8 +144,9 @@ func (pm *PageMap) LPNAt(ppa flash.PPA) (iface.LPN, bool) {
 	return iface.LPN(lpn), true
 }
 
-// RAMBytes implements Mapper: 4 bytes per forward entry plus 8 per reverse
-// entry — the cost the paper contrasts against DFTL's cached table.
+// RAMBytes implements Mapper: 4 bytes per forward entry plus 8 per physical
+// page for the reverse column — the cost the paper contrasts against DFTL's
+// cached table. Charged by geometry, whether or not the column is built yet.
 func (pm *PageMap) RAMBytes() int64 {
-	return int64(len(pm.forward))*4 + int64(len(pm.reverse))*8
+	return int64(len(pm.forward))*4 + int64(pm.geo.Pages())*8
 }

@@ -15,34 +15,28 @@ import (
 // frontiers). Snapshots are taken at quiescent points — no translation chain
 // in flight — so no transient per-request state appears here.
 
-// PageMapState is the serializable state of a RAM page map.
+// PageMapState is the serializable state of a RAM page map: the forward
+// column alone. The reverse column is derived from it on restore.
 type PageMapState struct {
 	Forward []int32
-	Reverse []int64
 	Mapped  int
 }
 
 // State deep-copies the page map for a snapshot.
 func (pm *PageMap) State() PageMapState {
-	return PageMapState{
-		Forward: append([]int32(nil), pm.forward...),
-		Reverse: append([]int64(nil), pm.reverse...),
-		Mapped:  pm.mapped,
-	}
+	return PageMapState{Forward: append([]int32(nil), pm.forward...), Mapped: pm.mapped}
 }
 
 // RestorePageMap builds a page map that continues from a snapshot of nLPNs
-// logical and geo.Pages() physical entries. The two columns are adopted, not
-// copied — shared with every map restored from st until this one first
-// mutates — so the caller must not modify them afterwards.
+// logical entries. Every forward entry must be -1 or a distinct page below
+// geo.Pages() with Mapped of them bound, as snapshot.Decode checks. The
+// column is adopted, not copied — shared with every map restored from st
+// until this one first mutates — so the caller must not modify it afterwards.
 func RestorePageMap(geo flash.Geometry, nLPNs int, st PageMapState) (*PageMap, error) {
 	if len(st.Forward) != nLPNs {
 		return nil, fmt.Errorf("%w: snapshot page map has %d LPNs, map has %d", ErrStateMismatch, len(st.Forward), nLPNs)
 	}
-	if len(st.Reverse) != geo.Pages() {
-		return nil, fmt.Errorf("%w: snapshot page map has %d physical pages, map has %d", ErrStateMismatch, len(st.Reverse), geo.Pages())
-	}
-	return &PageMap{geo: geo, forward: st.Forward, reverse: st.Reverse, mapped: st.Mapped, shared: true}, nil
+	return &PageMap{geo: geo, forward: st.Forward, mapped: st.Mapped, shared: true}, nil
 }
 
 // CMTEntryState is one cached mapping entry, in LRU order.

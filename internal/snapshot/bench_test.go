@@ -14,7 +14,7 @@ import (
 
 // The restore-path benchmarks run on the 2 GiB-class device the end-to-end
 // benchmark's warm_restore workload uses (4×4 LUNs, 512 blocks of 64 4 KiB
-// pages: 524 288 physical pages, a 3.4 MB snapshot), filled and then
+// pages: 524 288 physical pages, a 2.0 MB snapshot), filled and then
 // overwritten once so the page map is dense and garbage collection has run.
 
 func benchCfg() core.Config {

@@ -26,11 +26,13 @@ import (
 // is reported as ErrCorrupt rather than as a misleading field error.
 
 // Version 2 appended reliability counters and optional fault-model state to
-// the controller section. Version 1 snapshots are rejected; the disk state
-// cache rebuilds undecodable entries, so no migration is needed.
+// the controller section. Version 3 stores the page map's forward column
+// alone: the reverse column is derived state, rebuilt by the restored map.
+// Older snapshots are rejected with ErrVersion; the disk state cache
+// rebuilds undecodable entries, so no migration is needed.
 const (
 	magic   = "EGTSNAP"
-	version = 2
+	version = 3
 )
 
 // Errors reported by Decode. Wrapped with detail; match with errors.Is.
@@ -324,10 +326,6 @@ func (e *enc) pageMap(pm *ftl.PageMapState) {
 	for _, v := range pm.Forward {
 		e.i64(int64(v))
 	}
-	e.u64(uint64(len(pm.Reverse)))
-	for _, v := range pm.Reverse {
-		e.i64(v)
-	}
 	e.int(pm.Mapped)
 }
 
@@ -459,13 +457,13 @@ func (d *dec) raw() []byte {
 	return p
 }
 
-// column reads a count and that many signed varints: the page map's two
-// columns, a million elements at full scale, hence one loop with the one- to
-// three-byte encodings (every page index and LPN of a 2 GiB device) decoded
+// column reads a count and that many signed varints: the page map's forward
+// column, half a million elements on a 2 GiB device, hence one loop with the
+// one- to three-byte encodings (every page index of a 2 GiB device) decoded
 // inline and only wider ones handed to binary.Uvarint. Short input fails as
 // d.i64 would: ErrTruncated at the offset of the varint that does not fit.
-func column[T int32 | int64](d *dec) []T {
-	out := make([]T, d.count(len(d.b)))
+func column(d *dec) []int32 {
+	out := make([]int32, d.count(len(d.b)))
 	if d.err != nil {
 		return out
 	}
@@ -492,7 +490,7 @@ func column[T int32 | int64](d *dec) []T {
 			}
 		}
 		off += n
-		out[i] = T(int64(u>>1) ^ -int64(u&1))
+		out[i] = int32(int64(u>>1) ^ -int64(u&1))
 	}
 	d.off = off
 	return out
@@ -562,13 +560,14 @@ func (d *dec) controllerInto(st *controller.State) {
 	if d.err != nil {
 		return
 	}
+	pages := len(st.Array.Pages)
 	switch tag := d.bool(); tag {
 	case true:
 		st.DFTL = &ftl.DFTLState{}
-		d.dftlInto(st.DFTL)
+		d.dftlInto(st.DFTL, pages)
 	default:
 		st.PageMap = &ftl.PageMapState{}
-		d.pageMapInto(st.PageMap)
+		d.pageMapInto(st.PageMap, pages)
 	}
 	d.gcStateInto(&st.GC)
 	d.wlStateInto(&st.WL)
@@ -709,17 +708,40 @@ func (d *dec) blockManagerInto(bm *ftl.BlockManagerState) {
 	}
 }
 
+// pageMapInto reads the forward column and checks what building the reverse
+// column from it relies on: every entry -1 or a distinct page below pages,
+// Mapped of them bound. pages is the decoded page-state column's length, not
+// header arithmetic, so a corrupt header cannot inflate the check's bitmap.
+//
 //eagletree:snapshot decode ftl.PageMapState
-func (d *dec) pageMapInto(pm *ftl.PageMapState) {
-	pm.Forward = column[int32](d)
-	pm.Reverse = column[int64](d)
+func (d *dec) pageMapInto(pm *ftl.PageMapState, pages int) {
+	pm.Forward = column(d)
 	pm.Mapped = d.int()
+	if d.err != nil {
+		return
+	}
+	seen := make([]uint64, (pages+63)/64)
+	n := 0
+	for lpn, idx := range pm.Forward {
+		if idx == -1 {
+			continue
+		}
+		if uint(idx) >= uint(pages) || seen[idx>>6]&(1<<(idx&63)) != 0 {
+			d.err = fmt.Errorf("%w: LPN %d maps to page %d of %d, or to a page another LPN holds", ErrCorrupt, lpn, idx, pages)
+			return
+		}
+		seen[idx>>6] |= 1 << (idx & 63)
+		n++
+	}
+	if n != pm.Mapped {
+		d.err = fmt.Errorf("%w: page map binds %d LPNs, says %d", ErrCorrupt, n, pm.Mapped)
+	}
 }
 
 //eagletree:snapshot decode ftl.DFTLState ftl.CMTEntryState ftl.GTDEntryState
 //eagletree:snapshot decode ftl.RingBlockState ftl.DFTLStats flash.PPA flash.BlockID
-func (d *dec) dftlInto(df *ftl.DFTLState) {
-	d.pageMapInto(&df.Truth)
+func (d *dec) dftlInto(df *ftl.DFTLState, pages int) {
+	d.pageMapInto(&df.Truth, pages)
 	if n := d.count(len(d.b)); n > 0 {
 		df.CMT = make([]ftl.CMTEntryState, n)
 		for i := range df.CMT {

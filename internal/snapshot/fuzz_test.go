@@ -75,19 +75,25 @@ func FuzzDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("EGTSNAP"))
 	f.Add([]byte{})
-	// The page-map columns go through the bulk varint loop, whose inline
-	// path stops at three bytes: seed wider varints (a small device has
-	// none of its own) and a checksummed input that ends inside one.
-	wideState := fuzzSeedState(f)
-	pm := wideState.Controller.PageMap
-	pm.Reverse[0], pm.Reverse[1], pm.Forward[0] = 1<<40, math.MinInt64, math.MaxInt32
-	wide := snapshot.Encode(wideState)
+	// The forward column goes through the bulk varint loop, whose inline
+	// path stops at three bytes, and then through the column checks: seed a
+	// wide out-of-range entry (a small device has no wide varints of its
+	// own), a checksummed input that ends inside it, a negative entry other
+	// than -1, and two LPNs on one page.
+	forward := func(edit func(fwd []int32)) []byte {
+		ds := fuzzSeedState(f)
+		edit(ds.Controller.PageMap.Forward)
+		return snapshot.Encode(ds)
+	}
+	wide := forward(func(fwd []int32) { fwd[0] = math.MaxInt32 })
 	f.Add(wide)
 	at := 0
 	for wide[at] == valid[at] {
-		at++ // first byte of the first widened varint
+		at++ // first byte of the widened varint
 	}
 	f.Add(reseal(wide[:at+3]))
+	f.Add(forward(func(fwd []int32) { fwd[1] = -2 }))
+	f.Add(forward(func(fwd []int32) { fwd[2] = fwd[1] }))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, err := snapshot.Decode(data)
 		if err != nil {

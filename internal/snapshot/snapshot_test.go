@@ -3,16 +3,19 @@ package snapshot_test
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"eagletree/internal/controller"
 	"eagletree/internal/core"
 	"eagletree/internal/flash"
+	"eagletree/internal/ftl"
 	"eagletree/internal/osched"
 	"eagletree/internal/snapshot"
 	"eagletree/internal/workload"
@@ -89,37 +92,112 @@ func TestRoundTripExact(t *testing.T) {
 	}
 }
 
-// TestGoldenSnapshot pins the format: testdata/golden-v2-*.snap were written
-// by the encoder as it stood before the page-map columns got their bulk
-// decode loop (commit ac495d8, agedState's two devices). They must decode,
-// describe the device they were taken from, and re-encode to the same bytes.
+var updateGolden = flag.Bool("update-golden-snap", false, "rewrite testdata/golden-v3-*.snap from agedState")
+
+// TestGoldenSnapshot pins the format: testdata/golden-v3-*.snap were written
+// by the version-3 encoder from agedState's two devices (rewrite them with
+// -update-golden-snap only when the format version changes). They must
+// decode, describe the device they were taken from, and re-encode to the
+// same bytes. testdata/golden-v2-*.snap, the same devices written by the
+// version-2 encoder with its reverse column, stay as fixtures every decode
+// must answer with ErrVersion.
 func TestGoldenSnapshot(t *testing.T) {
-	for _, mapping := range []string{"pagemap", "dftl"} {
-		data, err := os.ReadFile(filepath.Join("testdata", "golden-v2-"+mapping+".snap"))
+	for _, tc := range []struct {
+		mapping string
+		scheme  controller.MappingScheme
+	}{{"pagemap", controller.MapPageRAM}, {"dftl", controller.MapDFTL}} {
+		path := filepath.Join("testdata", "golden-v3-"+tc.mapping+".snap")
+		if *updateGolden {
+			if err := os.WriteFile(path, snapshot.Encode(agedState(t, tc.scheme)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ds, err := snapshot.Decode(data)
 		if err != nil {
-			t.Fatalf("%s: %v", mapping, err)
+			t.Fatalf("%s: %v", tc.mapping, err)
 		}
 		pm := ds.Controller.PageMap
 		if ds.Controller.DFTL != nil {
 			pm = &ds.Controller.DFTL.Truth
 		}
-		if ds.Meta.Mapping != mapping || ds.Meta.Seed != 5 || len(pm.Forward) != ds.Meta.LogicalPages ||
-			len(pm.Reverse) != ds.Meta.Geometry.Pages() || pm.Mapped != ds.Meta.LogicalPages {
-			t.Fatalf("%s: decoded meta %+v, %d forward, %d reverse, %d mapped", mapping, ds.Meta, len(pm.Forward), len(pm.Reverse), pm.Mapped)
+		if ds.Meta.Mapping != tc.mapping || ds.Meta.Seed != 5 || len(ds.Controller.Array.Pages) != ds.Meta.Geometry.Pages() ||
+			len(pm.Forward) != ds.Meta.LogicalPages || pm.Mapped != ds.Meta.LogicalPages {
+			t.Fatalf("%s: decoded meta %+v, %d pages, %d forward, %d mapped", tc.mapping, ds.Meta,
+				len(ds.Controller.Array.Pages), len(pm.Forward), pm.Mapped)
 		}
 		if !bytes.Equal(snapshot.Encode(ds), data) {
-			t.Fatalf("%s: re-encoding the golden snapshot changed its bytes", mapping)
+			t.Fatalf("%s: re-encoding the golden snapshot changed its bytes", tc.mapping)
+		}
+
+		old, err := os.ReadFile(filepath.Join("testdata", "golden-v2-"+tc.mapping+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds, err := snapshot.Decode(old); ds != nil || !errors.Is(err, snapshot.ErrVersion) {
+			t.Fatalf("%s: a version-2 snapshot decoded to %v, %v; want ErrVersion", tc.mapping, ds, err)
 		}
 	}
 }
 
+// TestDecodeRejectsBadForwardColumn: a checksummed snapshot whose forward
+// column names a page past the page-state column, a negative page other
+// than -1, one page for two LPNs, or a mapped count its entries do not add
+// up to is ErrCorrupt — restore derives the reverse column from it.
+func TestDecodeRejectsBadForwardColumn(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(pm *ftl.PageMapState, pages int)
+	}{
+		{"past the last page", func(pm *ftl.PageMapState, pages int) { pm.Forward[5] = int32(pages) }},
+		{"negative", func(pm *ftl.PageMapState, pages int) { pm.Forward[5] = -2 }},
+		{"two LPNs on one page", func(pm *ftl.PageMapState, pages int) { pm.Forward[5] = pm.Forward[9] }},
+		{"mapped count", func(pm *ftl.PageMapState, pages int) { pm.Mapped-- }},
+	} {
+		for _, mapping := range []controller.MappingScheme{controller.MapPageRAM, controller.MapDFTL} {
+			ds := agedState(t, mapping)
+			pm := ds.Controller.PageMap
+			if pm == nil {
+				pm = &ds.Controller.DFTL.Truth
+			}
+			tc.edit(pm, len(ds.Controller.Array.Pages))
+			if _, err := snapshot.Decode(snapshot.Encode(ds)); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Errorf("%s, %s: got %v, want ErrCorrupt", tc.name, ds.Meta.Mapping, err)
+			}
+		}
+	}
+}
+
+// TestDecodeIgnoresHeaderGeometry: the decoder sizes everything from the
+// input's own columns, never from the header's geometry, so a checksummed
+// snapshot claiming a 2^40-block device decodes with the allocations of the
+// real one (core.Restore then rejects the mismatch).
+func TestDecodeIgnoresHeaderGeometry(t *testing.T) {
+	ds := agedState(t, controller.MapPageRAM)
+	honest := snapshot.Encode(ds)
+	ds.Meta.Geometry.BlocksPerLUN = 1 << 40
+	lying := snapshot.Encode(ds)
+	decodeBytes := func(data []byte) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := snapshot.Decode(data); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if h, l := decodeBytes(honest), decodeBytes(lying); l > 2*h {
+		t.Fatalf("decoding a header that claims 2^40 blocks allocated %d bytes, the honest one %d", l, h)
+	}
+}
+
 // TestDecodeTruncatedInsideColumn: a checksummed input that ends inside the
-// page-map columns — between varints, and inside a four-byte one — is
-// ErrTruncated, never a short column.
+// forward column — between varints, and inside a five-byte one — is
+// ErrTruncated, never a short column; whole, the widened input is
+// ErrCorrupt, its entry being no page of the device.
 func TestDecodeTruncatedInsideColumn(t *testing.T) {
 	ds := agedState(t, controller.MapPageRAM)
 	valid := snapshot.Encode(ds)
@@ -133,6 +211,9 @@ func TestDecodeTruncatedInsideColumn(t *testing.T) {
 		if _, err := snapshot.Decode(reseal(wide[:keep])); !errors.Is(err, snapshot.ErrTruncated) {
 			t.Fatalf("payload cut at %d (column starts its first varint at %d): got %v, want ErrTruncated", keep, at, err)
 		}
+	}
+	if _, err := snapshot.Decode(wide); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("forward entry %d on a %d-page device: got %v, want ErrCorrupt", math.MaxInt32, ds.Meta.Geometry.Pages(), err)
 	}
 }
 
