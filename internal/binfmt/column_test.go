@@ -1,4 +1,4 @@
-package snapshot
+package binfmt
 
 import (
 	"encoding/binary"
@@ -10,11 +10,11 @@ import (
 )
 
 // columnRef is the obvious decoder the bulk loop replaced: a count, then one
-// d.i64() per element. It stays here as the reference column is held to.
-func columnRef(d *dec) []int32 {
-	out := make([]int32, d.count(len(d.b)))
+// r.I64() per element. It stays here as the reference Int32Column is held to.
+func columnRef(r *Reader) []int32 {
+	out := make([]int32, r.Count(1))
 	for i := range out {
-		out[i] = int32(d.i64())
+		out[i] = int32(r.I64())
 	}
 	return out
 }
@@ -52,13 +52,13 @@ func widths() []int64 {
 // requires the same column, the same final offset and the same error.
 func decodeBoth(t *testing.T, b []byte) ([]int32, error) {
 	t.Helper()
-	got, ref := &dec{b: b}, &dec{b: b}
-	g, r := column(got), columnRef(ref)
+	got, ref := &Reader{b: b, f: &testFormat}, &Reader{b: b, f: &testFormat}
+	g, r := got.Int32Column(), columnRef(ref)
 	if (got.err == nil) != (ref.err == nil) || (got.err != nil && got.err.Error() != ref.err.Error()) {
 		t.Fatalf("bulk error %v, reference error %v", got.err, ref.err)
 	}
 	if got.err != nil {
-		if !errors.Is(got.err, ErrTruncated) {
+		if !errors.Is(got.err, errTruncated) {
 			t.Fatalf("bulk error %v is not ErrTruncated", got.err)
 		}
 		return nil, got.err
@@ -72,7 +72,7 @@ func decodeBoth(t *testing.T, b []byte) ([]int32, error) {
 	return g, nil
 }
 
-// TestColumnMatchesPerElement: the bulk varint loop against d.i64() per
+// TestColumnMatchesPerElement: the bulk varint loop against r.I64() per
 // element, over every varint width (wider values truncate as the reference
 // truncates them) and random columns.
 func TestColumnMatchesPerElement(t *testing.T) {

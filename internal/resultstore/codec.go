@@ -5,26 +5,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sync"
+
+	"eagletree/internal/binfmt"
 )
 
-// The segment layout follows the snapshot codec's conventions: 6 magic
-// bytes, 1 version byte, a payload, and a little-endian CRC32 (IEEE) of the
-// payload. The CRC is verified before any field is parsed, so corruption
-// anywhere in the payload reports as ErrCorrupt rather than as a misleading
-// field error.
-//
-// The payload is columnar: the embedded schema (column names and kinds, so
+// A segment is a sealed binfmt record (DESIGN.md, "Binary formats") whose
+// payload is columnar: the embedded schema (column names and kinds, so
 // drift between writer and reader is a typed refusal, never silent
 // misalignment), the row count, then one column at a time — string columns
 // as a dictionary plus per-row indices, integer columns as varints, float
 // columns as bit-exact fixed64 words.
-const (
-	segMagic   = "EGTRES"
-	segVersion = 1
-)
+var segFormat = binfmt.Format{Magic: "EGTRES", Version: 1,
+	ErrMagic: ErrNotStore, ErrVersion: ErrVersion, ErrTruncated: ErrTruncated, ErrCorrupt: ErrCorrupt}
 
 // Errors reported by the segment codec and the store. Wrapped with detail;
 // match with errors.Is.
@@ -48,7 +42,7 @@ var encoders = sync.Pool{New: func() any { return &enc{dictIdx: make(map[string]
 // EncodeSegment serializes rows to one immutable columnar segment.
 func EncodeSegment(rows []Row) []byte {
 	e := encoders.Get().(*enc)
-	e.b = append(append(e.b[:0], segMagic...), segVersion)
+	e.b = segFormat.Begin(e.b[:0])
 	cols := Columns()
 	e.u64(uint64(len(cols)))
 	for _, c := range cols {
@@ -77,8 +71,7 @@ func EncodeSegment(rows []Row) []byte {
 			}
 		}
 	}
-	sum := crc32.ChecksumIEEE(e.b[len(segMagic)+1:])
-	e.b = binary.LittleEndian.AppendUint32(e.b, sum)
+	e.b = segFormat.Seal(e.b)
 	out := bytes.Clone(e.b) // the caller's own, at exactly the segment's size
 	encoders.Put(e)
 	return out
@@ -102,49 +95,38 @@ func DecodeSegment(data []byte) ([]Row, error) {
 // openSegment runs every check that needs no row — magic, version, checksum,
 // embedded schema, row-count bound — and returns a decoder at the first column.
 func openSegment(data []byte) (*dec, error) {
-	if len(data) < len(segMagic)+1 || string(data[:len(segMagic)]) != segMagic {
-		return nil, ErrNotStore
+	r, err := segFormat.Open(data)
+	if err != nil {
+		return nil, err
 	}
-	if v := data[len(segMagic)]; v != segVersion {
-		return nil, fmt.Errorf("%w: got %d, support %d", ErrVersion, v, segVersion)
-	}
-	if len(data) < len(segMagic)+1+4 {
-		return nil, fmt.Errorf("%w: no room for checksum", ErrTruncated)
-	}
-	payload := data[len(segMagic)+1 : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorrupt, got, want)
-	}
-
-	d := &dec{b: payload}
+	d := &dec{Reader: r}
 	cols := Columns()
-	ncols := d.u64()
-	if d.err != nil {
-		return nil, d.err
+	ncols := d.U64()
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if ncols != uint64(len(cols)) {
 		return nil, fmt.Errorf("%w: segment has %d columns, schema has %d", ErrVersion, ncols, len(cols))
 	}
 	for _, c := range cols {
-		name := d.str()
-		kind := d.byte()
-		if d.err != nil {
-			return nil, d.err
+		name := d.Str()
+		kind := d.Byte()
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
 		if name != c.Name || Kind(kind) != c.Kind {
 			return nil, fmt.Errorf("%w: segment column %q (kind %d), schema expects %q (%s)",
 				ErrVersion, name, kind, c.Name, c.Kind)
 		}
 	}
-	nrows := d.u64()
-	if d.err != nil {
-		return nil, d.err
+	nrows := d.U64()
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	// Bounded allocation: every row contributes at least one byte per column
 	// to the payload, so more rows than remaining bytes / columns is
 	// structurally impossible — refuse before allocating.
-	if remain := uint64(len(d.b) - d.off); nrows > remain/ncols {
+	if remain := uint64(d.Len()); nrows > remain/ncols {
 		return nil, fmt.Errorf("%w: %d rows of %d columns promised, %d payload bytes remain", ErrCorrupt, nrows, ncols, remain)
 	}
 	d.nrows = int(nrows)
@@ -159,9 +141,9 @@ func (d *dec) columns(rows []Row) error {
 		case KindString:
 			dict := d.dict(uint64(len(rows)))
 			for i := range rows {
-				idx := d.u64()
-				if d.err != nil {
-					return d.err
+				idx := d.U64()
+				if err := d.Err(); err != nil {
+					return err
 				}
 				if idx >= uint64(len(dict)) {
 					return fmt.Errorf("%w: column %q: dictionary index %d of %d", ErrCorrupt, c.Name, idx, len(dict))
@@ -170,25 +152,22 @@ func (d *dec) columns(rows []Row) error {
 			}
 		case KindInt:
 			for i := range rows {
-				c.setInt(&rows[i], d.i64())
+				c.setInt(&rows[i], d.I64())
 			}
 		case KindUint:
 			for i := range rows {
-				*c.atUint(&rows[i]) = d.u64()
+				*c.atUint(&rows[i]) = d.U64()
 			}
 		case KindFloat:
 			for i := range rows {
-				*c.atFloat(&rows[i]) = math.Float64frombits(d.fix64())
+				*c.atFloat(&rows[i]) = math.Float64frombits(d.Fix64())
 			}
 		}
-		if d.err != nil {
-			return d.err
+		if err := d.Err(); err != nil {
+			return err
 		}
 	}
-	if len(d.b) != d.off {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
-	}
-	return nil
+	return d.Done()
 }
 
 // --- encoder ---
@@ -237,102 +216,23 @@ func (e *enc) flushDict() {
 // --- decoder ---
 
 type dec struct {
-	b     []byte
-	off   int
-	err   error
+	binfmt.Reader
 	nrows int // set by openSegment: how many rows columns must be handed
 }
 
-func (d *dec) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *dec) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail(fmt.Errorf("%w: byte at offset %d", ErrTruncated, d.off))
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail(fmt.Errorf("%w: uvarint at offset %d", ErrTruncated, d.off))
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *dec) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail(fmt.Errorf("%w: varint at offset %d", ErrTruncated, d.off))
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *dec) fix64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.b) {
-		d.fail(fmt.Errorf("%w: fixed64 at offset %d", ErrTruncated, d.off))
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) str() string {
-	n := d.u64()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail(fmt.Errorf("%w: string of %d bytes, %d remain", ErrTruncated, n, len(d.b)-d.off))
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// dict reads one string column's dictionary, bounding its size by both the
-// row count (a dictionary never holds more distinct values than rows) and
-// the remaining payload.
+// dict reads one string column's dictionary, bounding its size by the row
+// count: a dictionary never holds more distinct values than rows.
 func (d *dec) dict(nrows uint64) []string {
-	n := d.u64()
-	if d.err != nil {
-		return nil
+	n := d.Count(1)
+	if uint64(n) > nrows {
+		d.Corruptf("dictionary of %d entries for %d rows", n, nrows)
 	}
-	if n > nrows || n > uint64(len(d.b)-d.off)+1 {
-		d.fail(fmt.Errorf("%w: dictionary of %d entries for %d rows", ErrCorrupt, n, nrows))
+	if d.Err() != nil {
 		return nil
 	}
 	dict := make([]string, n)
 	for i := range dict {
-		dict[i] = d.str()
-		if d.err != nil {
-			return nil
-		}
+		dict[i] = d.Str()
 	}
 	return dict
 }

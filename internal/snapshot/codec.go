@@ -3,10 +3,9 @@ package snapshot
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"math"
 
+	"eagletree/internal/binfmt"
 	"eagletree/internal/controller"
 	"eagletree/internal/fault"
 	"eagletree/internal/flash"
@@ -20,20 +19,14 @@ import (
 	"eagletree/internal/workload"
 )
 
-// The binary layout is: 7 magic bytes, 1 version byte, a varint-encoded
-// payload, and a little-endian CRC32 (IEEE) of the payload. The CRC is
-// verified before any field is parsed, so corruption anywhere in the payload
-// is reported as ErrCorrupt rather than as a misleading field error.
-
+// A snapshot is a sealed binfmt record (DESIGN.md, "Binary formats").
 // Version 2 appended reliability counters and optional fault-model state to
 // the controller section. Version 3 stores the page map's forward column
 // alone: the reverse column is derived state, rebuilt by the restored map.
 // Older snapshots are rejected with ErrVersion; the disk state cache
 // rebuilds undecodable entries, so no migration is needed.
-const (
-	magic   = "EGTSNAP"
-	version = 3
-)
+var format = binfmt.Format{Magic: "EGTSNAP", Version: 3,
+	ErrMagic: ErrNotSnapshot, ErrVersion: ErrVersion, ErrTruncated: ErrTruncated, ErrCorrupt: ErrCorrupt}
 
 // Errors reported by Decode. Wrapped with detail; match with errors.Is.
 var (
@@ -51,11 +44,7 @@ var (
 //
 //eagletree:snapshot encode DeviceState EngineState
 func Encode(ds *DeviceState) []byte {
-	e := &enc{b: make([]byte, 0, 1<<16)}
-	e.b = append(e.b, magic...)
-	e.b = append(e.b, version)
-	start := len(e.b)
-
+	e := &enc{b: format.Begin(make([]byte, 0, 1<<16))}
 	e.meta(ds.Meta)
 	e.time(ds.Engine.Now)
 	e.u64(ds.Engine.Seq)
@@ -63,10 +52,7 @@ func Encode(ds *DeviceState) []byte {
 	e.osStats(&ds.OS)
 	e.runner(&ds.Runner)
 	e.controller(&ds.Controller)
-
-	sum := crc32.ChecksumIEEE(e.b[start:])
-	e.b = binary.LittleEndian.AppendUint32(e.b, sum)
-	return e.b
+	return format.Seal(e.b)
 }
 
 // Decode parses a snapshot produced by Encode, verifying magic, version and
@@ -74,35 +60,21 @@ func Encode(ds *DeviceState) []byte {
 //
 //eagletree:snapshot decode DeviceState EngineState
 func Decode(data []byte) (*DeviceState, error) {
-	if len(data) < len(magic)+1 || string(data[:len(magic)]) != magic {
-		return nil, ErrNotSnapshot
+	r, err := format.Open(data)
+	if err != nil {
+		return nil, err
 	}
-	if v := data[len(magic)]; v != version {
-		return nil, fmt.Errorf("%w: got %d, support %d", ErrVersion, v, version)
-	}
-	if len(data) < len(magic)+1+4 {
-		return nil, fmt.Errorf("%w: no room for checksum", ErrTruncated)
-	}
-	payload := data[len(magic)+1 : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorrupt, got, want)
-	}
-
-	d := &dec{b: payload}
+	d := &dec{r}
 	ds := &DeviceState{}
 	d.metaInto(&ds.Meta)
 	ds.Engine.Now = d.time()
-	ds.Engine.Seq = d.u64()
-	ds.Engine.Fired = d.u64()
+	ds.Engine.Seq = d.U64()
+	ds.Engine.Fired = d.U64()
 	d.osStatsInto(&ds.OS)
 	d.runnerInto(&ds.Runner)
 	d.controllerInto(&ds.Controller)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != d.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return ds, nil
 }
@@ -366,152 +338,15 @@ func (e *enc) dftl(d *ftl.DFTLState) {
 
 // --- decoder ---
 
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
+// dec adds the snapshot's own field types to the shared reader.
+type dec struct{ binfmt.Reader }
 
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: at offset %d", ErrTruncated, d.off)
-	}
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *dec) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *dec) int() int       { return int(d.i64()) }
-func (d *dec) time() sim.Time { return sim.Time(d.i64()) }
-func (d *dec) f64() float64   { return math.Float64frombits(d.fix64()) }
-
-func (d *dec) fix64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.b) {
-		d.fail()
-		return false
-	}
-	v := d.b[d.off]
-	d.off++
-	return v != 0
-}
-
-func (d *dec) str() string {
-	n := d.count(len(d.b))
-	if d.err != nil || d.off+n > len(d.b) {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-// raw returns a length-prefixed byte string as a view of the input.
-func (d *dec) raw() []byte {
-	n := d.count(len(d.b))
-	if d.err != nil || d.off+n > len(d.b) {
-		d.fail()
-		return nil
-	}
-	p := d.b[d.off : d.off+n]
-	d.off += n
-	return p
-}
-
-// column reads a count and that many signed varints: the page map's forward
-// column, half a million elements on a 2 GiB device, hence one loop with the
-// one- to three-byte encodings (every page index of a 2 GiB device) decoded
-// inline and only wider ones handed to binary.Uvarint. Short input fails as
-// d.i64 would: ErrTruncated at the offset of the varint that does not fit.
-func column(d *dec) []int32 {
-	out := make([]int32, d.count(len(d.b)))
-	if d.err != nil {
-		return out
-	}
-	b, off := d.b, d.off
-	for i := range out {
-		var u uint64
-		n := 0
-		if len(b)-off >= 3 {
-			s := b[off : off+3]
-			switch {
-			case s[0] < 0x80:
-				u, n = uint64(s[0]), 1
-			case s[1] < 0x80:
-				u, n = uint64(s[0]&0x7f)|uint64(s[1])<<7, 2
-			case s[2] < 0x80:
-				u, n = uint64(s[0]&0x7f)|uint64(s[1]&0x7f)<<7|uint64(s[2])<<14, 3
-			}
-		}
-		if n == 0 { // four bytes or more, or the last two bytes of the input
-			if u, n = binary.Uvarint(b[off:]); n <= 0 {
-				d.off = off
-				d.fail()
-				return out
-			}
-		}
-		off += n
-		out[i] = int32(int64(u>>1) ^ -int64(u&1))
-	}
-	d.off = off
-	return out
-}
-
-// count reads a length prefix and bounds it by what the remaining input
-// could possibly hold, so corrupt counts cannot trigger huge allocations.
-func (d *dec) count(max int) int {
-	v := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if v > uint64(max) || v > uint64(len(d.b)-d.off) {
-		d.fail()
-		return 0
-	}
-	return int(v)
-}
+func (d *dec) int() int       { return int(d.I64()) }
+func (d *dec) time() sim.Time { return sim.Time(d.I64()) }
+func (d *dec) f64() float64   { return math.Float64frombits(d.Fix64()) }
 
 func (d *dec) rng() (s [4]uint64) {
-	s[0], s[1], s[2], s[3] = d.fix64(), d.fix64(), d.fix64(), d.fix64()
+	s[0], s[1], s[2], s[3] = d.Fix64(), d.Fix64(), d.Fix64(), d.Fix64()
 	return s
 }
 
@@ -522,16 +357,16 @@ func (d *dec) metaInto(m *Meta) {
 	m.Geometry.BlocksPerLUN = d.int()
 	m.Geometry.PagesPerBlock = d.int()
 	m.Geometry.PageSize = d.int()
-	m.Mapping = d.str()
+	m.Mapping = d.Str()
 	m.LogicalPages = d.int()
-	m.Seed = d.u64()
+	m.Seed = d.U64()
 }
 
 //eagletree:snapshot decode osched.Stats
 func (d *dec) osStatsInto(s *osched.Stats) {
-	s.Submitted = d.u64()
-	s.Issued = d.u64()
-	s.Completed = d.u64()
+	s.Submitted = d.U64()
+	s.Issued = d.U64()
+	s.Completed = d.U64()
 	s.MaxPending = d.int()
 	s.MaxInFlight = d.int()
 }
@@ -539,7 +374,7 @@ func (d *dec) osStatsInto(s *osched.Stats) {
 //eagletree:snapshot decode workload.RunnerState
 func (d *dec) runnerInto(r *workload.RunnerState) {
 	r.RNG = d.rng()
-	r.NextReqID = d.u64()
+	r.NextReqID = d.U64()
 	r.NextThreadID = d.int()
 }
 
@@ -550,18 +385,18 @@ func (d *dec) controllerInto(st *controller.State) {
 	c := &st.Counters
 	for _, p := range []*uint64{&c.AppReads, &c.AppWrites, &c.AppTrims, &c.UnmappedReads,
 		&c.GCMigratedPages, &c.GCErases, &c.WLMigratedPages, &c.BufferedWrites, &c.BufferStalls} {
-		*p = d.u64()
+		*p = d.U64()
 	}
-	st.NextID = d.u64()
-	st.Completions = d.u64()
-	st.OpsSinceScan = d.u64()
+	st.NextID = d.U64()
+	st.Completions = d.U64()
+	st.OpsSinceScan = d.U64()
 	d.arrayInto(&st.Array)
 	d.blockManagerInto(&st.BlockManager)
-	if d.err != nil {
+	if d.Err() != nil {
 		return
 	}
 	pages := len(st.Array.Pages)
-	switch tag := d.bool(); tag {
+	switch tag := d.Bool(); tag {
 	case true:
 		st.DFTL = &ftl.DFTLState{}
 		d.dftlInto(st.DFTL, pages)
@@ -572,116 +407,116 @@ func (d *dec) controllerInto(st *controller.State) {
 	d.gcStateInto(&st.GC)
 	d.wlStateInto(&st.WL)
 
-	if n := d.count(len(d.b)); n > 0 {
+	if n := d.Count(1); n > 0 {
 		st.ThreadPrio = make([]controller.ThreadPrioEntry, n)
 		for i := range st.ThreadPrio {
 			st.ThreadPrio[i] = controller.ThreadPrioEntry{Thread: d.int(), Prio: iface.Priority(d.int())}
 		}
 	}
-	if n := d.count(len(d.b)); n > 0 {
+	if n := d.Count(1); n > 0 {
 		st.Locality = make([]controller.LocalityEntry, n)
 		for i := range st.Locality {
-			st.Locality[i] = controller.LocalityEntry{LPN: iface.LPN(d.i64()), Group: d.int()}
+			st.Locality[i] = controller.LocalityEntry{LPN: iface.LPN(d.I64()), Group: d.int()}
 		}
 	}
-	if n := d.count(len(d.b)); n > 0 {
+	if n := d.Count(1); n > 0 {
 		st.TempHints = make([]controller.TempHintEntry, n)
 		for i := range st.TempHints {
-			st.TempHints[i] = controller.TempHintEntry{LPN: iface.LPN(d.i64()), Temp: iface.Temperature(d.int())}
+			st.TempHints[i] = controller.TempHintEntry{LPN: iface.LPN(d.I64()), Temp: iface.Temperature(d.int())}
 		}
 	}
-	if n := d.count(len(d.b)); n > 0 {
+	if n := d.Count(1); n > 0 {
 		st.WLCold = make([]iface.LPN, n)
 		for i := range st.WLCold {
-			st.WLCold[i] = iface.LPN(d.i64())
+			st.WLCold[i] = iface.LPN(d.I64())
 		}
 	}
 
-	if d.bool() {
+	if d.Bool() {
 		det := &hotcold.MBFState{}
-		det.Filters = make([][]uint64, d.count(len(d.b)))
+		det.Filters = make([][]uint64, d.Count(1))
 		for i := range det.Filters {
-			bits := make([]uint64, d.count(len(d.b)/8+1))
+			bits := make([]uint64, d.Count(8))
 			for j := range bits {
-				bits[j] = d.fix64()
+				bits[j] = d.Fix64()
 			}
 			det.Filters[i] = bits
 		}
 		det.Cur = d.int()
 		det.SinceTurn = d.int()
-		det.Writes = d.u64()
+		det.Writes = d.U64()
 		st.Detector = det
 	}
-	if d.bool() {
+	if d.Bool() {
 		s := d.rng()
 		st.GCRandomRNG = &s
 	}
-	if d.bool() {
+	if d.Bool() {
 		v := d.int()
 		st.AllocRRState = &v
 	}
-	st.Reliability.Retries = d.u64()
-	st.Reliability.Relocations = d.u64()
-	st.Reliability.EraseFailures = d.u64()
-	st.Reliability.GrownBadBlocks = d.u64()
-	if d.bool() {
+	st.Reliability.Retries = d.U64()
+	st.Reliability.Relocations = d.U64()
+	st.Reliability.EraseFailures = d.U64()
+	st.Reliability.GrownBadBlocks = d.U64()
+	if d.Bool() {
 		fs := &fault.State{}
 		fs.RNG = d.rng()
-		fs.Fired = d.bool()
+		fs.Fired = d.Bool()
 		st.Fault = fs
 	}
 }
 
 //eagletree:snapshot decode gc.CollectorState
 func (d *dec) gcStateInto(cs *gc.CollectorState) {
-	cs.Triggered = make([]uint64, d.count(len(d.b)))
+	cs.Triggered = make([]uint64, d.Count(1))
 	for i := range cs.Triggered {
-		cs.Triggered[i] = d.u64()
+		cs.Triggered[i] = d.U64()
 	}
 }
 
 //eagletree:snapshot decode wl.LevelerState
 func (d *dec) wlStateInto(ws *wl.LevelerState) {
-	ws.Scans = d.u64()
-	ws.Migrated = d.u64()
-	ws.TotalErases = d.u64()
+	ws.Scans = d.U64()
+	ws.Migrated = d.U64()
+	ws.TotalErases = d.U64()
 	ws.ObservedAvg = d.f64()
 }
 
 //eagletree:snapshot decode flash.ArrayState flash.BlockMeta flash.Counters
 func (d *dec) arrayInto(a *flash.ArrayState) {
-	pages := d.raw()
+	pages := d.Raw()
 	a.Pages = make([]flash.PageState, len(pages))
 	for i, p := range pages {
 		a.Pages[i] = flash.PageState(p)
 	}
-	a.Blocks = make([]flash.BlockMeta, d.count(len(d.b)))
+	a.Blocks = make([]flash.BlockMeta, d.Count(1))
 	for i := range a.Blocks {
 		a.Blocks[i] = flash.BlockMeta{
 			EraseCount: d.int(),
 			LastErase:  d.time(),
 			ValidPages: d.int(),
 			WritePtr:   d.int(),
-			Bad:        d.bool(),
+			Bad:        d.Bool(),
 		}
 	}
-	a.FreePerLUN = make([]int, d.count(len(d.b)))
+	a.FreePerLUN = make([]int, d.Count(1))
 	for i := range a.FreePerLUN {
 		a.FreePerLUN[i] = d.int()
 	}
-	a.Counters.Reads = d.u64()
-	a.Counters.Writes = d.u64()
-	a.Counters.Erases = d.u64()
-	a.Counters.Copybacks = d.u64()
+	a.Counters.Reads = d.U64()
+	a.Counters.Writes = d.U64()
+	a.Counters.Erases = d.U64()
+	a.Counters.Copybacks = d.U64()
 	a.Channels = d.resources()
 	a.LUNs = d.resources()
 }
 
 //eagletree:snapshot decode flash.ResourceState flash.Interval
 func (d *dec) resources() []flash.ResourceState {
-	rs := make([]flash.ResourceState, d.count(len(d.b)))
+	rs := make([]flash.ResourceState, d.Count(1))
 	for i := range rs {
-		ivs := make([]flash.Interval, d.count(len(d.b)))
+		ivs := make([]flash.Interval, d.Count(1))
 		for j := range ivs {
 			ivs[j] = flash.Interval{Start: d.time(), End: d.time()}
 		}
@@ -692,14 +527,14 @@ func (d *dec) resources() []flash.ResourceState {
 
 //eagletree:snapshot decode ftl.BlockManagerState ftl.LUNAllocState ftl.OpenBlockState
 func (d *dec) blockManagerInto(bm *ftl.BlockManagerState) {
-	bm.LUNs = make([]ftl.LUNAllocState, d.count(len(d.b)))
+	bm.LUNs = make([]ftl.LUNAllocState, d.Count(1))
 	for i := range bm.LUNs {
 		l := &bm.LUNs[i]
-		l.Free = make([]int, d.count(len(d.b)))
+		l.Free = make([]int, d.Count(1))
 		for j := range l.Free {
 			l.Free[j] = d.int()
 		}
-		if n := d.count(len(d.b)); n > 0 {
+		if n := d.Count(1); n > 0 {
 			l.Open = make([]ftl.OpenBlockState, n)
 			for j := range l.Open {
 				l.Open[j] = ftl.OpenBlockState{Stream: uint8(d.int()), Block: d.int(), Next: d.int()}
@@ -715,9 +550,9 @@ func (d *dec) blockManagerInto(bm *ftl.BlockManagerState) {
 //
 //eagletree:snapshot decode ftl.PageMapState
 func (d *dec) pageMapInto(pm *ftl.PageMapState, pages int) {
-	pm.Forward = column(d)
+	pm.Forward = d.Int32Column()
 	pm.Mapped = d.int()
-	if d.err != nil {
+	if d.Err() != nil {
 		return
 	}
 	seen := make([]uint64, (pages+63)/64)
@@ -727,14 +562,14 @@ func (d *dec) pageMapInto(pm *ftl.PageMapState, pages int) {
 			continue
 		}
 		if uint(idx) >= uint(pages) || seen[idx>>6]&(1<<(idx&63)) != 0 {
-			d.err = fmt.Errorf("%w: LPN %d maps to page %d of %d, or to a page another LPN holds", ErrCorrupt, lpn, idx, pages)
+			d.Corruptf("LPN %d maps to page %d of %d, or to a page another LPN holds", lpn, idx, pages)
 			return
 		}
 		seen[idx>>6] |= 1 << (idx & 63)
 		n++
 	}
 	if n != pm.Mapped {
-		d.err = fmt.Errorf("%w: page map binds %d LPNs, says %d", ErrCorrupt, n, pm.Mapped)
+		d.Corruptf("page map binds %d LPNs, says %d", n, pm.Mapped)
 	}
 }
 
@@ -742,34 +577,34 @@ func (d *dec) pageMapInto(pm *ftl.PageMapState, pages int) {
 //eagletree:snapshot decode ftl.RingBlockState ftl.DFTLStats flash.PPA flash.BlockID
 func (d *dec) dftlInto(df *ftl.DFTLState, pages int) {
 	d.pageMapInto(&df.Truth, pages)
-	if n := d.count(len(d.b)); n > 0 {
+	if n := d.Count(1); n > 0 {
 		df.CMT = make([]ftl.CMTEntryState, n)
 		for i := range df.CMT {
-			df.CMT[i] = ftl.CMTEntryState{LPN: iface.LPN(d.i64()), Dirty: d.bool()}
+			df.CMT[i] = ftl.CMTEntryState{LPN: iface.LPN(d.I64()), Dirty: d.Bool()}
 		}
 	}
-	if n := d.count(len(d.b)); n > 0 {
+	if n := d.Count(1); n > 0 {
 		df.GTD = make([]ftl.GTDEntryState, n)
 		for i := range df.GTD {
 			df.GTD[i] = ftl.GTDEntryState{TVPN: d.int(),
 				PPA: flash.PPA{LUN: d.int(), Block: d.int(), Page: d.int()}}
 		}
 	}
-	df.Ring = make([]ftl.RingBlockState, d.count(len(d.b)))
+	df.Ring = make([]ftl.RingBlockState, d.Count(1))
 	for i := range df.Ring {
 		rb := &df.Ring[i]
 		rb.ID = flash.BlockID{LUN: d.int(), Block: d.int()}
 		rb.WritePtr = d.int()
 		rb.Live = d.int()
-		rb.TVPNs = make([]int32, d.count(len(d.b)))
+		rb.TVPNs = make([]int32, d.Count(1))
 		for j := range rb.TVPNs {
-			rb.TVPNs[j] = int32(d.i64())
+			rb.TVPNs[j] = int32(d.I64())
 		}
 	}
 	df.Cur = d.int()
 	s := &df.Stats
 	for _, p := range []*uint64{&s.Hits, &s.Misses, &s.CleanEvicts, &s.DirtyEvicts,
 		&s.TransReads, &s.TransWrites, &s.TransErases} {
-		*p = d.u64()
+		*p = d.U64()
 	}
 }

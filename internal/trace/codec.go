@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,22 +10,27 @@ import (
 	"strconv"
 	"strings"
 
+	"eagletree/internal/binfmt"
 	"eagletree/internal/iface"
 	"eagletree/internal/sim"
 )
 
 // ErrFormat wraps every malformed-input failure in the text and binary
-// trace decoders, distinguishing bad bytes from I/O errors.
+// trace decoders — bad bytes, truncation, an over-long line, a record the
+// trace rules refuse — distinguishing them from the reader's I/O errors.
 var ErrFormat = errors.New("trace: malformed trace")
 
 // textHeader is the first line of the versioned text form.
 const textHeader = "eagletree-trace v1"
 
-// binaryMagic opens the binary form, followed by one version byte.
-var binaryMagic = []byte("ETRC")
+// binaryFormat frames the binary form (DESIGN.md, "Binary formats"): a
+// binfmt header without a checksum, every failure ErrFormat.
+var binaryFormat = binfmt.Format{Magic: "ETRC", Version: 1,
+	ErrMagic: ErrFormat, ErrVersion: ErrFormat, ErrTruncated: ErrFormat, ErrCorrupt: ErrFormat}
 
-// binaryVersion is the current binary codec version.
-const binaryVersion = 1
+// minRecordBytes is the smallest binary record: six one-byte varints, the op
+// and the temperature.
+const minRecordBytes = 8
 
 // opLetter maps request types to their single-letter text encoding.
 func opLetter(t iface.ReqType) byte {
@@ -128,39 +132,39 @@ func DecodeText(r io.Reader) (*Trace, error) {
 			},
 		})
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, line+1, err)
+	} else if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	if !sawHeader {
 		return nil, fmt.Errorf("%w: missing %q header", ErrFormat, textHeader)
 	}
+	return decoded(t)
+}
+
+// decoded applies the trace rules to a decoded trace: a record the encoders
+// would refuse is malformed input.
+func decoded(t *Trace) (*Trace, error) {
 	if err := t.validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	return t, nil
 }
 
-// zigzag folds a signed value into an unsigned varint-friendly one.
-func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
-
-// unzigzag is the inverse of zigzag.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
 // EncodeBinary writes the compact binary form: magic, version, record count,
 // then per record delta-encoded varints (timestamp deltas are monotone, LPN
-// deltas zigzagged), the op and temperature as single bytes.
+// deltas signed), the op and temperature as single bytes.
 func EncodeBinary(w io.Writer, t *Trace) error {
 	if err := t.validate(); err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(w)
-	bw.Write(binaryMagic)
-	bw.WriteByte(binaryVersion)
+	bw.WriteString(binaryFormat.Magic)
+	bw.WriteByte(binaryFormat.Version)
 	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(buf[:], v)
-		bw.Write(buf[:n])
-	}
+	putUvarint := func(v uint64) { bw.Write(buf[:binary.PutUvarint(buf[:], v)]) }
+	putVarint := func(v int64) { bw.Write(buf[:binary.PutVarint(buf[:], v)]) }
 	putUvarint(uint64(len(t.Records)))
 	var prevAt sim.Time
 	var prevLPN iface.LPN
@@ -169,109 +173,64 @@ func EncodeBinary(w io.Writer, t *Trace) error {
 		prevAt = r.At
 		putUvarint(uint64(r.Thread))
 		bw.WriteByte(opLetter(r.Op))
-		putUvarint(zigzag(int64(r.LPN - prevLPN)))
+		putVarint(int64(r.LPN - prevLPN))
 		prevLPN = r.LPN
 		putUvarint(uint64(r.Size))
-		putUvarint(zigzag(int64(r.Tags.Priority)))
-		putUvarint(zigzag(int64(r.Tags.Locality)))
+		putVarint(int64(r.Tags.Priority))
+		putVarint(int64(r.Tags.Locality))
 		bw.WriteByte(byte(r.Tags.Temperature))
 	}
 	return bw.Flush()
 }
 
-// DecodeBinary parses the compact binary form.
+// DecodeBinary parses the compact binary form. The record count is bounded
+// by the input's length, so a corrupt count cannot drive the allocation.
 func DecodeBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(binaryMagic)+1)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: binary header: %w", err)
-	}
-	if !bytes.Equal(head[:len(binaryMagic)], binaryMagic) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, head[:len(binaryMagic)])
-	}
-	if head[len(binaryMagic)] != binaryVersion {
-		return nil, fmt.Errorf("%w: binary version %d, want %d", ErrFormat, head[len(binaryMagic)], binaryVersion)
-	}
-	count, err := binary.ReadUvarint(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("trace: record count: %w", err)
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	const maxRecords = 1 << 30 // refuse absurd counts from corrupt input
-	if count > maxRecords {
-		return nil, fmt.Errorf("%w: record count %d too large", ErrFormat, count)
-	}
-	t := &Trace{Records: make([]Record, 0, count)}
-	var prevAt sim.Time
-	var prevLPN iface.LPN
-	for i := uint64(0); i < count; i++ {
-		fail := func(field string, err error) (*Trace, error) {
-			return nil, fmt.Errorf("trace: record %d: %s: %w", i, field, err)
-		}
-		dAt, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fail("timestamp", err)
-		}
-		thread, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fail("thread", err)
-		}
-		opb, err := br.ReadByte()
-		if err != nil {
-			return fail("op", err)
-		}
-		op, ok := opFromLetter(opb)
-		if !ok {
-			return nil, fmt.Errorf("%w: record %d: bad op byte %q", ErrFormat, i, opb)
-		}
-		dLPN, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fail("lpn", err)
-		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fail("size", err)
-		}
-		prio, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fail("priority", err)
-		}
-		loc, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fail("locality", err)
-		}
-		temp, err := br.ReadByte()
-		if err != nil {
-			return fail("temperature", err)
-		}
-		prevAt += sim.Time(dAt)
-		prevLPN += iface.LPN(unzigzag(dLPN))
-		t.Records = append(t.Records, Record{
-			At:     prevAt,
-			Thread: int(thread),
-			Op:     op,
-			LPN:    prevLPN,
-			Size:   int(size),
-			Tags: iface.Tags{
-				Priority:    iface.Priority(unzigzag(prio)),
-				Locality:    int(unzigzag(loc)),
-				Temperature: iface.Temperature(temp),
-			},
-		})
-	}
-	if err := t.validate(); err != nil {
+	d, err := binaryFormat.Header(data)
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	t := &Trace{Records: make([]Record, d.Count(minRecordBytes))}
+	var at sim.Time
+	var lpn iface.LPN
+	for i := range t.Records {
+		rec := &t.Records[i]
+		at += sim.Time(d.U64())
+		rec.At = at
+		rec.Thread = int(d.U64())
+		opb := d.Byte()
+		lpn += iface.LPN(d.I64())
+		rec.LPN = lpn
+		rec.Size = int(d.U64())
+		rec.Tags.Priority = iface.Priority(d.I64())
+		rec.Tags.Locality = int(d.I64())
+		rec.Tags.Temperature = iface.Temperature(d.Byte())
+		var ok bool
+		if rec.Op, ok = opFromLetter(opb); !ok {
+			d.Corruptf("record %d: bad op byte %q", i, opb)
+		}
+		if d.Err() != nil {
+			break
+		}
+	}
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
+	return decoded(t)
 }
 
 // Decode sniffs the format (binary magic vs text header) and parses either.
 func Decode(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagic))
+	head, err := br.Peek(len(binaryFormat.Magic))
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	if bytes.Equal(head, binaryMagic) {
+	if string(head) == binaryFormat.Magic {
 		return DecodeBinary(br)
 	}
 	return DecodeText(br)

@@ -2,8 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,37 +98,60 @@ func TestDecodeSniffsFormat(t *testing.T) {
 
 func TestDecodeTextErrors(t *testing.T) {
 	cases := map[string]string{
-		"missing header":  "0 1 W 2 1 0 0 0\n",
-		"wrong header":    "eagletree-trace v99\n",
-		"short line":      "eagletree-trace v1\n0 1 W 2\n",
-		"bad op":          "eagletree-trace v1\n0 1 X 2 1 0 0 0\n",
-		"long op":         "eagletree-trace v1\n0 1 WW 2 1 0 0 0\n",
-		"bad number":      "eagletree-trace v1\n0 1 W two 1 0 0 0\n",
-		"zero size":       "eagletree-trace v1\n0 1 W 2 0 0 0 0\n",
-		"time regression": "eagletree-trace v1\n100 1 W 2 1 0 0 0\n50 1 W 2 1 0 0 0\n",
-		"empty input":     "",
+		"missing header":     "0 1 W 2 1 0 0 0\n",
+		"wrong header":       "eagletree-trace v99\n",
+		"short line":         "eagletree-trace v1\n0 1 W 2\n",
+		"bad op":             "eagletree-trace v1\n0 1 X 2 1 0 0 0\n",
+		"long op":            "eagletree-trace v1\n0 1 WW 2 1 0 0 0\n",
+		"erase op":           "eagletree-trace v1\n0 1 E 2 1 0 0 0\n",
+		"bad number":         "eagletree-trace v1\n0 1 W two 1 0 0 0\n",
+		"zero size":          "eagletree-trace v1\n0 1 W 2 0 0 0 0\n",
+		"negative timestamp": "eagletree-trace v1\n-5 1 W 2 1 0 0 0\n",
+		"time regression":    "eagletree-trace v1\n100 1 W 2 1 0 0 0\n50 1 W 2 1 0 0 0\n",
+		"over-long line":     "eagletree-trace v1\n0 1 W 2 1 0 0 0" + strings.Repeat(" ", 1<<20) + "\n",
+		"empty input":        "",
 	}
 	for name, in := range cases {
-		if _, err := DecodeText(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		if _, err := DecodeText(strings.NewReader(in)); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: got %v, want ErrFormat", name, err)
 		}
 	}
 }
 
-func TestDecodeBinaryErrors(t *testing.T) {
-	var good bytes.Buffer
-	if err := EncodeBinary(&good, sampleTrace()); err != nil {
+// binaryTrace encodes tr in the binary form.
+func binaryTrace(t testing.TB, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeBinary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	full := good.Bytes()
+	return buf.Bytes()
+}
 
+// hostileCount is a bare header promising 2^30 records: 64 GiB of Records
+// if the count drove the allocation.
+var hostileCount = []byte("ETRC\x01\x80\x80\x80\x80\x04")
+
+func TestDecodeBinaryErrors(t *testing.T) {
+	full := binaryTrace(t, sampleTrace())
+	header := len("ETRC") + 1
+	// A record the encoder would refuse: one-byte at, thread, op and LPN,
+	// then the size set to 0.
+	zero := binaryTrace(t, &Trace{Records: []Record{{Op: iface.Write, Size: 1}}})
+	zero[header+1+4] = 0
+	one := binaryTrace(t, &Trace{Records: []Record{{Op: iface.Read, LPN: 1 << 20, Size: 1}}})
 	cases := map[string][]byte{
 		"empty":     {},
 		"bad magic": []byte("NOPE\x01"),
-		"bad version": append(append([]byte{}, binaryMagic...),
+		"bad version": append(append([]byte{}, "ETRC"...),
 			99),
 		"truncated header": full[:3],
+		"truncated count":  hostileCount[:header+2],
+		"hostile count":    hostileCount,
+		"truncated record": one[:len(one)-1],
 		"truncated body":   full[:len(full)-2],
+		"trailing bytes":   append(append([]byte{}, full...), 0),
+		"zero size":        zero,
 	}
 	// A corrupted op byte inside the stream must surface as an error, not a
 	// bogus record. The op of record 0 sits right after magic+version+count+
@@ -131,12 +159,68 @@ func TestDecodeBinaryErrors(t *testing.T) {
 	corrupt := append([]byte{}, full...)
 	corrupt[bytes.IndexByte(corrupt, 'W')] = 'Z'
 	cases["bad op byte"] = corrupt
+	// Timestamps are unsigned deltas: an At past MaxInt64 wraps negative.
+	negative := binaryTrace(t, &Trace{Records: []Record{{At: 1, Op: iface.Read, Size: 1}}})
+	cases["negative timestamp"] = append(negative[:header+1], append(binary.AppendUvarint(nil, 1<<63), negative[header+2:]...)...)
+	// Two records whose second delta wraps the clock backwards.
+	regress := binaryTrace(t, &Trace{Records: []Record{{At: 10, Op: iface.Read, Size: 1}, {At: 11, Op: iface.Read, Size: 1}}})
+	at := header + 1 + minRecordBytes // second record's timestamp delta
+	cases["time regression"] = append(append(regress[:at:at], binary.AppendUvarint(nil, math.MaxUint64-4)...), regress[at+1:]...)
 
 	for name, in := range cases {
-		if _, err := DecodeBinary(bytes.NewReader(in)); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		if _, err := DecodeBinary(bytes.NewReader(in)); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: got %v, want ErrFormat", name, err)
 		}
 	}
+}
+
+// TestDecodeBinaryBoundsCount: a header promising 2^30 records is refused
+// before anything is allocated for them.
+func TestDecodeBinaryBoundsCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBinary(bytes.NewReader(hostileCount))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFormat) {
+		t.Fatalf("got %v, want ErrFormat", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("DecodeBinary allocated %d bytes for a %d-byte input", got, len(hostileCount))
+	}
+}
+
+// FuzzDecodeTrace feeds arbitrary bytes to the sniffing Decode. The
+// contract: no panic, every error is ErrFormat (the input is in memory, so
+// there are no I/O errors), and an accepted trace re-encodes to a trace that
+// decodes to itself.
+func FuzzDecodeTrace(f *testing.F) {
+	bin := binaryTrace(f, sampleTrace())
+	var text bytes.Buffer
+	if err := EncodeText(&text, sampleTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bin)
+	f.Add(text.Bytes())
+	f.Add(hostileCount)
+	for _, cut := range []int{3, 7, len(bin) - 2} {
+		f.Add(bin[:cut])
+	}
+	flipped := append([]byte{}, bin...)
+	flipped[bytes.IndexByte(flipped, 'W')] = 'Z'
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("Decode returned an untyped error: %v", err)
+			}
+			return
+		}
+		again, err := DecodeBinary(bytes.NewReader(binaryTrace(t, tr)))
+		if err != nil || !slices.Equal(again.Records, tr.Records) {
+			t.Fatalf("accepted trace does not round-trip: %v", err)
+		}
+	})
 }
 
 func TestEncodeRejectsInvalid(t *testing.T) {
