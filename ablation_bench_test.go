@@ -21,12 +21,7 @@ func ablBase() Config {
 	return cfg
 }
 
-func ablPrepare(s *Stack) []*Handle {
-	n := int64(s.LogicalPages())
-	seq := s.Add(&workload.SequentialWriter{From: 0, Count: n, Depth: 32})
-	age := s.Add(&workload.RandomWriter{From: 0, Space: n, Count: n, Depth: 32}, seq)
-	return []*Handle{age}
-}
+var ablPrepare = PrepareSpec{FillDepth: 32, AgePasses: 1}
 
 func ablOverwrite(s *Stack, after *Handle) {
 	n := int64(s.LogicalPages())
@@ -62,7 +57,7 @@ func BenchmarkAblationAllocator(b *testing.B) {
 			{Label: "roundrobin", Mutate: func(c *Config) { c.Controller.Alloc = &AllocRoundRobin{} }},
 			{Label: "striped", Mutate: func(c *Config) { c.Controller.Alloc = AllocStriped{} }},
 		},
-		Prepare:  ablPrepare,
+		Prep:     ablPrepare,
 		Workload: ablOverwrite,
 	}
 	res := runAblation(b, def, MetricThroughput)
@@ -84,7 +79,7 @@ func BenchmarkAblationGCPolicy(b *testing.B) {
 			{Label: "costbenefit", Mutate: func(c *Config) { c.Controller.GCPolicy = GCCostBenefit{} }},
 			{Label: "random", Mutate: func(c *Config) { c.Controller.GCPolicy = &GCRandom{} }},
 		},
-		Prepare:  ablPrepare,
+		Prep:     ablPrepare,
 		Workload: ablOverwrite,
 	}
 	res := runAblation(b, def, MetricWA)
@@ -110,7 +105,7 @@ func BenchmarkAblationOSPolicy(b *testing.B) {
 			{Label: "prio-reads", Mutate: func(c *Config) { c.OS.Policy = &OSPrio{ReadsFirst: true} }},
 			{Label: "cfq", Mutate: func(c *Config) { c.OS.Policy = &OSCFQ{Quantum: 4} }},
 		},
-		Prepare: ablPrepare,
+		Prep: ablPrepare,
 		Workload: func(s *Stack, after *Handle) {
 			n := int64(s.LogicalPages())
 			s.Add(&workload.RandomWriter{From: 0, Space: n, Count: 3000, Depth: 32}, after)
@@ -140,7 +135,7 @@ func BenchmarkAblationWriteBuffer(b *testing.B) {
 		Name:     "ablation-write-buffer",
 		Base:     ablBase,
 		Variants: []Variant{size(0), size(16), size(64), size(256)},
-		Prepare:  ablPrepare,
+		Prep:     ablPrepare,
 		Workload: func(s *Stack, after *Handle) {
 			n := int64(s.LogicalPages())
 			s.Add(&workload.RandomWriter{From: 0, Space: n, Count: n, Depth: 16}, after)
@@ -164,7 +159,7 @@ func BenchmarkAblationCellType(b *testing.B) {
 			{Label: "slc", Mutate: func(c *Config) { c.Controller.Timing = TimingSLC() }},
 			{Label: "mlc", Mutate: func(c *Config) { c.Controller.Timing = TimingMLC() }},
 		},
-		Prepare:  ablPrepare,
+		Prep:     ablPrepare,
 		Workload: ablOverwrite,
 	}
 	res := runAblation(b, def, MetricThroughput)
@@ -189,10 +184,7 @@ func BenchmarkAblationElevator(b *testing.B) {
 			{Label: "os-fifo", Mutate: func(c *Config) { c.OS.Policy = &OSFIFO{} }},
 			{Label: "os-elevator", Mutate: func(c *Config) { c.OS.Policy = &OSElevator{} }},
 		},
-		Prepare: func(s *Stack) []*Handle {
-			n := int64(s.LogicalPages())
-			return []*Handle{s.Add(&workload.SequentialWriter{From: 0, Count: n, Depth: 32})}
-		},
+		Prep: PrepareSpec{FillDepth: 32},
 		Workload: func(s *Stack, after *Handle) {
 			n := int64(s.LogicalPages())
 			s.Add(&workload.RandomReader{From: 0, Space: n, Count: 4000, Depth: 64}, after)
@@ -229,7 +221,10 @@ func BenchmarkAblationPatternAware(b *testing.B) {
 				c.Controller.Alloc = &AllocPatternAware{Detector: &PatternDetector{}}
 			}},
 		},
-		Prepare: func(s *Stack) []*Handle {
+		// The writes are part of the workload, not a shared PrepareSpec:
+		// the allocator in force while they run is the effect under test,
+		// so only the read-back sits behind the measurement barrier.
+		Workload: func(s *Stack, _ *Handle) {
 			n := int64(s.LogicalPages())
 			// The sequential stream is written while a random writer
 			// perturbs the array: load-based placement then parks
@@ -237,11 +232,7 @@ func BenchmarkAblationPatternAware(b *testing.B) {
 			// clustering stretches of the run.
 			seq := s.Add(&workload.SequentialWriter{From: 0, Count: n / 2, Depth: 2})
 			noise := s.Add(&workload.RandomWriter{From: LPN(n / 2), Space: n / 2, Count: n, Depth: 8})
-			return []*Handle{seq, noise}
-		},
-		Workload: func(s *Stack, after *Handle) {
-			n := int64(s.LogicalPages())
-			s.Add(&workload.SequentialReader{From: 0, Count: n / 2, Depth: 16}, after)
+			s.Add(&workload.SequentialReader{From: 0, Count: n / 2, Depth: 16}, s.AddBarrier(seq, noise))
 		},
 	}
 	res := runAblation(b, def, MetricThroughput)

@@ -21,12 +21,7 @@ func main() {
 		Variants: []eagletree.Variant{
 			variant(1), variant(2), variant(3), variant(4), variant(6), variant(8),
 		},
-		Prepare: func(s *eagletree.Stack) []*eagletree.Handle {
-			n := int64(s.LogicalPages())
-			seq := s.Add(&eagletree.SequentialWriter{From: 0, Count: n, Depth: 32})
-			age := s.Add(&eagletree.RandomWriter{From: 0, Space: n, Count: n, Depth: 32}, seq)
-			return []*eagletree.Handle{age}
-		},
+		Prep: eagletree.PrepareSpec{FillDepth: 32, AgePasses: 1},
 		Workload: func(s *eagletree.Stack, after *eagletree.Handle) {
 			n := int64(s.LogicalPages())
 			s.Add(&eagletree.RandomWriter{From: 0, Space: n, Count: 2 * n, Depth: 32}, after)

@@ -30,7 +30,7 @@ func main() {
 			{Label: "block-device"},
 			{Label: "open", Mutate: func(c *eagletree.Config) { c.Controller.OpenInterface = true }},
 		},
-		Prepare: prepare,
+		Prep: eagletree.PrepareSpec{FillDepth: 32},
 		Workload: func(s *eagletree.Stack, after *eagletree.Handle) {
 			n := int64(s.LogicalPages())
 			s.Add(&eagletree.RandomWriter{From: 0, Space: n, Count: 3000, Depth: 32}, after)
@@ -75,7 +75,7 @@ func main() {
 				zipf(s, after, true)
 			}},
 		},
-		Prepare: prepare,
+		Prep: eagletree.PrepareSpec{FillDepth: 32},
 		Workload: func(s *eagletree.Stack, after *eagletree.Handle) {
 			zipf(s, after, false)
 		},
@@ -91,12 +91,6 @@ func main() {
 	}
 	fmt.Println("Unlocking the interface is the paper's 'red lock': the same workload,")
 	fmt.Println("the same SSD — only the information crossing the interface changed.")
-}
-
-func prepare(s *eagletree.Stack) []*eagletree.Handle {
-	n := int64(s.LogicalPages())
-	seq := s.Add(&eagletree.SequentialWriter{From: 0, Count: n, Depth: 32})
-	return []*eagletree.Handle{seq}
 }
 
 func zipf(s *eagletree.Stack, after *eagletree.Handle, oracle bool) {

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -225,13 +226,9 @@ func executeSingle(doc spec.Experiment, variant spec.Variant, rt runtimeOpts, re
 		return fail(stderr, err)
 	}
 
-	end := st.Run()
-	if !st.Runner.Done() {
-		werr := fmt.Errorf("%d threads never finished (workload deadlock)", st.Runner.Active())
-		if herr := st.Controller.Health(); herr != nil {
-			werr = fmt.Errorf("%d threads never finished: %w", st.Runner.Active(), herr)
-		}
-		return fail(stderr, werr)
+	end, err := st.RunCtx(context.Background())
+	if err != nil {
+		return fail(stderr, err)
 	}
 	fmt.Fprintln(stdout, header)
 	fmt.Fprintf(stdout, "simulated %v of device time\n\n", end)

@@ -23,7 +23,7 @@ import (
 const sigintChildMarker = "SIGINT-CHILD-READY"
 
 // runSigintChild drives runDefinitions over a variant that blocks forever in
-// its preparation hook — a variant that can never drain, so only the
+// its workload hook — a variant that can never drain, so only the
 // second-interrupt hard exit can end the process.
 func runSigintChild() {
 	def := experiment.Definition{
@@ -41,14 +41,11 @@ func runSigintChild() {
 				Seed: 1,
 			}
 		},
-		Variants: []experiment.Variant{{
-			Label: "hang",
-			Prepare: func(s *core.Stack) []*workload.Handle {
-				fmt.Fprintln(os.Stderr, sigintChildMarker)
-				select {}
-			},
-		}},
-		Workload: func(s *core.Stack, after *workload.Handle) {},
+		Variants: []experiment.Variant{{Label: "hang"}},
+		Workload: func(s *core.Stack, after *workload.Handle) {
+			fmt.Fprintln(os.Stderr, sigintChildMarker)
+			select {}
+		},
 	}
 	no := false
 	out := &sweepOutput{csv: &no, chart: &no, timeline: &no}

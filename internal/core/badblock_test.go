@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"eagletree/internal/controller"
+	"eagletree/internal/fault"
 	"eagletree/internal/flash"
 	"eagletree/internal/iface"
 	"eagletree/internal/workload"
@@ -118,4 +122,47 @@ func TestTrimmedDeviceReadsUnmapped(t *testing.T) {
 		t.Fatalf("UnmappedReads = %d, want 64 after trim", got)
 	}
 	_ = iface.LPN(0)
+}
+
+// TestRunCtxWornOut: when runtime retirement empties the free pool, the loop
+// drains with writers still active. RunCtx reports that as ErrNotQuiescent
+// joined with the controller's typed verdict, on the uncancelable Run path
+// and on the polling one alike.
+func TestRunCtxWornOut(t *testing.T) {
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, ctx := range []context.Context{context.Background(), live} {
+		cfg := testConfig()
+		// 2% of erases fail and every program failure grows the block bad.
+		cfg.Controller.Fault = fault.NewRandom(0.002, 0.02, 1, 11)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(s.LogicalPages())
+		seq := s.Add(&workload.SequentialWriter{From: 0, Count: n, Depth: 16})
+		s.Add(&workload.RandomWriter{From: 0, Space: n, Count: 50 * n, Depth: 16}, seq)
+		_, err = s.RunCtx(ctx)
+		if !errors.Is(err, ErrNotQuiescent) || !errors.Is(err, controller.ErrDeviceWornOut) {
+			t.Fatalf("err = %v, want both ErrNotQuiescent and controller.ErrDeviceWornOut", err)
+		}
+	}
+}
+
+// TestRunCtxCanceled: a canceled context comes back as the context's own
+// error, unwrapped, and runs nothing.
+func TestRunCtxCanceled(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Add(&workload.SequentialWriter{From: 0, Count: 64, Depth: 16})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.RunCtx(ctx); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled itself", err)
+	}
+	if got := s.Engine.Fired(); got != 0 {
+		t.Fatalf("a canceled run fired %d events", got)
+	}
 }

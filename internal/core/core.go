@@ -27,8 +27,9 @@ import (
 var (
 	// ErrConfig wraps every stack-assembly configuration failure.
 	ErrConfig = errors.New("core: invalid configuration")
-	// ErrNotQuiescent wraps every Snapshot precondition failure: the stack
-	// still holds in-flight work that a snapshot would drop.
+	// ErrNotQuiescent wraps every Snapshot precondition failure — the stack
+	// still holds in-flight work that a snapshot would drop — and every
+	// RunCtx whose event loop drained with threads still active.
 	ErrNotQuiescent = errors.New("core: stack not quiescent")
 	// ErrSnapshotMismatch wraps every structural mismatch between a
 	// snapshot and the configuration it is restored under.
@@ -153,22 +154,36 @@ func (s *Stack) Run() sim.Time {
 
 // RunCtx drives the loop like Run but honors context cancellation: the event
 // loop polls ctx every few thousand events and abandons the simulation when
-// it is canceled, returning ctx's error. A context that can never be
-// canceled takes the exact Run path; an uncanceled run fires the identical
-// event sequence either way, so results are bit-identical to Run.
+// it is canceled, returning ctx's error unwrapped. A context that can never
+// be canceled takes the exact Run path; an uncanceled run fires the
+// identical event sequence either way, so results are bit-identical to Run.
+//
+// A loop that drains with threads still active returns ErrNotQuiescent,
+// joined with the controller's Health verdict when it has one: a device whose
+// free pool was exhausted by block retirement satisfies
+// errors.Is(err, controller.ErrDeviceWornOut), not just a generic deadlock.
 func (s *Stack) RunCtx(ctx context.Context) (sim.Time, error) {
+	var t sim.Time
 	if ctx.Done() == nil {
-		return s.Run(), nil
+		t = s.Run()
+	} else {
+		if err := ctx.Err(); err != nil {
+			return s.Engine.Now(), err
+		}
+		s.Runner.Start()
+		var interrupted bool
+		t, interrupted = s.Engine.RunInterruptible(0, func() bool { return ctx.Err() != nil })
+		if interrupted {
+			return t, ctx.Err()
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return s.Engine.Now(), err
+	if s.Runner.Done() {
+		return t, nil
 	}
-	s.Runner.Start()
-	t, interrupted := s.Engine.RunInterruptible(0, func() bool { return ctx.Err() != nil })
-	if interrupted {
-		return t, ctx.Err()
+	if herr := s.Controller.Health(); herr != nil {
+		return t, fmt.Errorf("%w: %d threads never finished: %w", ErrNotQuiescent, s.Runner.Active(), herr)
 	}
-	return t, nil
+	return t, fmt.Errorf("%w: %d threads never finished (workload deadlock)", ErrNotQuiescent, s.Runner.Active())
 }
 
 // RunUntil drives the loop only to the given horizon (open-ended workloads).

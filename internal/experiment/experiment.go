@@ -4,10 +4,11 @@
 // simulation per variant and collects comparable metric rows — tables, CSV
 // and text charts standing in for the GUI's graphs.
 //
-// Device preparation is first-class: when a definition has a Prepare hook,
-// measured threads automatically depend on a barrier behind the preparation
-// threads, and statistics cover only the measured window (§2.3's repeatable
-// methodology).
+// Device preparation is first-class (§2.3's repeatable methodology): a
+// definition declares it as a PrepareSpec, which the Runner builds once,
+// snapshots and restores per variant, so statistics cover only the measured
+// window. A workload that must prepare under each variant's own
+// configuration adds the barrier itself (Stack.AddBarrier).
 //
 // Execution is context-aware and observable: New(opts).Run(ctx, def) honors
 // cancellation mid-sweep (partial Results carry the completed row prefix
@@ -37,10 +38,6 @@ type Variant struct {
 	// used when preparation itself is what varies (fresh vs aged device,
 	// experiment E11). Point it at a zero PrepareSpec to disable preparation.
 	Prep *PrepareSpec
-	// Prepare, when non-nil, overrides the definition's preparation with a
-	// custom hook for this variant. Custom hooks run in the legacy in-stack
-	// barrier flow and are never snapshot-cached.
-	Prepare func(s *core.Stack) []*workload.Handle
 	// Workload, when non-nil, overrides the definition's Workload for this
 	// variant — used when the workload itself carries the varied behavior
 	// (oracle temperature tags, experiment E8).
@@ -61,14 +58,10 @@ type Definition struct {
 	// seed) combination once, snapshots the drained stack, and restores the
 	// state per variant instead of re-aging the device.
 	Prep PrepareSpec
-	// Prepare is the custom-hook alternative to Prep: it registers arbitrary
-	// device-preparation threads (run before the measurement barrier) and
-	// returns their handles. Custom hooks run per variant in the legacy
-	// in-stack flow with no snapshot sharing; prefer Prep. Ignored when Prep
-	// is set.
-	Prepare func(s *core.Stack) []*workload.Handle
-	// Workload registers the measured threads. Each must depend on after
-	// (nil when there is no preparation phase).
+	// Workload registers the measured threads on a stack that is fresh or
+	// restored from the declared preparation; the Runner passes a nil after.
+	// A workload that prepares the device itself puts its measured threads
+	// behind s.AddBarrier over its preparation threads.
 	Workload func(s *core.Stack, after *workload.Handle)
 	// SeriesBucket, when positive, records a completion time series with
 	// this bucket width per variant; Timelines renders them ("graphs
@@ -112,27 +105,12 @@ type Options struct {
 	Observer Observer
 }
 
-// prepFor resolves the variant's effective preparation: a declarative spec,
-// or a custom hook (legacy flow), never both.
-func (def Definition) prepFor(v Variant) (PrepareSpec, func(*core.Stack) []*workload.Handle) {
+// prepFor resolves the variant's effective preparation.
+func (def Definition) prepFor(v Variant) PrepareSpec {
 	if v.Prep != nil {
-		return *v.Prep, nil
+		return *v.Prep
 	}
-	if v.Prepare != nil {
-		return PrepareSpec{}, v.Prepare
-	}
-	if !def.Prep.None() {
-		return def.Prep, nil
-	}
-	return PrepareSpec{}, def.Prepare
-}
-
-func rowFrom(v Variant, stack *core.Stack) (Row, error) {
-	row := Row{Label: v.Label, X: v.X, Report: stack.Report()}
-	if ts := stack.Stats.Series(); ts != nil {
-		row.Timeline = ts.Sparkline()
-	}
-	return row, nil
+	return def.Prep
 }
 
 // Metric extracts one scalar from a report, for charts and CSV columns.

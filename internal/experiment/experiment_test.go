@@ -59,31 +59,38 @@ func TestRunSweep(t *testing.T) {
 	}
 }
 
+// TestRunWithPreparation: preparation is either a declared Prep, restored
+// from its snapshot, or a barrier the workload adds itself. Either way the
+// report counts only the measured reads, never the preparation writes.
 func TestRunWithPreparation(t *testing.T) {
-	def := Definition{
-		Name: "prep",
-		Base: smallBase,
-		Variants: []Variant{
-			{Label: "only", X: 0},
-		},
-		Prepare: func(s *core.Stack) []*workload.Handle {
+	reads := func(s *core.Stack, after *workload.Handle) {
+		s.Add(&workload.RandomReader{From: 0, Space: int64(s.LogicalPages()), Count: 50, Depth: 4}, after)
+	}
+	for _, def := range []Definition{{
+		Name:     "declared",
+		Prep:     PrepareSpec{FillDepth: 8},
+		Workload: reads,
+	}, {
+		Name: "barrier",
+		Workload: func(s *core.Stack, _ *workload.Handle) {
 			n := int64(s.LogicalPages())
-			return []*workload.Handle{s.Add(&workload.SequentialWriter{From: 0, Count: n, Depth: 8})}
+			fill := s.Add(&workload.SequentialWriter{From: 0, Count: n, Depth: 8})
+			reads(s, s.AddBarrier(fill))
 		},
-		Workload: func(s *core.Stack, after *workload.Handle) {
-			s.Add(&workload.RandomReader{From: 0, Space: int64(s.LogicalPages()), Count: 50, Depth: 4}, after)
-		},
-	}
-	res, err := New(Options{}).Run(context.Background(), def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := res.Rows[0].Report
-	if rep.WriteLatency.Count != 0 {
-		t.Fatalf("measurement saw %d prep writes", rep.WriteLatency.Count)
-	}
-	if rep.ReadLatency.Count != 50 {
-		t.Fatalf("measured %d reads, want 50", rep.ReadLatency.Count)
+	}} {
+		def.Base = smallBase
+		def.Variants = []Variant{{Label: "only"}}
+		res, err := New(Options{}).Run(context.Background(), def)
+		if err != nil {
+			t.Fatalf("%s: %v", def.Name, err)
+		}
+		rep := res.Rows[0].Report
+		if rep.WriteLatency.Count != 0 {
+			t.Fatalf("%s: measurement saw %d prep writes", def.Name, rep.WriteLatency.Count)
+		}
+		if rep.ReadLatency.Count != 50 {
+			t.Fatalf("%s: measured %d reads, want 50", def.Name, rep.ReadLatency.Count)
+		}
 	}
 }
 

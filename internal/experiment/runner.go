@@ -12,7 +12,6 @@ import (
 
 	"eagletree/internal/core"
 	"eagletree/internal/snapshot"
-	"eagletree/internal/workload"
 )
 
 // ErrCanceled reports a run cut short by its context. Errors returned for
@@ -430,7 +429,7 @@ func (rs *runState) runOne(ctx context.Context, i int, v Variant) bool {
 }
 
 // runVariantSafe executes runVariant with panic isolation: a panicking
-// variant — a crashing preparation hook, a bug in a component under test —
+// variant — a crashing workload hook, a bug in a component under test —
 // becomes a *VariantError instead of tearing down the whole sweep (and,
 // under the parallel runner, the process).
 func (rs *runState) runVariantSafe(ctx context.Context, i int, v Variant) (row Row, err error) {
@@ -473,10 +472,7 @@ func (rs *runState) runVariant(ctx context.Context, i int, v Variant) (Row, erro
 	if v.Mutate != nil {
 		v.Mutate(&cfg)
 	}
-	spec, custom := def.prepFor(v)
-	if custom != nil {
-		return rs.runVariantLegacy(ctx, v, cfg, custom)
-	}
+	spec := def.prepFor(v)
 	var stack *core.Stack
 	if spec.None() {
 		st, err := core.New(cfg)
@@ -546,13 +542,7 @@ func buildPrepared(ctx context.Context, pcfg core.Config, spec PrepareSpec) ([]b
 	}
 	spec.register(st)
 	if _, err := st.RunCtx(ctx); err != nil {
-		return nil, err
-	}
-	if !st.Runner.Done() {
-		if herr := st.Controller.Health(); herr != nil {
-			return nil, fmt.Errorf("preparation stalled with %d threads active: %w", st.Runner.Active(), herr)
-		}
-		return nil, fmt.Errorf("preparation deadlocked with %d threads active", st.Runner.Active())
+		return nil, fmt.Errorf("preparation: %w", err)
 	}
 	ds, err := st.Snapshot()
 	if err != nil {
@@ -561,53 +551,21 @@ func buildPrepared(ctx context.Context, pcfg core.Config, spec PrepareSpec) ([]b
 	return snapshot.Encode(ds), nil
 }
 
-// runVariantLegacy drives a custom-Prepare variant the pre-snapshot way:
-// preparation and measurement share one stack, separated by a measurement
-// barrier thread. Custom preparation is opaque to the snapshot cache, so no
-// prepare event is emitted.
-func (rs *runState) runVariantLegacy(ctx context.Context, v Variant, cfg core.Config, prepare func(*core.Stack) []*workload.Handle) (Row, error) {
-	def := rs.def
-	stack, err := core.New(cfg)
-	if err != nil {
-		return Row{}, fmt.Errorf("experiment %q variant %q: %w", def.Name, v.Label, err)
-	}
-	prep := prepare(stack)
-	barrier := stack.AddBarrier(prep...)
-	wload := def.Workload
-	if v.Workload != nil {
-		wload = v.Workload
-	}
-	wload(stack, barrier)
-	return rs.driveToCompletion(ctx, v, stack)
-}
-
 // finishVariant registers the measured workload on a ready stack (fresh or
-// restored) and drives it to completion.
+// restored), drives it to a drain (or a context abort) and extracts the
+// variant's row.
 func (rs *runState) finishVariant(ctx context.Context, v Variant, stack *core.Stack) (Row, error) {
 	wload := rs.def.Workload
 	if v.Workload != nil {
 		wload = v.Workload
 	}
 	wload(stack, nil)
-	return rs.driveToCompletion(ctx, v, stack)
-}
-
-// driveToCompletion runs the stack's event loop to a drain (or a context
-// abort) and extracts the variant's row. A drained engine with live threads
-// is diagnosed through the controller's health check first: a device whose
-// free pool was exhausted by block retirement surfaces as a typed
-// ErrDeviceWornOut rather than a generic deadlock.
-func (rs *runState) driveToCompletion(ctx context.Context, v Variant, stack *core.Stack) (Row, error) {
 	if _, err := stack.RunCtx(ctx); err != nil {
-		return Row{}, err
+		return Row{}, fmt.Errorf("experiment %q variant %q: %w", rs.def.Name, v.Label, err)
 	}
-	if !stack.Runner.Done() {
-		if herr := stack.Controller.Health(); herr != nil {
-			return Row{}, fmt.Errorf("experiment %q variant %q: %d threads never finished: %w",
-				rs.def.Name, v.Label, stack.Runner.Active(), herr)
-		}
-		return Row{}, fmt.Errorf("experiment %q variant %q: %d threads never finished (workload deadlock)",
-			rs.def.Name, v.Label, stack.Runner.Active())
+	row := Row{Label: v.Label, X: v.X, Report: stack.Report()}
+	if ts := stack.Stats.Series(); ts != nil {
+		row.Timeline = ts.Sparkline()
 	}
-	return rowFrom(v, stack)
+	return row, nil
 }

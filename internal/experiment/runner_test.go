@@ -228,7 +228,7 @@ func TestRunnerCancelEventCoverage(t *testing.T) {
 	}
 }
 
-// TestRunnerPanicIsolation: a variant whose preparation hook panics must not
+// TestRunnerPanicIsolation: a variant whose workload hook panics must not
 // tear down the sweep. The panic becomes a typed *VariantError with the
 // recovered value and a stack trace, the variant emits EventVariantFailed,
 // and — under the sequential runner just like the parallel one — the
@@ -237,8 +237,8 @@ func TestRunnerPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		def := suiteDef(t, "e3", Small)
 		def.Variants = append([]Variant(nil), def.Variants[:3]...)
-		def.Variants[1].Prepare = func(s *core.Stack) []*workload.Handle {
-			panic("prepare exploded")
+		def.Variants[1].Workload = func(s *core.Stack, after *workload.Handle) {
+			panic("workload exploded")
 		}
 		obs := &collectObserver{}
 		res, err := New(Options{Workers: workers, Observer: obs}).Run(context.Background(), def)
@@ -249,7 +249,7 @@ func TestRunnerPanicIsolation(t *testing.T) {
 		if ve.Index != 1 || ve.Variant != def.Variants[1].Label || ve.Experiment != def.Name {
 			t.Fatalf("workers=%d: VariantError identifies %q/%q #%d", workers, ve.Experiment, ve.Variant, ve.Index)
 		}
-		if ve.Panic != "prepare exploded" || len(ve.Stack) == 0 {
+		if ve.Panic != "workload exploded" || len(ve.Stack) == 0 {
 			t.Fatalf("workers=%d: VariantError carries panic %v with %d stack bytes", workers, ve.Panic, len(ve.Stack))
 		}
 		if len(res.Rows) != 1 {

@@ -56,8 +56,8 @@ func TestStateCacheSharesPreparation(t *testing.T) {
 		if v.Mutate != nil {
 			v.Mutate(&cfg)
 		}
-		prep, custom := def.prepFor(v)
-		if custom != nil || prep.None() {
+		prep := def.prepFor(v)
+		if prep.None() {
 			t.Fatalf("variant %q does not use declared preparation", v.Label)
 		}
 		pcfg := prepConfig(cfg, def.Base())

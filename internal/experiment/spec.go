@@ -152,11 +152,11 @@ func specWorkload(name string, factor int64, threads []spec.Thread) func(*core.S
 }
 
 // RegisterRun registers a single-run spec (the base configuration with one
-// variant's preparation and workload) onto a live stack in the legacy
-// in-stack barrier flow: preparation threads, a measurement barrier, then
-// the measured threads. It is the CLI path for running one spec document on
-// a stack the caller built — the thread registration order matches the
-// flag-driven CLI exactly, so a dumped spec reproduces its run bit for bit.
+// variant's preparation and workload) onto a live stack: preparation
+// threads, a measurement barrier, then the measured threads. It is the CLI
+// path for running one spec document on a stack the caller built — the
+// thread registration order matches the flag-driven CLI exactly, so a
+// dumped spec reproduces its run bit for bit.
 func RegisterRun(e spec.Experiment, v spec.Variant, st *core.Stack) error {
 	return RegisterRunHook(e, v, st, nil)
 }

@@ -165,9 +165,7 @@ func CaptureE13Trace(s Scale) *trace.Trace {
 		panic(fmt.Sprintf("experiment: E13 capture stack: %v", err))
 	}
 	n := int64(st.LogicalPages())
-	seq := st.Add(&workload.SequentialWriter{From: 0, Count: n, Depth: 32})
-	age := st.Add(&workload.RandomWriter{From: 0, Space: n, Count: n, Depth: 32}, seq)
-	barrier := st.AddBarrier(age)
+	barrier := st.AddBarrier(PrepareSpec{FillDepth: 32, AgePasses: 1}.register(st))
 	arm := st.Add(&workload.Func{F: func(ctx *workload.Ctx) { cap.Start(ctx.Now()) }}, barrier)
 	ppb := cfg.Controller.Geometry.PagesPerBlock
 	st.Add(&workload.FileSystem{

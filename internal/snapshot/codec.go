@@ -483,13 +483,15 @@ func (d *dec) wlStateInto(ws *wl.LevelerState) {
 	ws.ObservedAvg = d.f64()
 }
 
+// arrayInto reads the array and checks every block's metadata against its
+// page states, which restore trusts: an erase count that fits the array's
+// int32 column, a write pointer with exactly the programmed pages before it,
+// and a valid count equal to the valid pages among them. Pages per block
+// come from the decoded columns' lengths, not from the header.
+//
 //eagletree:snapshot decode flash.ArrayState flash.BlockMeta flash.Counters
 func (d *dec) arrayInto(a *flash.ArrayState) {
 	pages := d.Raw()
-	a.Pages = make([]flash.PageState, len(pages))
-	for i, p := range pages {
-		a.Pages[i] = flash.PageState(p)
-	}
 	a.Blocks = make([]flash.BlockMeta, d.Count(1))
 	for i := range a.Blocks {
 		a.Blocks[i] = flash.BlockMeta{
@@ -498,6 +500,42 @@ func (d *dec) arrayInto(a *flash.ArrayState) {
 			ValidPages: d.int(),
 			WritePtr:   d.int(),
 			Bad:        d.Bool(),
+		}
+	}
+	if d.Err() != nil {
+		return
+	}
+	ppb := 0
+	if len(a.Blocks) > 0 {
+		ppb = len(pages) / len(a.Blocks)
+	}
+	if ppb*len(a.Blocks) != len(pages) {
+		d.Corruptf("%d page states do not divide into %d blocks", len(pages), len(a.Blocks))
+		return
+	}
+	a.Pages = make([]flash.PageState, len(pages))
+	for i, b := range a.Blocks {
+		if b.EraseCount < 0 || b.EraseCount > math.MaxInt32 || b.WritePtr < 0 || b.WritePtr > ppb {
+			d.Corruptf("block %d: erase count %d or write pointer %d out of range", i, b.EraseCount, b.WritePtr)
+			return
+		}
+		// A programmed page is valid (1) or invalid (2), so p-1 is 0 or 1;
+		// an erased page is free (0) and stays zero in a.Pages. No branch
+		// per page: an aged device mixes valid and invalid pages at random.
+		programmed, erased := pages[i*ppb:i*ppb+b.WritePtr], pages[i*ppb+b.WritePtr:(i+1)*ppb]
+		dst := a.Pages[i*ppb:][:len(programmed)]
+		valid, bad := 0, byte(0)
+		for j, p := range programmed {
+			dst[j] = flash.PageState(p)
+			valid += int(p & byte(flash.PageValid))
+			bad |= (p - byte(flash.PageValid)) &^ 1
+		}
+		for _, p := range erased {
+			bad |= p
+		}
+		if bad != 0 || valid != b.ValidPages {
+			d.Corruptf("block %d: write pointer %d and %d valid pages disagree with its page states", i, b.WritePtr, b.ValidPages)
+			return
 		}
 	}
 	a.FreePerLUN = make([]int, d.Count(1))

@@ -94,6 +94,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(reseal(wide[:at+3]))
 	f.Add(forward(func(fwd []int32) { fwd[1] = -2 }))
 	f.Add(forward(func(fwd []int32) { fwd[2] = fwd[1] }))
+	// Block metadata the page states contradict.
+	for _, tc := range badBlockMeta {
+		ds := fuzzSeedState(f)
+		tc.edit(&ds.Controller.Array, ds.Meta.Geometry.PagesPerBlock)
+		f.Add(snapshot.Encode(ds))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, err := snapshot.Decode(data)
 		if err != nil {

@@ -171,6 +171,53 @@ func TestDecodeRejectsBadForwardColumn(t *testing.T) {
 	}
 }
 
+// badBlockMeta names block-metadata edits that keep a snapshot's checksum
+// valid but contradict its page states. Past the decoder, the first three
+// panic in restore or mid-run and the next two restore silently wrong; the
+// last two leave the counts alone and break the programmed prefix instead.
+var badBlockMeta = []struct {
+	name string
+	edit func(a *flash.ArrayState, ppb int)
+}{
+	{"valid count past the last block's pages", func(a *flash.ArrayState, ppb int) { a.Blocks[len(a.Blocks)-1].ValidPages = ppb + 1 }},
+	{"negative valid count", func(a *flash.ArrayState, ppb int) { a.Blocks[5].ValidPages = -3 }},
+	{"valid count past a full block's pages", func(a *flash.ArrayState, ppb int) { a.Blocks[5].ValidPages = ppb + 1 }},
+	{"erase count past int32", func(a *flash.ArrayState, ppb int) { a.Blocks[5].EraseCount = 1 << 40 }},
+	{"write pointer past the block", func(a *flash.ArrayState, ppb int) { a.Blocks[5].WritePtr = 1 << 20 }},
+	{"programmed page past the write pointer", func(a *flash.ArrayState, ppb int) {
+		a.Pages[blockWhere(a, func(b flash.BlockMeta) bool { return b.WritePtr < ppb })*ppb+ppb-1] = flash.PageInvalid
+	}},
+	{"erased page below the write pointer", func(a *flash.ArrayState, ppb int) {
+		i := blockWhere(a, func(b flash.BlockMeta) bool { return b.WritePtr > b.ValidPages }) * ppb
+		for a.Pages[i] != flash.PageInvalid {
+			i++ // to the block's first stale page
+		}
+		a.Pages[i] = flash.PageFree
+	}},
+}
+
+// blockWhere returns the index of the first block that satisfies ok.
+func blockWhere(a *flash.ArrayState, ok func(flash.BlockMeta) bool) int {
+	for i, b := range a.Blocks {
+		if ok(b) {
+			return i
+		}
+	}
+	panic("no block qualifies")
+}
+
+// TestDecodeRejectsBadBlockMeta: a checksummed snapshot whose block metadata
+// disagrees with its page states is ErrCorrupt.
+func TestDecodeRejectsBadBlockMeta(t *testing.T) {
+	for _, tc := range badBlockMeta {
+		ds := agedState(t, controller.MapPageRAM)
+		tc.edit(&ds.Controller.Array, ds.Meta.Geometry.PagesPerBlock)
+		if _, err := snapshot.Decode(snapshot.Encode(ds)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
 // TestDecodeIgnoresHeaderGeometry: the decoder sizes everything from the
 // input's own columns, never from the header's geometry, so a checksummed
 // snapshot claiming a 2^40-block device decodes with the allocations of the
