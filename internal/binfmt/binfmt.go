@@ -1,21 +1,26 @@
 // Package binfmt is EagleTree's one binary framing: every record that crosses
 // a process or a disk in binary (the prepared-device snapshot, the result
-// store's segment, the captured IO trace) is a client of it.
+// store's segment, the captured IO trace, the distributed fabric's messages)
+// is a client of it.
 //
 // A framed record is the format's magic string, one version byte, a payload
 // of varints, fixed64 words and length-prefixed bytes, and — for a sealed
 // format — a little-endian CRC32 (IEEE) of the payload, verified before any
 // field is parsed so corruption anywhere reports as the format's corrupt
-// error rather than as a misleading field error. Each client keeps its own
-// four sentinel errors; binfmt only wraps them.
+// error rather than as a misleading field error. A record on a stream puts
+// the payload's uvarint length after the header (WriteFrame, ReadFrame).
+// Each client keeps its own four sentinel errors; binfmt only wraps them.
 //
 //eagletree:typederrors
 package binfmt
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 )
 
 // Format is one client's framing: its magic, its current version and the
@@ -73,6 +78,113 @@ func (f *Format) Open(data []byte) (Reader, error) {
 	}
 	r.b = payload
 	return r, nil
+}
+
+// frameChunk is the most ReadFrame allocates ahead of bytes it has received
+// (a frame's buffer starts at this size and doubles as the bytes arrive), and
+// the largest tail WriteFrame copies rather than writes from the caller's
+// slice.
+const frameChunk = 64 << 10
+
+// WriteFrame writes one sealed stream frame, the form ReadFrame reads: the
+// header, the uvarint payload length, the payload — head followed by tail —
+// and the checksum. The frame is built in buf, which is returned for reuse;
+// a tail longer than frameChunk is written from the caller's slice, not
+// copied into it.
+func (f *Format) WriteFrame(w io.Writer, buf, head, tail []byte) ([]byte, error) {
+	b := append(binary.AppendUvarint(f.Begin(buf[:0]), uint64(len(head)+len(tail))), head...)
+	if len(tail) <= frameChunk {
+		b = f.Seal(append(b, tail...))
+		_, err := w.Write(b)
+		return b, err
+	}
+	sum := crc32.Update(crc32.ChecksumIEEE(b[len(f.Magic)+1:]), crc32.IEEETable, tail)
+	b = binary.LittleEndian.AppendUint32(b, sum)
+	for _, p := range [][]byte{b[:len(b)-4], tail, b[len(b)-4:]} {
+		if _, err := w.Write(p); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+// ReadFrame reads one sealed frame from a stream: the header, a uvarint
+// payload length, the payload and the checksum Seal wrote over length and
+// payload. It returns a reader over the payload and the buffer the frame was
+// read into, which is buf when buf had room; the reader's views alias it.
+//
+// The magic is matched byte by byte and the version checked before the
+// length is read, so a peer speaking another protocol is refused at its
+// first wrong byte rather than awaited for bytes it will never send. The
+// buffer grows with the bytes received, never with the length the frame
+// claims. A stream that ends before the first byte returns io.EOF unwrapped;
+// one that ends or fails inside the frame returns ErrTruncated, wrapping the
+// stream's own error when it is not an end of stream.
+func (f *Format) ReadFrame(br *bufio.Reader, buf []byte) (Reader, []byte, error) {
+	buf = buf[:0]
+	for i := 0; i <= len(f.Magic); i++ {
+		c, err := br.ReadByte()
+		if err != nil {
+			if i == 0 && err == io.EOF {
+				return Reader{}, buf, io.EOF
+			}
+			return Reader{}, buf, f.streamErr(err, "in the header")
+		}
+		if i < len(f.Magic) && c != f.Magic[i] {
+			return Reader{}, buf, fmt.Errorf("%w: byte %d is %#02x", f.ErrMagic, i, c)
+		}
+		if i == len(f.Magic) && c != f.Version {
+			return Reader{}, buf, fmt.Errorf("%w: got %d, support %d", f.ErrVersion, c, f.Version)
+		}
+	}
+	var length [binary.MaxVarintLen64]byte
+	k := 0
+	for k == 0 || length[k-1] >= 0x80 {
+		if k == len(length) {
+			return Reader{}, buf, fmt.Errorf("%w: frame length longer than %d bytes", f.ErrCorrupt, k)
+		}
+		c, err := br.ReadByte()
+		if err != nil {
+			return Reader{}, buf, f.streamErr(err, "in the length")
+		}
+		length[k] = c
+		k++
+	}
+	n, m := binary.Uvarint(length[:k])
+	start := len(f.Magic) + 1 + k
+	if m <= 0 || n > uint64(math.MaxInt-start-4) {
+		return Reader{}, buf, fmt.Errorf("%w: frame length % x", f.ErrCorrupt, length[:k])
+	}
+	total := start + int(n) + 4
+	if cap(buf) < min(total, frameChunk) {
+		buf = make([]byte, 0, min(total, frameChunk))
+	}
+	buf = append(f.Begin(buf), length[:k]...)
+	for len(buf) < total {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(total, max(2*cap(buf), frameChunk)))
+			buf = grown[:copy(grown, buf)]
+		}
+		k, err := io.ReadFull(br, buf[len(buf):min(total, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return Reader{}, buf, f.streamErr(err, fmt.Sprintf("after %d of %d payload bytes", len(buf)-start, n))
+		}
+	}
+	r, err := f.Open(buf)
+	if err != nil {
+		return Reader{}, buf, err
+	}
+	r.off = start - len(f.Magic) - 1 // past the length
+	return r, buf, nil
+}
+
+// streamErr reports a stream that ended or failed inside a frame.
+func (f *Format) streamErr(err error, where string) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: stream ends %s", f.ErrTruncated, where)
+	}
+	return fmt.Errorf("%w: stream fails %s: %w", f.ErrTruncated, where, err)
 }
 
 // Reader reads one payload's fields in order. Its error is sticky: after the

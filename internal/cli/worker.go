@@ -16,7 +16,7 @@ import (
 
 // cmdWorker runs one sweep-fabric worker: a process that executes variant
 // leases handed to it by `eagletree sweep -distribute/-connect` over the
-// NDJSON wire protocol. The default transport is stdio (the coordinator
+// fabric's framed wire protocol. The default transport is stdio (the coordinator
 // launches workers as subprocesses); -listen serves the same protocol over
 // TCP for workers on other machines.
 func cmdWorker(args []string, stdout, stderr io.Writer) int {

@@ -122,8 +122,8 @@ func (k EventKind) String() string {
 }
 
 // MarshalText serializes the kind by name, so event streams crossing a
-// process boundary (the distributed sweep fabric's NDJSON wire) stay readable
-// and stable even if the iota order ever changes.
+// process boundary (the JSON headers of the distributed sweep fabric's
+// frames) stay readable and stable even if the iota order ever changes.
 func (k EventKind) MarshalText() ([]byte, error) {
 	s := k.String()
 	if _, err := ParseEventKind(s); err != nil {

@@ -2,11 +2,17 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"flag"
 	"io"
+	"net"
+	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"eagletree/internal/experiment"
 )
@@ -60,9 +66,15 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecNDJSONFraming pins the wire shape: one message per line, no
-// indentation — the property that lets a human tail a session transcript.
-func TestCodecNDJSONFraming(t *testing.T) {
+var updateGoldenWire = flag.Bool("update-golden-wire", false, "rewrite testdata/golden-v2.wire")
+
+const goldenWire = "testdata/golden-v2.wire"
+
+// TestCodecFrameGolden pins the wire byte for byte: sampleMsgs encodes to the
+// committed golden stream, and the golden stream decodes back to sampleMsgs.
+// A change to either side of that equality is a protocol change and bumps
+// ProtoVersion.
+func TestCodecFrameGolden(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(nil, &buf)
 	for _, m := range sampleMsgs() {
@@ -70,49 +82,213 @@ func TestCodecNDJSONFraming(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != len(sampleMsgs()) {
-		t.Fatalf("%d lines for %d messages", len(lines), len(sampleMsgs()))
-	}
-	for i, ln := range lines {
-		if strings.ContainsAny(ln, "\n\r") || !strings.HasPrefix(ln, `{"type":`) {
-			t.Fatalf("line %d is not a compact NDJSON object: %q", i, ln)
+	if *updateGoldenWire {
+		if err := os.WriteFile(goldenWire, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
+	}
+	golden, err := os.ReadFile(goldenWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("sampleMsgs encode to %d bytes that differ from the %d-byte %s", buf.Len(), len(golden), goldenWire)
+	}
+	d := NewCodec(bytes.NewReader(golden), nil)
+	for _, want := range sampleMsgs() {
+		got, err := d.Recv()
+		if err != nil {
+			t.Fatalf("decode %s: %v", want.Type, err)
+		}
+		if string(got.Spec) != string(want.Spec) {
+			t.Fatalf("%s: spec %s, want %s", want.Type, got.Spec, want.Spec)
+		}
+		got.Spec, want.Spec = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s from the golden stream:\ngot  %#v\nwant %#v", want.Type, got, want)
+		}
+	}
+	if _, err := d.Recv(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the golden stream: %v, want io.EOF", err)
+	}
+}
+
+// payload is a frame payload: a JSON header and state bytes, each
+// length-prefixed.
+func payload(hdr string, data []byte) []byte {
+	b := append(binary.AppendUvarint(nil, uint64(len(hdr))), hdr...)
+	return append(binary.AppendUvarint(b, uint64(len(data))), data...)
+}
+
+// frame seals a payload as a wire frame of the given version.
+func frame(version byte, p []byte) []byte {
+	f := wireFormat
+	f.Version = version
+	return f.Seal(append(binary.AppendUvarint(f.Begin(nil), uint64(len(p))), p...))
+}
+
+// TestRecvDataOutlivesLaterRecv: state bytes a message carries stay intact
+// while the codec goes on receiving — a worker's cache keeps them.
+func TestRecvDataOutlivesLaterRecv(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewCodec(&buf, &buf)
+	state := bytes.Repeat([]byte{0xa5}, 3*keepFrame)
+	small := []byte{1, 2, 3}
+	for _, m := range []Msg{{Type: MsgState, Key: "k", Data: state}, {Type: MsgPut, Key: "k", Data: small}, {Type: MsgLease, Index: 1}, {Type: MsgState, Key: "k", Data: []byte{9, 9, 9}}, {Type: MsgLease, Index: 2}} {
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var kept [][]byte
+	for range 5 {
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Data != nil {
+			kept = append(kept, m.Data)
+		}
+	}
+	if len(kept) != 3 || !bytes.Equal(kept[0], state) || !bytes.Equal(kept[1], small) || !bytes.Equal(kept[2], []byte{9, 9, 9}) {
+		t.Fatalf("state bytes changed under later receives")
 	}
 }
 
 // TestRecvTypedErrors maps the codec's failure modes onto its typed errors.
 func TestRecvTypedErrors(t *testing.T) {
+	lease := frame(ProtoVersion, payload(`{"type":"lease","index":3,"key":"k"}`, nil))
+	state := frame(ProtoVersion, payload(`{"type":"state","key":"k"}`, []byte{1, 2, 3, 4}))
+	flipped := bytes.Clone(lease)
+	flipped[len(flipped)-2] ^= 0x40
+	hdrLen := len(wireFormat.Magic) + 1
 	cases := []struct {
 		name  string
-		input string
+		input []byte
 		want  error
 	}{
-		{"clean EOF", "", io.EOF},
-		{"truncated object", `{"type":"lease","index"`, ErrTruncated},
-		{"not JSON", "EGTSNAP\x01\x02", ErrMalformed},
-		{"wrong JSON shape", `{"type":["lease"]}`, ErrMalformed},
-		{"bad base64 state", `{"type":"state","data":"!!!"}`, ErrMalformed},
+		{"clean EOF", nil, io.EOF},
+		{"bad magic", append([]byte("EGTWIRX"), lease[hdrLen-1:]...), ErrMalformed},
+		{"not a frame", []byte("EGTSNAP\x03\x02"), ErrMalformed},
+		{"flipped CRC byte", flipped, ErrMalformed},
+		{"trailing payload bytes", frame(ProtoVersion, append(payload(`{"type":"lease"}`, nil), 0)), ErrMalformed},
+		{"header length past the payload", frame(ProtoVersion, append(binary.AppendUvarint(nil, 40), `{"type":"lease"}`...)), ErrTruncated},
+		{"truncated in the header", lease[:4], ErrTruncated},
+		{"truncated in the length", append(wireFormat.Begin(nil), 0x80), ErrTruncated},
+		{"truncated in the JSON header", lease[:hdrLen+8], ErrTruncated},
+		{"truncated in the data", state[:len(state)-6], ErrTruncated},
+		{"truncated in the CRC", state[:len(state)-2], ErrTruncated},
+		{"overlong length", append(wireFormat.Begin(nil), bytes.Repeat([]byte{0xff}, 11)...), ErrMalformed},
+		{"header not JSON", frame(ProtoVersion, payload("EGTSNAP", nil)), ErrMalformed},
+		{"wrong JSON shape", frame(ProtoVersion, payload(`{"type":["lease"]}`, nil)), ErrMalformed},
+		{"truncated JSON object", frame(ProtoVersion, payload(`{"type":"lease","index"`, nil)), ErrMalformed},
 	}
 	for _, tc := range cases {
-		c := NewCodec(strings.NewReader(tc.input), nil)
+		c := NewCodec(bytes.NewReader(tc.input), nil)
 		_, err := c.Recv()
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
 
-	c := NewCodec(strings.NewReader(`{"type":"gossip"}`), nil)
-	_, err := c.Recv()
-	var pe *ProtocolError
-	if !errors.As(err, &pe) {
-		t.Errorf("unknown type: got %v, want *ProtocolError", err)
+	for _, tc := range []struct {
+		name, mention string
+		input         []byte
+	}{
+		{"unknown type", `"gossip"`, frame(ProtoVersion, payload(`{"type":"gossip"}`, nil))},
+		{"version 1 frame", "got 1", frame(1, payload(`{"type":"lease"}`, nil))},
+		{"version 3 frame", "got 3", frame(3, payload(`{"type":"lease"}`, nil))},
+		{"version 1 NDJSON line", "protocol 1", []byte(`{"type":"ready","version":1,"count":9,"sum":"ab12"}` + "\n")},
+	} {
+		_, err := NewCodec(bytes.NewReader(tc.input), nil).Recv()
+		var pe *ProtocolError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), tc.mention) {
+			t.Errorf("%s: got %v, want a *ProtocolError mentioning %s", tc.name, err, tc.mention)
+		}
+	}
+}
+
+// TestRecvRefusesNDJSONPeer: a version 1 peer's ready line is shorter than
+// the 123 bytes its leading '{' would promise as a length, and the peer then
+// waits for a reply. Recv must refuse it from the bytes it has, naming the
+// version, rather than wait on the open pipe for the rest of a frame.
+func TestRecvRefusesNDJSONPeer(t *testing.T) {
+	coordSide, workerSide := net.Pipe()
+	defer coordSide.Close()
+	defer workerSide.Close()
+	go workerSide.Write([]byte(`{"type":"ready","version":1,"count":9,"sum":"ab12"}` + "\n"))
+	got := make(chan error, 1)
+	go func() {
+		_, err := NewCodec(coordSide, coordSide).Recv()
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		var pe *ProtocolError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), "protocol 1") {
+			t.Fatalf("got %v, want a *ProtocolError naming protocol 1", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recv is still waiting on a version 1 peer")
+	}
+}
+
+// TestRecvBoundsFrameLength: a frame's claimed length never sizes an
+// allocation. Headers promising 2^30 and 2^62 bytes, followed by little or
+// nothing, fail as truncation with well under a megabyte allocated.
+func TestRecvBoundsFrameLength(t *testing.T) {
+	for _, tc := range []struct {
+		claim uint64
+		rest  int
+	}{{1 << 30, 0}, {1 << 30, 100 << 10}, {1 << 62, 16}, {1<<63 - 1, 0}} {
+		input := append(binary.AppendUvarint(wireFormat.Begin(nil), tc.claim), make([]byte, tc.rest)...)
+		var err error
+		var before, after runtime.MemStats
+		const runs = 8
+		runtime.ReadMemStats(&before)
+		for range runs {
+			_, err = NewCodec(bytes.NewReader(input), nil).Recv()
+		}
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrMalformed) {
+			t.Errorf("claim %d with %d bytes: got %v, want ErrTruncated or ErrMalformed", tc.claim, tc.rest, err)
+		}
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<20 {
+			t.Errorf("claim %d with %d bytes: %d bytes allocated a Recv, want < 1 MB", tc.claim, tc.rest, per)
+		}
+	}
+}
+
+// TestCodecLeaseAllocs guards the lease round trip, the message a sweep
+// sends most: a Send and a Recv together make at most 7 allocations.
+func TestCodecLeaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	keys, err := suiteDoc(t, "E2").VariantKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	c := NewCodec(&buf, &buf)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.Send(Msg{Type: MsgLease, Index: i, Key: keys[i%len(keys)]}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 7 {
+		t.Fatalf("lease Send+Recv: %.1f allocations, want at most 7", allocs)
 	}
 }
 
 // FuzzRecv pins the codec's robustness contract, mirroring the snapshot
 // codec's FuzzDecode: arbitrary input yields a message or one of the typed
-// errors — never a panic, never an untyped failure.
+// errors — never a panic, never an untyped failure. The NDJSON seeds are the
+// version 1 wire, which this end refuses with a typed error.
 func FuzzRecv(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte(`{"type":"lease","index":3,"key":"spec1|{}"}`))
@@ -129,6 +305,13 @@ func FuzzRecv(f *testing.F) {
 		}
 	}
 	f.Add(buf.Bytes())
+	state := frame(ProtoVersion, payload(`{"type":"state","key":"k"}`, []byte{1, 2, 3}))
+	f.Add(state)
+	f.Add(state[:len(state)-3])
+	f.Add(frame(1, payload(`{"type":"lease"}`, nil)))
+	f.Add(frame(ProtoVersion, payload(`{"type":"event","kind":"sideways"}`, nil)))
+	f.Add(frame(ProtoVersion, payload(`{"type":"gossip"}`, nil)))
+	f.Add(append(binary.AppendUvarint(wireFormat.Begin(nil), 1<<30), 1, 2, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCodec(bytes.NewReader(data), nil)
 		for i := 0; i < 64; i++ { // bounded: corrupt input must not loop forever
