@@ -12,6 +12,10 @@ import (
 	"testing"
 
 	"eagletree/internal/experiment"
+	"eagletree/internal/flash"
+	"eagletree/internal/gc"
+	"eagletree/internal/osched"
+	"eagletree/internal/sched"
 	"eagletree/internal/workload"
 )
 
@@ -23,9 +27,9 @@ func ablBase() Config {
 
 var ablPrepare = PrepareSpec{FillDepth: 32, AgePasses: 1}
 
-func ablOverwrite(s *Stack, after *Handle) {
+func ablOverwrite(s *Stack) {
 	n := int64(s.LogicalPages())
-	s.Add(&workload.RandomWriter{From: 0, Space: n, Count: 2 * n, Depth: 32}, after)
+	s.Add(&workload.RandomWriter{From: 0, Space: n, Count: 2 * n, Depth: 32})
 }
 
 func runAblation(b *testing.B, def experiment.Definition, metric Metric) experiment.Results {
@@ -53,14 +57,14 @@ func BenchmarkAblationAllocator(b *testing.B) {
 		Name: "ablation-allocator",
 		Base: ablBase,
 		Variants: []Variant{
-			{Label: "leastloaded", Mutate: func(c *Config) { c.Controller.Alloc = AllocLeastLoaded{} }},
-			{Label: "roundrobin", Mutate: func(c *Config) { c.Controller.Alloc = &AllocRoundRobin{} }},
-			{Label: "striped", Mutate: func(c *Config) { c.Controller.Alloc = AllocStriped{} }},
+			{Label: "leastloaded", Mutate: func(c *Config) { c.Controller.Alloc = sched.LeastLoaded{} }},
+			{Label: "roundrobin", Mutate: func(c *Config) { c.Controller.Alloc = &sched.RoundRobin{} }},
+			{Label: "striped", Mutate: func(c *Config) { c.Controller.Alloc = sched.Striped{} }},
 		},
 		Prep:     ablPrepare,
 		Workload: ablOverwrite,
 	}
-	res := runAblation(b, def, MetricThroughput)
+	res := runAblation(b, def, experiment.MetricThroughput)
 	st := res.Rows[2].Report.Throughput
 	ll := res.Rows[0].Report.Throughput
 	if st >= ll {
@@ -75,9 +79,9 @@ func BenchmarkAblationGCPolicy(b *testing.B) {
 		Name: "ablation-gc-policy",
 		Base: ablBase,
 		Variants: []Variant{
-			{Label: "greedy", Mutate: func(c *Config) { c.Controller.GCPolicy = GCGreedy{} }},
-			{Label: "costbenefit", Mutate: func(c *Config) { c.Controller.GCPolicy = GCCostBenefit{} }},
-			{Label: "random", Mutate: func(c *Config) { c.Controller.GCPolicy = &GCRandom{} }},
+			{Label: "greedy", Mutate: func(c *Config) { c.Controller.GCPolicy = gc.Greedy{} }},
+			{Label: "costbenefit", Mutate: func(c *Config) { c.Controller.GCPolicy = gc.CostBenefit{} }},
+			{Label: "random", Mutate: func(c *Config) { c.Controller.GCPolicy = &gc.Random{} }},
 		},
 		Prep:     ablPrepare,
 		Workload: ablOverwrite,
@@ -101,18 +105,18 @@ func BenchmarkAblationOSPolicy(b *testing.B) {
 			return cfg
 		},
 		Variants: []Variant{
-			{Label: "fifo", Mutate: func(c *Config) { c.OS.Policy = &OSFIFO{} }},
-			{Label: "prio-reads", Mutate: func(c *Config) { c.OS.Policy = &OSPrio{ReadsFirst: true} }},
-			{Label: "cfq", Mutate: func(c *Config) { c.OS.Policy = &OSCFQ{Quantum: 4} }},
+			{Label: "fifo", Mutate: func(c *Config) { c.OS.Policy = &osched.FIFO{} }},
+			{Label: "prio-reads", Mutate: func(c *Config) { c.OS.Policy = &osched.Prio{ReadsFirst: true} }},
+			{Label: "cfq", Mutate: func(c *Config) { c.OS.Policy = &osched.CFQ{Quantum: 4} }},
 		},
 		Prep: ablPrepare,
-		Workload: func(s *Stack, after *Handle) {
+		Workload: func(s *Stack) {
 			n := int64(s.LogicalPages())
-			s.Add(&workload.RandomWriter{From: 0, Space: n, Count: 3000, Depth: 32}, after)
-			s.Add(&workload.RandomReader{From: 0, Space: n, Count: 1000, Depth: 2}, after)
+			s.Add(&workload.RandomWriter{From: 0, Space: n, Count: 3000, Depth: 32})
+			s.Add(&workload.RandomReader{From: 0, Space: n, Count: 1000, Depth: 2})
 		},
 	}
-	res := runAblation(b, def, MetricReadMean)
+	res := runAblation(b, def, experiment.MetricReadMean)
 	fifo := res.Rows[0].Report.ReadLatency.Mean
 	prio := res.Rows[1].Report.ReadLatency.Mean
 	if prio >= fifo {
@@ -136,12 +140,12 @@ func BenchmarkAblationWriteBuffer(b *testing.B) {
 		Base:     ablBase,
 		Variants: []Variant{size(0), size(16), size(64), size(256)},
 		Prep:     ablPrepare,
-		Workload: func(s *Stack, after *Handle) {
+		Workload: func(s *Stack) {
 			n := int64(s.LogicalPages())
-			s.Add(&workload.RandomWriter{From: 0, Space: n, Count: n, Depth: 16}, after)
+			s.Add(&workload.RandomWriter{From: 0, Space: n, Count: n, Depth: 16})
 		},
 	}
-	res := runAblation(b, def, MetricWriteMean)
+	res := runAblation(b, def, experiment.MetricWriteMean)
 	none := res.Rows[0].Report.WriteLatency.Mean
 	big := res.Rows[3].Report.WriteLatency.Mean
 	if big >= none {
@@ -156,13 +160,13 @@ func BenchmarkAblationCellType(b *testing.B) {
 		Name: "ablation-cell-type",
 		Base: ablBase,
 		Variants: []Variant{
-			{Label: "slc", Mutate: func(c *Config) { c.Controller.Timing = TimingSLC() }},
-			{Label: "mlc", Mutate: func(c *Config) { c.Controller.Timing = TimingMLC() }},
+			{Label: "slc", Mutate: func(c *Config) { c.Controller.Timing = flash.TimingSLC() }},
+			{Label: "mlc", Mutate: func(c *Config) { c.Controller.Timing = flash.TimingMLC() }},
 		},
 		Prep:     ablPrepare,
 		Workload: ablOverwrite,
 	}
-	res := runAblation(b, def, MetricThroughput)
+	res := runAblation(b, def, experiment.MetricThroughput)
 	slc := res.Rows[0].Report.Throughput
 	mlc := res.Rows[1].Report.Throughput
 	b.ReportMetric(slc/mlc, "slc_over_mlc")
@@ -181,16 +185,16 @@ func BenchmarkAblationElevator(b *testing.B) {
 		Name: "ablation-elevator",
 		Base: ablBase,
 		Variants: []Variant{
-			{Label: "os-fifo", Mutate: func(c *Config) { c.OS.Policy = &OSFIFO{} }},
-			{Label: "os-elevator", Mutate: func(c *Config) { c.OS.Policy = &OSElevator{} }},
+			{Label: "os-fifo", Mutate: func(c *Config) { c.OS.Policy = &osched.FIFO{} }},
+			{Label: "os-elevator", Mutate: func(c *Config) { c.OS.Policy = &osched.Elevator{} }},
 		},
 		Prep: PrepareSpec{FillDepth: 32},
-		Workload: func(s *Stack, after *Handle) {
+		Workload: func(s *Stack) {
 			n := int64(s.LogicalPages())
-			s.Add(&workload.RandomReader{From: 0, Space: n, Count: 4000, Depth: 64}, after)
+			s.Add(&workload.RandomReader{From: 0, Space: n, Count: 4000, Depth: 64})
 		},
 	}
-	res := runAblation(b, def, MetricThroughput)
+	res := runAblation(b, def, experiment.MetricThroughput)
 	fifo := res.Rows[0].Report.Throughput
 	elev := res.Rows[1].Report.Throughput
 	b.ReportMetric(elev/fifo, "elevator_over_fifo")
@@ -216,15 +220,15 @@ func BenchmarkAblationPatternAware(b *testing.B) {
 			return cfg
 		},
 		Variants: []Variant{
-			{Label: "leastloaded", Mutate: func(c *Config) { c.Controller.Alloc = AllocLeastLoaded{} }},
+			{Label: "leastloaded", Mutate: func(c *Config) { c.Controller.Alloc = sched.LeastLoaded{} }},
 			{Label: "pattern-aware", Mutate: func(c *Config) {
-				c.Controller.Alloc = &AllocPatternAware{Detector: &PatternDetector{}}
+				c.Controller.Alloc = &sched.PatternAware{Detector: &sched.PatternDetector{}}
 			}},
 		},
 		// The writes are part of the workload, not a shared PrepareSpec:
 		// the allocator in force while they run is the effect under test,
 		// so only the read-back sits behind the measurement barrier.
-		Workload: func(s *Stack, _ *Handle) {
+		Workload: func(s *Stack) {
 			n := int64(s.LogicalPages())
 			// The sequential stream is written while a random writer
 			// perturbs the array: load-based placement then parks
@@ -235,7 +239,7 @@ func BenchmarkAblationPatternAware(b *testing.B) {
 			s.Add(&workload.SequentialReader{From: 0, Count: n / 2, Depth: 16}, s.AddBarrier(seq, noise))
 		},
 	}
-	res := runAblation(b, def, MetricThroughput)
+	res := runAblation(b, def, experiment.MetricThroughput)
 	ll := res.Rows[0].Report.Throughput
 	pa := res.Rows[1].Report.Throughput
 	b.ReportMetric(pa/ll, "readback_speedup")

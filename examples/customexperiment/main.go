@@ -10,8 +10,8 @@
 // and a variant grid overriding configuration paths. Edit the JSON — swap
 // "policy": "fifo" for {"name": "deadline", "params": {...}}, add a
 // variant, change the geometry — and rerun; no Go code changes needed.
-// The same file runs from the CLIs: eagletree -spec custom.json or
-// sweep -spec custom.json.
+// The same file runs from the CLI: eagletree spec custom.json or
+// eagletree sweep -spec custom.json.
 package main
 
 import (
@@ -40,7 +40,7 @@ func main() {
 	}
 
 	// The streaming Runner is the first-class run API: ^C cancels mid-sweep
-	// (partial results return with a typed ErrRunCanceled), and the event
+	// (Run returns the completed variants alongside its error), and the event
 	// stream reports each variant's lifecycle with its snapshot-cache
 	// provenance — hit means the variant restored an already-aged device.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -22,9 +22,9 @@ func main() {
 			variant(1), variant(2), variant(3), variant(4), variant(6), variant(8),
 		},
 		Prep: eagletree.PrepareSpec{FillDepth: 32, AgePasses: 1},
-		Workload: func(s *eagletree.Stack, after *eagletree.Handle) {
+		Workload: func(s *eagletree.Stack) {
 			n := int64(s.LogicalPages())
-			s.Add(&eagletree.RandomWriter{From: 0, Space: n, Count: 2 * n, Depth: 32}, after)
+			s.Add(&eagletree.RandomWriter{From: 0, Space: n, Count: 2 * n, Depth: 32})
 		},
 	}
 

@@ -31,11 +31,11 @@ func main() {
 			{Label: "open", Mutate: func(c *eagletree.Config) { c.Controller.OpenInterface = true }},
 		},
 		Prep: eagletree.PrepareSpec{FillDepth: 32},
-		Workload: func(s *eagletree.Stack, after *eagletree.Handle) {
+		Workload: func(s *eagletree.Stack) {
 			n := int64(s.LogicalPages())
-			s.Add(&eagletree.RandomWriter{From: 0, Space: n, Count: 3000, Depth: 32}, after)
+			s.Add(&eagletree.RandomWriter{From: 0, Space: n, Count: 3000, Depth: 32})
 			s.Add(&eagletree.RandomReader{From: 0, Space: n, Count: 800, Depth: 4,
-				Tags: eagletree.Tags{Priority: eagletree.PriorityHigh}}, after)
+				Tags: eagletree.Tags{Priority: eagletree.PriorityHigh}})
 		},
 	}
 
@@ -54,10 +54,10 @@ func main() {
 			}},
 			{Label: "open"},
 		},
-		Workload: func(s *eagletree.Stack, after *eagletree.Handle) {
+		Workload: func(s *eagletree.Stack) {
 			n := int64(s.LogicalPages())
 			s.Add(&eagletree.FileSystem{From: 0, Space: n, Ops: 800, Depth: 16,
-				MeanFilePages: 24, TagLocality: true}, after)
+				MeanFilePages: 24, TagLocality: true})
 		},
 	}
 
@@ -71,13 +71,13 @@ func main() {
 		},
 		Variants: []eagletree.Variant{
 			{Label: "untagged"},
-			{Label: "oracle-tags", Workload: func(s *eagletree.Stack, after *eagletree.Handle) {
-				zipf(s, after, true)
+			{Label: "oracle-tags", Workload: func(s *eagletree.Stack) {
+				zipf(s, true)
 			}},
 		},
 		Prep: eagletree.PrepareSpec{FillDepth: 32},
-		Workload: func(s *eagletree.Stack, after *eagletree.Handle) {
-			zipf(s, after, false)
+		Workload: func(s *eagletree.Stack) {
+			zipf(s, false)
 		},
 	}
 
@@ -93,8 +93,8 @@ func main() {
 	fmt.Println("the same SSD — only the information crossing the interface changed.")
 }
 
-func zipf(s *eagletree.Stack, after *eagletree.Handle, oracle bool) {
+func zipf(s *eagletree.Stack, oracle bool) {
 	n := int64(s.LogicalPages())
 	s.Add(&eagletree.ZipfWriter{From: 0, Space: n, Count: 2 * n, Exponent: 1.2,
-		Depth: 32, TagTemperature: oracle, HotFraction: 0.2}, after)
+		Depth: 32, TagTemperature: oracle, HotFraction: 0.2})
 }

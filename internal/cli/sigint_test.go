@@ -15,7 +15,6 @@ import (
 	"eagletree/internal/experiment"
 	"eagletree/internal/flash"
 	"eagletree/internal/osched"
-	"eagletree/internal/workload"
 )
 
 // sigintChildMarker is printed by the child once its hanging variant is
@@ -42,7 +41,7 @@ func runSigintChild() {
 			}
 		},
 		Variants: []experiment.Variant{{Label: "hang"}},
-		Workload: func(s *core.Stack, after *workload.Handle) {
+		Workload: func(*core.Stack) {
 			fmt.Fprintln(os.Stderr, sigintChildMarker)
 			select {}
 		},

@@ -22,7 +22,6 @@ package experiment
 import (
 	"eagletree/internal/core"
 	"eagletree/internal/sim"
-	"eagletree/internal/workload"
 )
 
 // Variant is one setting of the varied parameter or policy.
@@ -41,7 +40,7 @@ type Variant struct {
 	// Workload, when non-nil, overrides the definition's Workload for this
 	// variant — used when the workload itself carries the varied behavior
 	// (oracle temperature tags, experiment E8).
-	Workload func(s *core.Stack, after *workload.Handle)
+	Workload func(s *core.Stack)
 }
 
 // Definition is an experiment template.
@@ -59,10 +58,10 @@ type Definition struct {
 	// state per variant instead of re-aging the device.
 	Prep PrepareSpec
 	// Workload registers the measured threads on a stack that is fresh or
-	// restored from the declared preparation; the Runner passes a nil after.
+	// restored from the declared preparation; they run without dependencies.
 	// A workload that prepares the device itself puts its measured threads
 	// behind s.AddBarrier over its preparation threads.
-	Workload func(s *core.Stack, after *workload.Handle)
+	Workload func(s *core.Stack)
 	// SeriesBucket, when positive, records a completion time series with
 	// this bucket width per variant; Timelines renders them ("graphs
 	// showing how metrics evolved across time").

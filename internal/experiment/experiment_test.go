@@ -33,7 +33,7 @@ func sweepChannels() Definition {
 			{Label: "channels=1", X: 1, Mutate: func(c *core.Config) { c.Controller.Geometry.Channels = 1 }},
 			{Label: "channels=4", X: 4, Mutate: func(c *core.Config) { c.Controller.Geometry.Channels = 4 }},
 		},
-		Workload: func(s *core.Stack, after *workload.Handle) {
+		Workload: func(s *core.Stack) {
 			n := int64(s.LogicalPages())
 			count := int64(400)
 			if count > n {
@@ -63,16 +63,16 @@ func TestRunSweep(t *testing.T) {
 // from its snapshot, or a barrier the workload adds itself. Either way the
 // report counts only the measured reads, never the preparation writes.
 func TestRunWithPreparation(t *testing.T) {
-	reads := func(s *core.Stack, after *workload.Handle) {
-		s.Add(&workload.RandomReader{From: 0, Space: int64(s.LogicalPages()), Count: 50, Depth: 4}, after)
+	reads := func(s *core.Stack, barrier *workload.Handle) {
+		s.Add(&workload.RandomReader{From: 0, Space: int64(s.LogicalPages()), Count: 50, Depth: 4}, barrier)
 	}
 	for _, def := range []Definition{{
 		Name:     "declared",
 		Prep:     PrepareSpec{FillDepth: 8},
-		Workload: reads,
+		Workload: func(s *core.Stack) { reads(s, nil) },
 	}, {
 		Name: "barrier",
-		Workload: func(s *core.Stack, _ *workload.Handle) {
+		Workload: func(s *core.Stack) {
 			n := int64(s.LogicalPages())
 			fill := s.Add(&workload.SequentialWriter{From: 0, Count: n, Depth: 8})
 			reads(s, s.AddBarrier(fill))

@@ -225,13 +225,6 @@ func (m multiObserver) OnEvent(ev Event) {
 	}
 }
 
-// ChanObserver returns an Observer that sends every event to ch (blocking —
-// size the channel or drain it promptly; a stalled receiver stalls the run).
-// The runner never closes ch: close it after Run returns.
-func ChanObserver(ch chan<- Event) Observer {
-	return ObserverFunc(func(ev Event) { ch <- ev })
-}
-
 // Runner executes experiments: one independent simulation per variant,
 // fanned out over a bounded worker pool, with context cancellation and an
 // event stream. The zero-value Options give sequential-identical results on
@@ -559,7 +552,7 @@ func (rs *runState) finishVariant(ctx context.Context, v Variant, stack *core.St
 	if v.Workload != nil {
 		wload = v.Workload
 	}
-	wload(stack, nil)
+	wload(stack)
 	if _, err := stack.RunCtx(ctx); err != nil {
 		return Row{}, fmt.Errorf("experiment %q variant %q: %w", rs.def.Name, v.Label, err)
 	}

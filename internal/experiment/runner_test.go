@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"eagletree/internal/core"
-	"eagletree/internal/workload"
 )
 
 // collectObserver records every event, concurrency-safely (the runner
@@ -237,7 +236,7 @@ func TestRunnerPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		def := suiteDef(t, "e3", Small)
 		def.Variants = append([]Variant(nil), def.Variants[:3]...)
-		def.Variants[1].Workload = func(s *core.Stack, after *workload.Handle) {
+		def.Variants[1].Workload = func(*core.Stack) {
 			panic("workload exploded")
 		}
 		obs := &collectObserver{}

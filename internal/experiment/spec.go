@@ -109,11 +109,11 @@ func (p PrepareSpec) specOf() spec.Prep {
 }
 
 // addSpecThreads registers a spec thread list on a stack, each thread
-// dependent on after. Expressions resolve against the live stack (n, ppb,
+// dependent on barrier (none when nil). Expressions resolve against the live stack (n, ppb,
 // qd) and the experiment's scale factor; a repeated thread sees its replica
 // index as i. This one loop serves both the prepare-once experiment flow
 // and the CLIs' single-run barrier flow, so the two cannot drift.
-func addSpecThreads(st *core.Stack, after *workload.Handle, threads []spec.Thread, factor int64) error {
+func addSpecThreads(st *core.Stack, barrier *workload.Handle, threads []spec.Thread, factor int64) error {
 	cfg := st.Config()
 	env := spec.Env{
 		N:   int64(st.LogicalPages()),
@@ -136,16 +136,16 @@ func addSpecThreads(st *core.Stack, after *workload.Handle, threads []spec.Threa
 			if err != nil {
 				return fmt.Errorf("thread %q: %w", t.Type, err)
 			}
-			st.Add(thr, after)
+			st.Add(thr, barrier)
 		}
 	}
 	return nil
 }
 
 // specWorkload compiles a thread list into a workload registration hook.
-func specWorkload(name string, factor int64, threads []spec.Thread) func(*core.Stack, *workload.Handle) {
-	return func(st *core.Stack, after *workload.Handle) {
-		if err := addSpecThreads(st, after, threads, factor); err != nil {
+func specWorkload(name string, factor int64, threads []spec.Thread) func(*core.Stack) {
+	return func(st *core.Stack) {
+		if err := addSpecThreads(st, nil, threads, factor); err != nil {
 			panic(fmt.Sprintf("experiment: spec %q: %v", name, err))
 		}
 	}
