@@ -3,7 +3,6 @@ package controller
 import (
 	"testing"
 
-	"eagletree/internal/flash"
 	"eagletree/internal/iface"
 	"eagletree/internal/sim"
 	"eagletree/internal/wl"
@@ -69,15 +68,20 @@ func TestStaticWLNarrowsWear(t *testing.T) {
 		hammerHotKeepCold(r, 30)
 		minE, maxE := 1<<30, -1
 		bm := r.ctl.BlockManager()
+		cols, perLUN := bm.Columns(), r.ctl.Array().Geometry().BlocksPerLUN
 		for lun := 0; lun < bm.LUNs(); lun++ {
-			bm.DataBlocks(lun, func(_ flash.BlockID, meta flash.BlockMeta) {
-				if meta.EraseCount < minE {
-					minE = meta.EraseCount
+			for i := lun*perLUN + bm.ReservedTrans(); i < (lun+1)*perLUN; i++ {
+				if cols.Bad[i] {
+					continue
 				}
-				if meta.EraseCount > maxE {
-					maxE = meta.EraseCount
+				ec := int(cols.EraseCount[i])
+				if ec < minE {
+					minE = ec
 				}
-			})
+				if ec > maxE {
+					maxE = ec
+				}
+			}
 		}
 		return maxE - minE
 	}

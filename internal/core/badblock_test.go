@@ -59,11 +59,11 @@ func TestBadBlocksSurviveFullWorkload(t *testing.T) {
 	}
 	// No bad block may ever have been programmed.
 	geo := cfg.Controller.Geometry
-	arr := s.Controller.Array()
+	cols := s.Controller.Array().Columns()
 	for lun := 0; lun < geo.LUNs(); lun++ {
 		for blk := 0; blk < geo.BlocksPerLUN; blk++ {
-			meta := arr.Block(flash.BlockID{LUN: lun, Block: blk})
-			if meta.Bad && meta.WritePtr != 0 {
+			i := geo.BlockIndex(flash.BlockID{LUN: lun, Block: blk})
+			if cols.Bad[i] && cols.WritePtr[i] != 0 {
 				t.Fatalf("bad block lun%d/blk%d was programmed", lun, blk)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"eagletree/internal/flash"
 	"eagletree/internal/iface"
 	"eagletree/internal/sim"
 )
@@ -135,15 +134,14 @@ func (s *Stack) wearSummary() WearSummary {
 		past, bad  int
 		first      = true
 	)
-	geo := s.Controller.Array().Geometry()
+	cols, perLUN := bm.Columns(), s.Controller.Array().Geometry().BlocksPerLUN
 	for lun := 0; lun < bm.LUNs(); lun++ {
-		for blk := bm.ReservedTrans(); blk < geo.BlocksPerLUN; blk++ {
-			if s.Controller.Array().Block(flash.BlockID{LUN: lun, Block: blk}).Bad {
+		for i := lun*perLUN + bm.ReservedTrans(); i < (lun+1)*perLUN; i++ {
+			if cols.Bad[i] {
 				bad++
+				continue
 			}
-		}
-		bm.DataBlocks(lun, func(_ flash.BlockID, meta flash.BlockMeta) {
-			ec := meta.EraseCount
+			ec := int(cols.EraseCount[i])
 			if first || ec < minE {
 				minE = ec
 			}
@@ -157,7 +155,7 @@ func (s *Stack) wearSummary() WearSummary {
 			if limit > 0 && ec > limit {
 				past++
 			}
-		})
+		}
 	}
 	if n == 0 {
 		return WearSummary{BadBlocks: bad}

@@ -35,9 +35,9 @@ type Counters struct {
 // no policy decisions.
 //
 // Block metadata is stored as struct-of-arrays columns indexed by BlockIndex
-// rather than a []BlockMeta slice: GC victim selection and wear-leveling
-// scans walk one column end to end, and a column of int32s keeps an entire
-// full-scale LUN's worth of state within a few cache lines.
+// (see BlockColumns): GC victim selection and wear-leveling scans walk one
+// column end to end, and a column of int32s keeps an entire full-scale LUN's
+// worth of state within a few cache lines.
 type Array struct {
 	geo    Geometry
 	timing Timing
@@ -48,9 +48,8 @@ type Array struct {
 	pages       []PageState
 	pagesShared bool
 
-	// Per-block metadata columns, indexed by Geometry.BlockIndex. These are
-	// the SoA decomposition of BlockMeta; Block() reassembles the struct for
-	// callers that want the AoS view.
+	// Per-block metadata columns, indexed by Geometry.BlockIndex. A block is
+	// free iff it is not bad and its write pointer is 0.
 	eraseCount []int32
 	lastErase  []sim.Time
 	validPages []int32
@@ -69,8 +68,7 @@ type Array struct {
 	channels []resource
 	luns     []resource
 
-	freePerLUN []int // count of free (fully erased, non-bad) blocks per LUN
-	counters   Counters
+	counters Counters
 
 	// injector, when non-nil, is consulted on every program and erase of
 	// blocks >= injectFrom (the data region). See SetInjector.
@@ -84,14 +82,11 @@ type Array struct {
 func NewArray(geo Geometry, timing Timing, feat Features) *Array {
 	a := newArray(geo, timing, feat)
 	a.pages = make([]PageState, geo.Pages())
-	for i := range a.freePerLUN {
-		a.freePerLUN[i] = geo.BlocksPerLUN
-	}
 	return a
 }
 
-// newArray builds everything but the page-state column and the free counts:
-// NewArray's are an erased device's, RestoreArray's a snapshot's.
+// newArray builds everything but the page-state column: NewArray's is an
+// erased device's, RestoreArray's a snapshot's.
 func newArray(geo Geometry, timing Timing, feat Features) *Array {
 	if err := geo.Validate(); err != nil {
 		panic(err)
@@ -114,7 +109,6 @@ func newArray(geo Geometry, timing Timing, feat Features) *Array {
 		bWords:     bWords,
 		channels:   make([]resource, geo.Channels),
 		luns:       make([]resource, geo.LUNs()),
-		freePerLUN: make([]int, geo.LUNs()),
 	}
 }
 
@@ -139,21 +133,6 @@ func (a *Array) Counters() Counters { return a.counters }
 
 // PageState returns the state of one physical page.
 func (a *Array) PageState(p PPA) PageState { return a.pages[a.geo.Index(p)] }
-
-// Block returns a copy of the block's metadata, assembled from the columns.
-func (a *Array) Block(b BlockID) BlockMeta {
-	i := a.geo.BlockIndex(b)
-	return BlockMeta{
-		EraseCount: int(a.eraseCount[i]),
-		LastErase:  a.lastErase[i],
-		ValidPages: int(a.validPages[i]),
-		WritePtr:   int(a.writePtr[i]),
-		Bad:        a.bad[i],
-	}
-}
-
-// FreeBlocks returns the number of fully erased, non-bad blocks in a LUN.
-func (a *Array) FreeBlocks(lun int) int { return a.freePerLUN[lun] }
 
 // LUNFreeAt returns the first instant the LUN has no reservation after it.
 func (a *Array) LUNFreeAt(lun int) sim.Time { return a.luns[lun].freeAt() }
@@ -338,9 +317,7 @@ func (a *Array) ScheduleWrite(p PPA, at sim.Time) (Schedule, error) {
 		return sched, ferr
 	}
 	v := int(a.validPages[bi])
-	if a.writePtr[bi] == 0 { // free: bad was ruled out above
-		a.freePerLUN[p.LUN]--
-	} else {
+	if a.writePtr[bi] != 0 { // a free block is in no bucket yet
 		a.bucketDel(p.LUN, p.Block, v)
 	}
 	a.bucketAdd(p.LUN, p.Block, v+1)
@@ -401,7 +378,6 @@ func (a *Array) ScheduleErase(b BlockID, at sim.Time) (Schedule, error) {
 	if ferr := a.injectErase(b, bi, sched.Done); ferr != nil {
 		return sched, ferr
 	}
-	wasFree := a.writePtr[bi] == 0 // bad was ruled out above
 	base := a.geo.Index(PPA{LUN: b.LUN, Block: b.Block, Page: 0})
 	if a.pagesShared {
 		a.own()
@@ -409,16 +385,13 @@ func (a *Array) ScheduleErase(b BlockID, at sim.Time) (Schedule, error) {
 	for i := 0; i < a.geo.PagesPerBlock; i++ {
 		a.pages[base+i] = PageFree
 	}
-	if !wasFree {
+	if a.writePtr[bi] != 0 {
 		a.bucketDel(b.LUN, b.Block, 0) // live pages were ruled out above
 	}
 	a.writePtr[bi] = 0
 	a.validPages[bi] = 0
 	a.eraseCount[bi]++
 	a.lastErase[bi] = sched.Done
-	if !wasFree {
-		a.freePerLUN[b.LUN]++
-	}
 	a.counters.Erases++
 	return sched, nil
 }
@@ -490,9 +463,7 @@ func (a *Array) ScheduleCopyback(src, dst PPA, at sim.Time) (Schedule, error) {
 		return sched, ferr
 	}
 	v := int(a.validPages[bi])
-	if a.writePtr[bi] == 0 { // free: bad was ruled out above
-		a.freePerLUN[dst.LUN]--
-	} else {
+	if a.writePtr[bi] != 0 { // a free block is in no bucket yet
 		a.bucketDel(dst.LUN, dst.Block, v)
 	}
 	a.bucketAdd(dst.LUN, dst.Block, v+1)
@@ -544,22 +515,10 @@ func (a *Array) MarkBad(b BlockID) {
 	if a.bad[bi] {
 		return
 	}
-	if a.writePtr[bi] == 0 {
-		a.freePerLUN[b.LUN]--
-	} else {
+	if a.writePtr[bi] != 0 {
 		a.bucketDel(b.LUN, b.Block, int(a.validPages[bi]))
 	}
 	a.bad[bi] = true
-}
-
-// EraseCounts returns every block's erase count, indexed by BlockIndex.
-// Wear-leveling statistics and experiment reports consume this.
-func (a *Array) EraseCounts() []int {
-	out := make([]int, len(a.eraseCount))
-	for i, ec := range a.eraseCount {
-		out[i] = int(ec)
-	}
-	return out
 }
 
 // ValidPagesIn returns the live-page count of a block (GC victim selection).

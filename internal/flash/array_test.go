@@ -11,6 +11,18 @@ func newTestArray(feat Features) *Array {
 	return NewArray(testGeo(), TimingSLC(), feat)
 }
 
+// freeBlocks counts a LUN's free blocks from the columns: not bad and
+// write pointer 0.
+func freeBlocks(a *Array, lun int) int {
+	cols, n := a.Columns(), 0
+	for i := lun * a.geo.BlocksPerLUN; i < (lun+1)*a.geo.BlocksPerLUN; i++ {
+		if !cols.Bad[i] && cols.WritePtr[i] == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestArrayWriteReadInvalidateCycle(t *testing.T) {
 	a := newTestArray(Features{})
 	p := PPA{LUN: 0, Block: 0, Page: 0}
@@ -74,15 +86,15 @@ func TestArrayEraseRequiresNoLivePages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("erase: %v", err)
 	}
-	meta := a.Block(b)
-	if meta.EraseCount != 1 {
-		t.Errorf("EraseCount = %d, want 1", meta.EraseCount)
+	cols, i := a.Columns(), a.geo.BlockIndex(b)
+	if cols.EraseCount[i] != 1 {
+		t.Errorf("EraseCount = %d, want 1", cols.EraseCount[i])
 	}
-	if meta.LastErase != sched.Done {
-		t.Errorf("LastErase = %v, want %v", meta.LastErase, sched.Done)
+	if cols.LastErase[i] != sched.Done {
+		t.Errorf("LastErase = %v, want %v", cols.LastErase[i], sched.Done)
 	}
-	if meta.WritePtr != 0 || meta.ValidPages != 0 {
-		t.Errorf("erase did not reset block: %+v", meta)
+	if cols.WritePtr[i] != 0 || cols.ValidPages[i] != 0 {
+		t.Errorf("erase did not reset block: write pointer %d, %d valid", cols.WritePtr[i], cols.ValidPages[i])
 	}
 	if a.PageState(p) != PageFree {
 		t.Errorf("page state after erase = %v", a.PageState(p))
@@ -96,22 +108,22 @@ func TestArrayEraseRequiresNoLivePages(t *testing.T) {
 func TestArrayFreeBlockAccounting(t *testing.T) {
 	g := testGeo()
 	a := newTestArray(Features{})
-	if a.FreeBlocks(0) != g.BlocksPerLUN {
-		t.Fatalf("fresh LUN free blocks = %d, want %d", a.FreeBlocks(0), g.BlocksPerLUN)
+	if freeBlocks(a, 0) != g.BlocksPerLUN {
+		t.Fatalf("fresh LUN free blocks = %d, want %d", freeBlocks(a, 0), g.BlocksPerLUN)
 	}
 	p := PPA{LUN: 0, Block: 3, Page: 0}
 	if _, err := a.ScheduleWrite(p, 0); err != nil {
 		t.Fatal(err)
 	}
-	if a.FreeBlocks(0) != g.BlocksPerLUN-1 {
-		t.Fatalf("free blocks after first write = %d, want %d", a.FreeBlocks(0), g.BlocksPerLUN-1)
+	if freeBlocks(a, 0) != g.BlocksPerLUN-1 {
+		t.Fatalf("free blocks after first write = %d, want %d", freeBlocks(a, 0), g.BlocksPerLUN-1)
 	}
 	// Second write to the same block must not decrement again.
 	if _, err := a.ScheduleWrite(PPA{LUN: 0, Block: 3, Page: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if a.FreeBlocks(0) != g.BlocksPerLUN-1 {
-		t.Fatalf("free blocks after second write = %d", a.FreeBlocks(0))
+	if freeBlocks(a, 0) != g.BlocksPerLUN-1 {
+		t.Fatalf("free blocks after second write = %d", freeBlocks(a, 0))
 	}
 	for pg := 0; pg < 2; pg++ {
 		if err := a.Invalidate(PPA{LUN: 0, Block: 3, Page: pg}); err != nil {
@@ -121,21 +133,21 @@ func TestArrayFreeBlockAccounting(t *testing.T) {
 	if _, err := a.ScheduleErase(BlockID{LUN: 0, Block: 3}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if a.FreeBlocks(0) != g.BlocksPerLUN {
-		t.Fatalf("free blocks after erase = %d, want %d", a.FreeBlocks(0), g.BlocksPerLUN)
+	if freeBlocks(a, 0) != g.BlocksPerLUN {
+		t.Fatalf("free blocks after erase = %d, want %d", freeBlocks(a, 0), g.BlocksPerLUN)
 	}
 }
 
 func TestArrayMarkBad(t *testing.T) {
 	a := newTestArray(Features{})
 	b := BlockID{LUN: 1, Block: 0}
-	before := a.FreeBlocks(1)
+	before := freeBlocks(a, 1)
 	a.MarkBad(b)
-	if a.FreeBlocks(1) != before-1 {
-		t.Fatalf("free blocks after MarkBad = %d, want %d", a.FreeBlocks(1), before-1)
+	if freeBlocks(a, 1) != before-1 {
+		t.Fatalf("free blocks after MarkBad = %d, want %d", freeBlocks(a, 1), before-1)
 	}
 	a.MarkBad(b) // idempotent
-	if a.FreeBlocks(1) != before-1 {
+	if freeBlocks(a, 1) != before-1 {
 		t.Fatal("MarkBad not idempotent")
 	}
 	if _, err := a.ScheduleWrite(PPA{LUN: 1, Block: 0, Page: 0}, 0); !errors.Is(err, ErrBadBlock) {

@@ -6,12 +6,13 @@ import (
 	"eagletree/internal/sim"
 )
 
-// BlockColumns is a read-only struct-of-arrays view over the per-block
-// metadata, indexed by Geometry.BlockIndex (a LUN's blocks are contiguous:
-// [lun*BlocksPerLUN, (lun+1)*BlocksPerLUN)). Scan layers — GC victim
-// selection, wear leveling, allocator bookkeeping — iterate one column end
-// to end instead of striding over BlockMeta structs; the slices alias live
-// array state and must not be written or retained across events.
+// BlockColumns is the per-block metadata as struct-of-arrays columns,
+// indexed by Geometry.BlockIndex (a LUN's blocks are contiguous:
+// [lun*BlocksPerLUN, (lun+1)*BlocksPerLUN)). It is the only form block
+// metadata takes. Scan layers — GC victim selection, wear leveling,
+// allocator bookkeeping — iterate one column end to end. The view Columns
+// returns aliases live array state and must not be written or retained
+// across events; ArrayState.Blocks is an owned copy a snapshot holds.
 type BlockColumns struct {
 	EraseCount []int32
 	LastErase  []sim.Time

@@ -72,7 +72,6 @@ func (a *Array) injectProgram(p PPA, bi int, done sim.Time) *FaultError {
 		return nil
 	}
 	if a.writePtr[bi] == 0 { // free: the burn makes it a programmed bucket member
-		a.freePerLUN[p.LUN]--
 		a.bucketAdd(p.LUN, p.Block, int(a.validPages[bi]))
 	}
 	if a.pagesShared {

@@ -94,8 +94,8 @@ func TestInterleavingErasePath(t *testing.T) {
 	if sched.Done <= sched.Start {
 		t.Fatal("erase has no duration")
 	}
-	if a.FreeBlocks(0) != 4 {
-		t.Fatalf("free blocks %d after erase, want 4", a.FreeBlocks(0))
+	if freeBlocks(a, 0) != 4 {
+		t.Fatalf("free blocks %d after erase, want 4", freeBlocks(a, 0))
 	}
 }
 
@@ -144,11 +144,16 @@ func TestArrayAccessors(t *testing.T) {
 	if !a.LUNBusy(0, 1) {
 		t.Fatal("LUN not busy mid-write")
 	}
-	if len(a.EraseCounts()) != a.Geometry().Blocks() {
+	if len(a.Columns().EraseCount) != a.Geometry().Blocks() {
 		t.Fatal("erase counts length wrong")
 	}
 	if a.ValidPagesIn(BlockID{LUN: 0, Block: 0}) != 1 {
 		t.Fatal("valid pages in block wrong")
+	}
+	for _, s := range []PageState{PageFree, PageValid, PageInvalid, PageState(7)} {
+		if s.String() == "" {
+			t.Error("empty page state string")
+		}
 	}
 }
 
@@ -171,23 +176,5 @@ func TestTimingValidateRejectsEachField(t *testing.T) {
 	}
 	if SLC.String() != "SLC" || MLC.String() != "MLC" || CellType(9).String() == "" {
 		t.Error("cell type strings wrong")
-	}
-}
-
-func TestBlockMetaHelpers(t *testing.T) {
-	m := BlockMeta{WritePtr: 4, ValidPages: 1}
-	if !m.Full(4) || m.Full(5) {
-		t.Error("Full wrong")
-	}
-	if m.InvalidPages() != 3 {
-		t.Errorf("InvalidPages = %d", m.InvalidPages())
-	}
-	if (BlockMeta{Bad: true}).Free() {
-		t.Error("bad block counted free")
-	}
-	for _, s := range []PageState{PageFree, PageValid, PageInvalid, PageState(7)} {
-		if s.String() == "" {
-			t.Error("empty page state string")
-		}
 	}
 }

@@ -100,11 +100,14 @@ func TestRestoredArraySharesPagesUntilWrite(t *testing.T) {
 // geometry, before anything is adopted.
 func TestRestoreArrayRejectsShape(t *testing.T) {
 	for name, bend := range map[string]func(*ArrayState){
-		"pages":    func(s *ArrayState) { s.Pages = s.Pages[1:] },
-		"blocks":   func(s *ArrayState) { s.Blocks = s.Blocks[1:] },
-		"free":     func(s *ArrayState) { s.FreePerLUN = s.FreePerLUN[1:] },
-		"channels": func(s *ArrayState) { s.Channels = s.Channels[1:] },
-		"luns":     func(s *ArrayState) { s.LUNs = s.LUNs[1:] },
+		"pages":       func(s *ArrayState) { s.Pages = s.Pages[1:] },
+		"erase count": func(s *ArrayState) { s.Blocks.EraseCount = s.Blocks.EraseCount[1:] },
+		"last erase":  func(s *ArrayState) { s.Blocks.LastErase = s.Blocks.LastErase[1:] },
+		"valid pages": func(s *ArrayState) { s.Blocks.ValidPages = s.Blocks.ValidPages[1:] },
+		"write ptr":   func(s *ArrayState) { s.Blocks.WritePtr = s.Blocks.WritePtr[1:] },
+		"bad":         func(s *ArrayState) { s.Blocks.Bad = s.Blocks.Bad[1:] },
+		"channels":    func(s *ArrayState) { s.Channels = s.Channels[1:] },
+		"luns":        func(s *ArrayState) { s.LUNs = s.LUNs[1:] },
 	} {
 		st := sharedArrayState(t)
 		bend(&st)

@@ -32,26 +32,6 @@ func (s PageState) String() string {
 	}
 }
 
-// BlockMeta is the per-erase-block bookkeeping the controller layers consult:
-// garbage collection needs ValidPages, wear leveling needs EraseCount and
-// LastErase, bad-block management needs Bad.
-type BlockMeta struct {
-	EraseCount int      // program/erase cycles so far (the block's "age")
-	LastErase  sim.Time // when the block was last erased
-	ValidPages int      // live pages in the block
-	WritePtr   int      // next programmable page index (NAND programs in order)
-	Bad        bool     // retired block, never used again
-}
-
-// Free reports whether the block is fully erased and unused.
-func (b BlockMeta) Free() bool { return !b.Bad && b.WritePtr == 0 }
-
-// Full reports whether every page has been programmed.
-func (b BlockMeta) Full(pagesPerBlock int) bool { return b.WritePtr >= pagesPerBlock }
-
-// InvalidPages returns the count of stale pages given the geometry.
-func (b BlockMeta) InvalidPages() int { return b.WritePtr - b.ValidPages }
-
 // Interval is one booked busy span of a channel or LUN, exported for
 // device-state snapshots. Reservations are half-open: [Start, End).
 type Interval struct {
@@ -64,40 +44,33 @@ type ResourceState struct {
 }
 
 // ArrayState is the complete serializable state of a flash array: every
-// page's lifecycle state, every block's metadata, operation counters, free
-// counts and the channel/LUN reservation lists. Together with the geometry,
-// timing and feature configuration (which live in the owning Config, not
-// here) it fully determines all future array behavior.
+// page's lifecycle state, every block's metadata columns, operation counters
+// and the channel/LUN reservation lists. Together with the geometry, timing
+// and feature configuration (which live in the owning Config, not here) it
+// fully determines all future array behavior. Free-block counts are not
+// part of it: they follow from the Bad and WritePtr columns.
 type ArrayState struct {
-	Pages      []PageState
-	Blocks     []BlockMeta
-	FreePerLUN []int
-	Counters   Counters
-	Channels   []ResourceState
-	LUNs       []ResourceState
+	Pages    []PageState
+	Blocks   BlockColumns
+	Counters Counters
+	Channels []ResourceState
+	LUNs     []ResourceState
 }
 
-// State deep-copies the array's mutable state for a snapshot. The block
-// columns are reassembled into the AoS []BlockMeta so the snapshot encoding
-// is independent of the in-memory layout.
+// State deep-copies the array's mutable state for a snapshot.
 func (a *Array) State() ArrayState {
-	blocks := make([]BlockMeta, len(a.eraseCount))
-	for i := range blocks {
-		blocks[i] = BlockMeta{
-			EraseCount: int(a.eraseCount[i]),
-			LastErase:  a.lastErase[i],
-			ValidPages: int(a.validPages[i]),
-			WritePtr:   int(a.writePtr[i]),
-			Bad:        a.bad[i],
-		}
-	}
 	st := ArrayState{
-		Pages:      append([]PageState(nil), a.pages...),
-		Blocks:     blocks,
-		FreePerLUN: append([]int(nil), a.freePerLUN...),
-		Counters:   a.counters,
-		Channels:   make([]ResourceState, len(a.channels)),
-		LUNs:       make([]ResourceState, len(a.luns)),
+		Pages: append([]PageState(nil), a.pages...),
+		Blocks: BlockColumns{
+			EraseCount: append([]int32(nil), a.eraseCount...),
+			LastErase:  append([]sim.Time(nil), a.lastErase...),
+			ValidPages: append([]int32(nil), a.validPages...),
+			WritePtr:   append([]int32(nil), a.writePtr...),
+			Bad:        append([]bool(nil), a.bad...),
+		},
+		Counters: a.counters,
+		Channels: make([]ResourceState, len(a.channels)),
+		LUNs:     make([]ResourceState, len(a.luns)),
 	}
 	for i := range a.channels {
 		st.Channels[i] = ResourceState{Intervals: copyIntervals(a.channels[i].intervals)}
@@ -124,10 +97,9 @@ func RestoreArray(geo Geometry, timing Timing, feat Features, st ArrayState) (*A
 	switch {
 	case len(st.Pages) != geo.Pages():
 		return nil, fmt.Errorf("%w: snapshot has %d pages, array has %d", ErrStateMismatch, len(st.Pages), geo.Pages())
-	case len(st.Blocks) != geo.Blocks():
-		return nil, fmt.Errorf("%w: snapshot has %d blocks, array has %d", ErrStateMismatch, len(st.Blocks), geo.Blocks())
-	case len(st.FreePerLUN) != geo.LUNs():
-		return nil, fmt.Errorf("%w: snapshot has %d LUN free counts, array has %d", ErrStateMismatch, len(st.FreePerLUN), geo.LUNs())
+	case len(st.Blocks.EraseCount) != geo.Blocks(), len(st.Blocks.LastErase) != geo.Blocks(),
+		len(st.Blocks.ValidPages) != geo.Blocks(), len(st.Blocks.WritePtr) != geo.Blocks(), len(st.Blocks.Bad) != geo.Blocks():
+		return nil, fmt.Errorf("%w: snapshot block columns are not all %d long", ErrStateMismatch, geo.Blocks())
 	case len(st.Channels) != geo.Channels:
 		return nil, fmt.Errorf("%w: snapshot has %d channels, array has %d", ErrStateMismatch, len(st.Channels), geo.Channels)
 	case len(st.LUNs) != geo.LUNs():
@@ -135,15 +107,12 @@ func RestoreArray(geo Geometry, timing Timing, feat Features, st ArrayState) (*A
 	}
 	a := newArray(geo, timing, feat)
 	a.pages, a.pagesShared = st.Pages, true
-	for i, b := range st.Blocks {
-		a.eraseCount[i] = int32(b.EraseCount)
-		a.lastErase[i] = b.LastErase
-		a.validPages[i] = int32(b.ValidPages)
-		a.writePtr[i] = int32(b.WritePtr)
-		a.bad[i] = b.Bad
-	}
+	copy(a.eraseCount, st.Blocks.EraseCount)
+	copy(a.lastErase, st.Blocks.LastErase)
+	copy(a.validPages, st.Blocks.ValidPages)
+	copy(a.writePtr, st.Blocks.WritePtr)
+	copy(a.bad, st.Blocks.Bad)
 	a.fillBuckets()
-	copy(a.freePerLUN, st.FreePerLUN)
 	a.counters = st.Counters
 	for i := range a.channels {
 		a.channels[i].intervals = restoreIntervals(st.Channels[i].Intervals)
@@ -162,9 +131,6 @@ func restoreIntervals(ivs []Interval) []interval {
 	return out
 }
 
-// Errors returned by Array state transitions. All are programming errors in
-// the FTL or GC layer, not recoverable runtime conditions, but they are
-// returned (not panicked) so tests can assert on them.
 // Errors returned by configuration validation and snapshot restore.
 var (
 	// ErrConfig wraps every Geometry/Timing validation failure.
@@ -174,6 +140,9 @@ var (
 	ErrStateMismatch = errors.New("flash: snapshot does not match array shape")
 )
 
+// Errors returned by Array state transitions. All are programming errors in
+// the FTL or GC layer, not recoverable runtime conditions, but they are
+// returned (not panicked) so tests can assert on them.
 var (
 	ErrOutOfBounds   = errors.New("flash: address out of bounds")
 	ErrNotValid      = errors.New("flash: page does not hold valid data")

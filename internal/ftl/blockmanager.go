@@ -225,7 +225,8 @@ func (bm *BlockManager) DataBlocksPerLUN() int { return bm.geo.BlocksPerLUN - bm
 func (bm *BlockManager) DataPages() int {
 	pages := 0
 	for lun := range bm.luns {
-		bm.DataBlocks(lun, func(flash.BlockID, flash.BlockMeta) { pages += bm.geo.PagesPerBlock })
+		blocks, _ := bm.WearStats(lun)
+		pages += blocks * bm.geo.PagesPerBlock
 	}
 	return pages
 }
@@ -374,28 +375,6 @@ func (bm *BlockManager) IsOpen(b flash.BlockID) bool {
 // OpenStreams returns how many streams have an open block on the LUN.
 func (bm *BlockManager) OpenStreams(lun int) int { return bm.luns[lun].openCount }
 
-// DataBlocks calls fn for every non-bad data-region block in the LUN,
-// including free ones. Wear statistics are computed over this set: free
-// blocks carry erase cycles too. The scan walks the array's metadata
-// columns directly instead of assembling BlockMeta for skipped blocks.
-func (bm *BlockManager) DataBlocks(lun int, fn func(b flash.BlockID, meta flash.BlockMeta)) {
-	cols := bm.array.Columns()
-	base := lun * bm.geo.BlocksPerLUN
-	for blk := bm.reservedTrans; blk < bm.geo.BlocksPerLUN; blk++ {
-		i := base + blk
-		if cols.Bad[i] {
-			continue
-		}
-		fn(flash.BlockID{LUN: lun, Block: blk}, flash.BlockMeta{
-			EraseCount: int(cols.EraseCount[i]),
-			LastErase:  cols.LastErase[i],
-			ValidPages: int(cols.ValidPages[i]),
-			WritePtr:   int(cols.WritePtr[i]),
-			Bad:        false,
-		})
-	}
-}
-
 // WearStats returns the non-bad data-region block count and the sum of
 // their erase counts — the wear-leveling scan's first pass, computed as one
 // pure column walk.
@@ -415,8 +394,9 @@ func (bm *BlockManager) WearStats(lun int) (blocks, eraseSum int) {
 // VictimCandidates calls fn for every data-region block in the LUN that is
 // eligible as a GC or WL victim: programmed at least partially, not free,
 // not bad, and not an open write frontier. Frontier membership is one bit
-// test against the open mask.
-func (bm *BlockManager) VictimCandidates(lun int, fn func(b flash.BlockID, meta flash.BlockMeta)) {
+// test against the open mask. fn receives the block and its index into the
+// Columns view, from which it reads whatever it ranks by.
+func (bm *BlockManager) VictimCandidates(lun int, fn func(b flash.BlockID, i int)) {
 	cols := bm.array.Columns()
 	st := &bm.luns[lun]
 	base := lun * bm.geo.BlocksPerLUN
@@ -425,15 +405,14 @@ func (bm *BlockManager) VictimCandidates(lun int, fn func(b flash.BlockID, meta 
 		if cols.Bad[i] || cols.WritePtr[i] == 0 || st.openMask[blk>>6]&(1<<(uint(blk)&63)) != 0 {
 			continue
 		}
-		fn(flash.BlockID{LUN: lun, Block: blk}, flash.BlockMeta{
-			EraseCount: int(cols.EraseCount[i]),
-			LastErase:  cols.LastErase[i],
-			ValidPages: int(cols.ValidPages[i]),
-			WritePtr:   int(cols.WritePtr[i]),
-			Bad:        false,
-		})
+		fn(flash.BlockID{LUN: lun, Block: blk}, i)
 	}
 }
+
+// Columns returns the array's block metadata columns, indexed as the
+// VictimCandidates callback's i. The view aliases live state: read it within
+// the event, never write or retain it.
+func (bm *BlockManager) Columns() flash.BlockColumns { return bm.array.Columns() }
 
 // MinValidVictim returns the GC victim a greedy linear scan over
 // VictimCandidates would pick: the candidate with the fewest valid pages,

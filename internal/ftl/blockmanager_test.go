@@ -187,10 +187,9 @@ func TestBlockManagerAgeAwareAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Block(flash.BlockID{LUN: 0, Block: hot.Block}).EraseCount != 0 {
+	if a.Columns().EraseCount[g.BlockIndex(hot.BlockOf())] != 0 {
 		t.Fatalf("hot stream got an aged block %d", hot.Block)
 	}
-	_ = g
 }
 
 func TestBlockManagerVictimCandidates(t *testing.T) {
@@ -218,7 +217,10 @@ func TestBlockManagerVictimCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []flash.BlockID
-	bm.VictimCandidates(1, func(b flash.BlockID, meta flash.BlockMeta) {
+	bm.VictimCandidates(1, func(b flash.BlockID, i int) {
+		if i != g.BlockIndex(b) {
+			t.Errorf("candidate %v has column index %d, want %d", b, i, g.BlockIndex(b))
+		}
 		got = append(got, b)
 	})
 	if len(got) != len(full) {

@@ -31,8 +31,9 @@ var ErrStateMismatch = errors.New("gc: snapshot does not match collector shape")
 
 // Candidate is a victim-eligible block with the metadata policies rank by.
 type Candidate struct {
-	Block flash.BlockID
-	Meta  flash.BlockMeta
+	Block      flash.BlockID
+	ValidPages int
+	LastErase  sim.Time
 }
 
 // VictimPolicy ranks victim candidates. Pick returns the index of the chosen
@@ -55,8 +56,8 @@ func (Greedy) Name() string { return "greedy" }
 func (Greedy) Pick(cands []Candidate, _ sim.Time, pagesPerBlock int) (int, bool) {
 	best, bestValid := -1, pagesPerBlock+1
 	for i, c := range cands {
-		if c.Meta.ValidPages < bestValid {
-			best, bestValid = i, c.Meta.ValidPages
+		if c.ValidPages < bestValid {
+			best, bestValid = i, c.ValidPages
 		}
 	}
 	if best < 0 || bestValid >= pagesPerBlock {
@@ -80,11 +81,11 @@ func (CostBenefit) Name() string { return "costbenefit" }
 func (CostBenefit) Pick(cands []Candidate, now sim.Time, pagesPerBlock int) (int, bool) {
 	best, bestScore := -1, -1.0
 	for i, c := range cands {
-		u := float64(c.Meta.ValidPages) / float64(pagesPerBlock)
+		u := float64(c.ValidPages) / float64(pagesPerBlock)
 		if u >= 1 {
 			continue
 		}
-		age := float64(now.Sub(c.Meta.LastErase)) + 1
+		age := float64(now.Sub(c.LastErase)) + 1
 		var score float64
 		if u == 0 {
 			score = age * 1e12 // free win: nothing to migrate
@@ -119,7 +120,7 @@ func (r *Random) Pick(cands []Candidate, _ sim.Time, pagesPerBlock int) (int, bo
 	}
 	eligible := make([]int, 0, len(cands))
 	for i, c := range cands {
-		if c.Meta.ValidPages < pagesPerBlock {
+		if c.ValidPages < pagesPerBlock {
 			eligible = append(eligible, i)
 		}
 	}
@@ -222,9 +223,9 @@ func (c *Collector) SelectVictim(lun int, now sim.Time) (flash.BlockID, bool) {
 		c.triggered[lun]++
 		return b, true
 	}
-	cands := c.scratch[:0]
-	c.bm.VictimCandidates(lun, func(b flash.BlockID, meta flash.BlockMeta) {
-		cands = append(cands, Candidate{Block: b, Meta: meta})
+	cands, cols := c.scratch[:0], c.bm.Columns()
+	c.bm.VictimCandidates(lun, func(b flash.BlockID, i int) {
+		cands = append(cands, Candidate{Block: b, ValidPages: int(cols.ValidPages[i]), LastErase: cols.LastErase[i]})
 	})
 	c.scratch = cands[:0]
 	if len(cands) == 0 {

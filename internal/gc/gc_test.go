@@ -95,8 +95,8 @@ func TestCostBenefitPrefersOldStale(t *testing.T) {
 	// Equal utilization, so age decides.
 	now := sim.Time(1_000_000)
 	cands := []Candidate{
-		{Block: blocks[0], Meta: flash.BlockMeta{ValidPages: 2, LastErase: 900_000, WritePtr: 4}},
-		{Block: blocks[1], Meta: flash.BlockMeta{ValidPages: 2, LastErase: 0, WritePtr: 4}},
+		{Block: blocks[0], ValidPages: 2, LastErase: 900_000},
+		{Block: blocks[1], ValidPages: 2, LastErase: 0},
 	}
 	idx, ok := CostBenefit{}.Pick(cands, now, g.PagesPerBlock)
 	if !ok || idx != 1 {
@@ -107,8 +107,8 @@ func TestCostBenefitPrefersOldStale(t *testing.T) {
 func TestCostBenefitPrefersEmptyOverPartial(t *testing.T) {
 	g := gcGeo()
 	cands := []Candidate{
-		{Meta: flash.BlockMeta{ValidPages: 1, LastErase: 0, WritePtr: 4}},
-		{Meta: flash.BlockMeta{ValidPages: 0, LastErase: 0, WritePtr: 4}},
+		{ValidPages: 1, LastErase: 0},
+		{ValidPages: 0, LastErase: 0},
 	}
 	idx, ok := CostBenefit{}.Pick(cands, 1000, g.PagesPerBlock)
 	if !ok || idx != 1 {
@@ -119,7 +119,7 @@ func TestCostBenefitPrefersEmptyOverPartial(t *testing.T) {
 func TestCostBenefitRefusesAllLive(t *testing.T) {
 	g := gcGeo()
 	cands := []Candidate{
-		{Meta: flash.BlockMeta{ValidPages: 4, WritePtr: 4}},
+		{ValidPages: 4},
 	}
 	if _, ok := (CostBenefit{}).Pick(cands, 1000, g.PagesPerBlock); ok {
 		t.Fatal("cost-benefit collected a fully live block")
@@ -130,9 +130,9 @@ func TestRandomPolicyOnlyPicksEligible(t *testing.T) {
 	g := gcGeo()
 	r := Random{RNG: sim.NewRNG(1)}
 	cands := []Candidate{
-		{Meta: flash.BlockMeta{ValidPages: 4, WritePtr: 4}}, // full live
-		{Meta: flash.BlockMeta{ValidPages: 1, WritePtr: 4}},
-		{Meta: flash.BlockMeta{ValidPages: 4, WritePtr: 4}}, // full live
+		{ValidPages: 4}, // full live
+		{ValidPages: 1},
+		{ValidPages: 4}, // full live
 	}
 	for i := 0; i < 50; i++ {
 		idx, ok := r.Pick(cands, 0, g.PagesPerBlock)

@@ -11,7 +11,7 @@ import (
 // failure instead of a silent determinism bug. Codec functions declare the
 // struct types they serialize:
 //
-//	//eagletree:snapshot encode flash.ArrayState flash.BlockMeta
+//	//eagletree:snapshot encode flash.ArrayState flash.BlockColumns
 //	func (e *enc) array(a *flash.ArrayState) { ... }
 //
 // For every declared type, every field must be referenced (a field selector,

@@ -236,23 +236,25 @@ func (e *enc) wlState(ws *wl.LevelerState) {
 	e.f64(ws.ObservedAvg)
 }
 
-//eagletree:snapshot encode flash.ArrayState flash.BlockMeta flash.Counters
+//eagletree:snapshot encode flash.ArrayState flash.BlockColumns flash.Counters
 func (e *enc) array(a *flash.ArrayState) {
 	pages := make([]byte, len(a.Pages))
 	for i, p := range a.Pages {
 		pages[i] = byte(p)
 	}
 	e.raw(pages)
-	e.u64(uint64(len(a.Blocks)))
-	for _, b := range a.Blocks {
-		e.int(b.EraseCount)
-		e.time(b.LastErase)
-		e.int(b.ValidPages)
-		e.int(b.WritePtr)
-		e.bool(b.Bad)
+	c := &a.Blocks
+	e.u64(uint64(len(c.EraseCount)))
+	for i := range c.EraseCount {
+		e.i64(int64(c.EraseCount[i]))
+		e.time(c.LastErase[i])
+		e.i64(int64(c.ValidPages[i]))
+		e.i64(int64(c.WritePtr[i]))
+		e.bool(c.Bad[i])
 	}
-	e.u64(uint64(len(a.FreePerLUN)))
-	for _, v := range a.FreePerLUN {
+	free := freeCounts(a.Blocks, len(a.LUNs))
+	e.u64(uint64(len(free)))
+	for _, v := range free {
 		e.int(v)
 	}
 	e.u64(a.Counters.Reads)
@@ -261,6 +263,23 @@ func (e *enc) array(a *flash.ArrayState) {
 	e.u64(a.Counters.Copybacks)
 	e.resources(a.Channels)
 	e.resources(a.LUNs)
+}
+
+// freeCounts derives v3's per-LUN free-block slot from the block columns:
+// a block is free when it is not bad and its write pointer is 0, counted
+// over every block of the LUN. The array keeps no such count; the slot is a
+// redundancy the decoder checks.
+func freeCounts(c flash.BlockColumns, luns int) []int {
+	if luns == 0 {
+		return nil
+	}
+	out, perLUN := make([]int, luns), len(c.Bad)/luns
+	for i, bad := range c.Bad {
+		if !bad && c.WritePtr[i] == 0 {
+			out[i/perLUN]++
+		}
+	}
+	return out
 }
 
 //eagletree:snapshot encode flash.ResourceState flash.Interval
@@ -487,42 +506,45 @@ func (d *dec) wlStateInto(ws *wl.LevelerState) {
 // page states, which restore trusts: an erase count that fits the array's
 // int32 column, a write pointer with exactly the programmed pages before it,
 // and a valid count equal to the valid pages among them. Pages per block
-// come from the decoded columns' lengths, not from the header.
+// come from the decoded columns' lengths, not from the header. The per-LUN
+// free counts are not kept: each must equal the count the columns give.
 //
-//eagletree:snapshot decode flash.ArrayState flash.BlockMeta flash.Counters
+//eagletree:snapshot decode flash.ArrayState flash.BlockColumns flash.Counters
 func (d *dec) arrayInto(a *flash.ArrayState) {
 	pages := d.Raw()
-	a.Blocks = make([]flash.BlockMeta, d.Count(1))
-	for i := range a.Blocks {
-		a.Blocks[i] = flash.BlockMeta{
-			EraseCount: d.int(),
-			LastErase:  d.time(),
-			ValidPages: d.int(),
-			WritePtr:   d.int(),
-			Bad:        d.Bool(),
-		}
-	}
+	n := d.Count(1)
 	if d.Err() != nil {
 		return
 	}
 	ppb := 0
-	if len(a.Blocks) > 0 {
-		ppb = len(pages) / len(a.Blocks)
+	if n > 0 {
+		ppb = len(pages) / n
 	}
-	if ppb*len(a.Blocks) != len(pages) {
-		d.Corruptf("%d page states do not divide into %d blocks", len(pages), len(a.Blocks))
+	if ppb*n != len(pages) {
+		d.Corruptf("%d page states do not divide into %d blocks", len(pages), n)
 		return
 	}
+	c := flash.BlockColumns{
+		EraseCount: make([]int32, n),
+		LastErase:  make([]sim.Time, n),
+		ValidPages: make([]int32, n),
+		WritePtr:   make([]int32, n),
+		Bad:        make([]bool, n),
+	}
 	a.Pages = make([]flash.PageState, len(pages))
-	for i, b := range a.Blocks {
-		if b.EraseCount < 0 || b.EraseCount > math.MaxInt32 || b.WritePtr < 0 || b.WritePtr > ppb {
-			d.Corruptf("block %d: erase count %d or write pointer %d out of range", i, b.EraseCount, b.WritePtr)
+	for i := 0; i < n; i++ {
+		ec, last, vp, wp, retired := d.int(), d.time(), d.int(), d.int(), d.Bool()
+		if d.Err() != nil {
+			return
+		}
+		if ec < 0 || ec > math.MaxInt32 || wp < 0 || wp > ppb {
+			d.Corruptf("block %d: erase count %d or write pointer %d out of range", i, ec, wp)
 			return
 		}
 		// A programmed page is valid (1) or invalid (2), so p-1 is 0 or 1;
 		// an erased page is free (0) and stays zero in a.Pages. No branch
 		// per page: an aged device mixes valid and invalid pages at random.
-		programmed, erased := pages[i*ppb:i*ppb+b.WritePtr], pages[i*ppb+b.WritePtr:(i+1)*ppb]
+		programmed, erased := pages[i*ppb:i*ppb+wp], pages[i*ppb+wp:(i+1)*ppb]
 		dst := a.Pages[i*ppb:][:len(programmed)]
 		valid, bad := 0, byte(0)
 		for j, p := range programmed {
@@ -533,14 +555,16 @@ func (d *dec) arrayInto(a *flash.ArrayState) {
 		for _, p := range erased {
 			bad |= p
 		}
-		if bad != 0 || valid != b.ValidPages {
-			d.Corruptf("block %d: write pointer %d and %d valid pages disagree with its page states", i, b.WritePtr, b.ValidPages)
+		if bad != 0 || valid != vp {
+			d.Corruptf("block %d: write pointer %d and %d valid pages disagree with its page states", i, wp, vp)
 			return
 		}
+		c.EraseCount[i], c.LastErase[i], c.ValidPages[i], c.WritePtr[i], c.Bad[i] = int32(ec), last, int32(vp), int32(wp), retired
 	}
-	a.FreePerLUN = make([]int, d.Count(1))
-	for i := range a.FreePerLUN {
-		a.FreePerLUN[i] = d.int()
+	a.Blocks = c
+	free := make([]int, d.Count(1))
+	for i := range free {
+		free[i] = d.int()
 	}
 	a.Counters.Reads = d.U64()
 	a.Counters.Writes = d.U64()
@@ -548,6 +572,24 @@ func (d *dec) arrayInto(a *flash.ArrayState) {
 	a.Counters.Copybacks = d.U64()
 	a.Channels = d.resources()
 	a.LUNs = d.resources()
+	if d.Err() != nil {
+		return
+	}
+	if len(a.LUNs) > 0 && n%len(a.LUNs) != 0 {
+		d.Corruptf("%d blocks do not divide into %d LUNs", n, len(a.LUNs))
+		return
+	}
+	want := freeCounts(c, len(a.LUNs))
+	if len(free) != len(want) {
+		d.Corruptf("%d per-LUN free counts for %d LUNs", len(free), len(want))
+		return
+	}
+	for lun, f := range want {
+		if free[lun] != f {
+			d.Corruptf("LUN %d: free count %d, its block columns hold %d free blocks", lun, free[lun], f)
+			return
+		}
+	}
 }
 
 //eagletree:snapshot decode flash.ResourceState flash.Interval

@@ -96,9 +96,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(forward(func(fwd []int32) { fwd[2] = fwd[1] }))
 	// Block metadata the page states contradict.
 	for _, tc := range badBlockMeta {
-		ds := fuzzSeedState(f)
-		tc.edit(&ds.Controller.Array, ds.Meta.Geometry.PagesPerBlock)
-		f.Add(snapshot.Encode(ds))
+		f.Add(tc.encode(fuzzSeedState(f)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, err := snapshot.Decode(data)

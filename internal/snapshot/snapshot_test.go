@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"math"
@@ -171,48 +172,91 @@ func TestDecodeRejectsBadForwardColumn(t *testing.T) {
 	}
 }
 
-// badBlockMeta names block-metadata edits that keep a snapshot's checksum
-// valid but contradict its page states. Past the decoder, the first three
+// badBlockMeta names checksummed snapshots whose block metadata contradicts
+// its page states or its free counts. Past the decoder, the first three
 // panic in restore or mid-run and the next two restore silently wrong; the
-// last two leave the counts alone and break the programmed prefix instead.
+// next two leave the counts alone and break the programmed prefix instead;
+// the last stores a per-LUN free count the block columns do not give.
 var badBlockMeta = []struct {
-	name string
-	edit func(a *flash.ArrayState, ppb int)
+	name   string
+	encode func(ds *snapshot.DeviceState) []byte
 }{
-	{"valid count past the last block's pages", func(a *flash.ArrayState, ppb int) { a.Blocks[len(a.Blocks)-1].ValidPages = ppb + 1 }},
-	{"negative valid count", func(a *flash.ArrayState, ppb int) { a.Blocks[5].ValidPages = -3 }},
-	{"valid count past a full block's pages", func(a *flash.ArrayState, ppb int) { a.Blocks[5].ValidPages = ppb + 1 }},
-	{"erase count past int32", func(a *flash.ArrayState, ppb int) { a.Blocks[5].EraseCount = 1 << 40 }},
-	{"write pointer past the block", func(a *flash.ArrayState, ppb int) { a.Blocks[5].WritePtr = 1 << 20 }},
-	{"programmed page past the write pointer", func(a *flash.ArrayState, ppb int) {
-		a.Pages[blockWhere(a, func(b flash.BlockMeta) bool { return b.WritePtr < ppb })*ppb+ppb-1] = flash.PageInvalid
+	{"valid count past the last block's pages", edited(func(a *flash.ArrayState, ppb int) {
+		a.Blocks.ValidPages[len(a.Blocks.ValidPages)-1] = int32(ppb + 1)
+	})},
+	{"negative valid count", edited(func(a *flash.ArrayState, ppb int) { a.Blocks.ValidPages[5] = -3 })},
+	{"valid count past a full block's pages", edited(func(a *flash.ArrayState, ppb int) { a.Blocks.ValidPages[5] = int32(ppb + 1) })},
+	{"erase count past int32", func(ds *snapshot.DeviceState) []byte {
+		// The column cannot hold 2^40: find block 5's erase-count varint
+		// by changing only it, and widen it in the encoding.
+		ec := ds.Controller.Array.Blocks.EraseCount
+		ec[5] = math.MaxInt32
+		top := snapshot.Encode(ds)
+		ec[5] = math.MaxInt32 - 1
+		at := firstDiff(top, snapshot.Encode(ds))
+		_, n := binary.Varint(top[at:])
+		wide := binary.AppendVarint(append([]byte(nil), top[:at]...), 1<<40)
+		return reseal(append(wide, top[at+n:len(top)-4]...))
 	}},
-	{"erased page below the write pointer", func(a *flash.ArrayState, ppb int) {
-		i := blockWhere(a, func(b flash.BlockMeta) bool { return b.WritePtr > b.ValidPages }) * ppb
+	{"write pointer past the block", edited(func(a *flash.ArrayState, ppb int) { a.Blocks.WritePtr[5] = 1 << 20 })},
+	{"programmed page past the write pointer", edited(func(a *flash.ArrayState, ppb int) {
+		a.Pages[blockWhere(a, func(i int) bool { return a.Blocks.WritePtr[i] < int32(ppb) })*ppb+ppb-1] = flash.PageInvalid
+	})},
+	{"erased page below the write pointer", edited(func(a *flash.ArrayState, ppb int) {
+		i := blockWhere(a, func(i int) bool { return a.Blocks.WritePtr[i] > a.Blocks.ValidPages[i] }) * ppb
 		for a.Pages[i] != flash.PageInvalid {
 			i++ // to the block's first stale page
 		}
 		a.Pages[i] = flash.PageFree
+	})},
+	{"free count off by one", func(ds *snapshot.DeviceState) []byte {
+		// The encoder derives the count from the columns: retire a free
+		// block, then put its bad flag back and keep its LUN's lowered count.
+		a := &ds.Controller.Array
+		i := blockWhere(a, func(i int) bool { return !a.Blocks.Bad[i] && a.Blocks.WritePtr[i] == 0 })
+		free := snapshot.Encode(ds)
+		a.Blocks.Bad[i] = true
+		retired := snapshot.Encode(ds)
+		at := firstDiff(free, retired) // the flag; the count follows the block records
+		retired[at] = free[at]
+		return reseal(retired[:len(retired)-4])
 	}},
 }
 
-// blockWhere returns the index of the first block that satisfies ok.
-func blockWhere(a *flash.ArrayState, ok func(flash.BlockMeta) bool) int {
-	for i, b := range a.Blocks {
-		if ok(b) {
+// edited encodes a snapshot after an edit to its array state.
+func edited(edit func(a *flash.ArrayState, ppb int)) func(*snapshot.DeviceState) []byte {
+	return func(ds *snapshot.DeviceState) []byte {
+		edit(&ds.Controller.Array, ds.Meta.Geometry.PagesPerBlock)
+		return snapshot.Encode(ds)
+	}
+}
+
+// blockWhere returns the column index of the first block that satisfies ok.
+func blockWhere(a *flash.ArrayState, ok func(i int) bool) int {
+	for i := range a.Blocks.Bad {
+		if ok(i) {
 			return i
 		}
 	}
 	panic("no block qualifies")
 }
 
+// firstDiff returns the offset of the first byte at which two encodings
+// differ.
+func firstDiff(a, b []byte) int {
+	i := 0
+	for a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
 // TestDecodeRejectsBadBlockMeta: a checksummed snapshot whose block metadata
-// disagrees with its page states is ErrCorrupt.
+// disagrees with its page states or its free counts is ErrCorrupt.
 func TestDecodeRejectsBadBlockMeta(t *testing.T) {
 	for _, tc := range badBlockMeta {
 		ds := agedState(t, controller.MapPageRAM)
-		tc.edit(&ds.Controller.Array, ds.Meta.Geometry.PagesPerBlock)
-		if _, err := snapshot.Decode(snapshot.Encode(ds)); !errors.Is(err, snapshot.ErrCorrupt) {
+		if _, err := snapshot.Decode(tc.encode(ds)); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
 		}
 	}

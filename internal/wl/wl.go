@@ -145,12 +145,13 @@ func (l *Leveler) victimsForLUN(lun int, now sim.Time, out []flash.BlockID) []fl
 	avgInterval := float64(now) / (meanErase + 1)
 	idleCutoff := sim.Duration(l.cfg.IdleFactor * avgInterval)
 
-	picks := l.picks[:0]
-	l.bm.VictimCandidates(lun, func(b flash.BlockID, meta flash.BlockMeta) {
-		young := float64(meta.EraseCount) <= meanErase-float64(l.cfg.AgeSlack)
-		idle := now.Sub(meta.LastErase) > idleCutoff
-		if young && idle && meta.ValidPages > 0 {
-			picks = append(picks, scored{b, meta.EraseCount})
+	picks, cols := l.picks[:0], l.bm.Columns()
+	l.bm.VictimCandidates(lun, func(b flash.BlockID, i int) {
+		ec := int(cols.EraseCount[i])
+		young := float64(ec) <= meanErase-float64(l.cfg.AgeSlack)
+		idle := now.Sub(cols.LastErase[i]) > idleCutoff
+		if young && idle && cols.ValidPages[i] > 0 {
+			picks = append(picks, scored{b, ec})
 		}
 	})
 	l.picks = picks
@@ -169,34 +170,4 @@ func (l *Leveler) victimsForLUN(lun int, now sim.Time, out []flash.BlockID) []fl
 		l.migrated++
 	}
 	return out
-}
-
-// Spread summarizes wear distribution: min, max and mean erase counts plus
-// the max-min spread. Experiment E4 reports it.
-type Spread struct {
-	Min, Max int
-	Mean     float64
-	Spread   int
-}
-
-// EraseSpread computes wear statistics over every non-bad block of an array.
-func EraseSpread(a *flash.Array) Spread {
-	counts := a.EraseCounts()
-	if len(counts) == 0 {
-		return Spread{}
-	}
-	s := Spread{Min: counts[0], Max: counts[0]}
-	var sum int
-	for _, c := range counts {
-		if c < s.Min {
-			s.Min = c
-		}
-		if c > s.Max {
-			s.Max = c
-		}
-		sum += c
-	}
-	s.Mean = float64(sum) / float64(len(counts))
-	s.Spread = s.Max - s.Min
-	return s
 }

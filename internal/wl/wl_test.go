@@ -119,27 +119,6 @@ func TestStaticWLRespectsMigrationCap(t *testing.T) {
 	}
 }
 
-func TestEraseSpread(t *testing.T) {
-	g := wlGeo()
-	a := flash.NewArray(g, flash.TimingSLC(), flash.Features{})
-	for i := 0; i < 5; i++ {
-		if _, err := a.ScheduleErase(flash.BlockID{LUN: 0, Block: 0}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.ScheduleErase(flash.BlockID{LUN: 0, Block: 1}, 0); err != nil {
-		t.Fatal(err)
-	}
-	s := EraseSpread(a)
-	if s.Min != 0 || s.Max != 5 || s.Spread != 5 {
-		t.Fatalf("spread = %+v", s)
-	}
-	wantMean := 6.0 / 8.0
-	if s.Mean != wantMean {
-		t.Fatalf("mean = %v, want %v", s.Mean, wantMean)
-	}
-}
-
 func TestDefaultConfigSane(t *testing.T) {
 	cfg := DefaultConfig()
 	if !cfg.Static || !cfg.Dynamic {
