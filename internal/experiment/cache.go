@@ -20,15 +20,26 @@ import (
 // sweeps over the same design space skip preparation entirely. Entries that
 // fail to decode (truncated or corrupted files) are rebuilt and overwritten,
 // never trusted.
+//
+// What a path checks depends on whether it restores. Fetch and Get — the
+// Runner's path — decode every state they load from disk or a remote store
+// before they trust it, and keep that decode. Peek and Put — a store that
+// only serves states to other processes — check the seal alone
+// (snapshot.CheckSeal: magic, version, CRC32), so a state is decoded once,
+// where it is restored; a consumer that cannot decode what it was served
+// evicts it (Evict). A Fetch of an entry Peek or Put admitted decodes it on
+// first use and fails with the decode error if it does not decode.
 type StateCache struct {
 	dir string
 
 	// remoteFetch, when set, is consulted between the disk store and a local
 	// build: a distributed-sweep worker points it at its coordinator, so one
 	// process's preparation serves every worker's variants. publish mirrors a
-	// locally built state back to that remote store, best-effort.
-	remoteFetch func(key string) ([]byte, error)
-	publish     func(key string, data []byte)
+	// locally built state back to that remote store, best-effort. reject
+	// returns a fetched state that does not decode and asks again.
+	remoteFetch  func(key string) ([]byte, error)
+	publish      func(key string, data []byte)
+	remoteReject func(key string, cause error) ([]byte, error)
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -109,14 +120,8 @@ func (c *StateCache) fetch(key string, build func() ([]byte, error)) (*cacheEntr
 	c.mu.Unlock()
 
 	if e.data, e.ds = c.loadDisk(key); e.data == nil && c.remoteFetch != nil {
-		// A remote miss, a remote failure and a payload that does not decode
-		// all fall through to the local build: the remote store is an
-		// accelerator, never a dependency, never trusted unverified.
-		if data, err := c.remoteFetch(key); err == nil && data != nil {
-			if ds, err := decodeState(data); err == nil {
-				e.data, e.ds = data, ds
-				c.saveDisk(key, data)
-			}
+		if e.data, e.ds = c.loadRemote(key); e.data != nil {
+			c.saveDisk(key, e.data)
 		}
 	}
 	if e.data != nil {
@@ -141,59 +146,123 @@ func (c *StateCache) fetch(key string, build func() ([]byte, error)) (*cacheEntr
 	return e, false
 }
 
+// loadRemote fetches key from the remote store and decodes it, the one
+// structural check a fetched state gets. Bytes that do not decode are
+// rejected back once: the remote store drops them and answers again, usually
+// with a miss that hands this process the build. A remote miss, a remote
+// failure and a second answer that does not decode all fall through to the
+// local build: the remote store is an accelerator, never a dependency, never
+// trusted unverified.
+func (c *StateCache) loadRemote(key string) ([]byte, *snapshot.DeviceState) {
+	data, err := c.remoteFetch(key)
+	if err != nil || data == nil {
+		return nil, nil
+	}
+	ds, err := decodeState(data)
+	if err != nil && c.remoteReject != nil {
+		if data, err = c.remoteReject(key, err); err == nil && data != nil {
+			ds, err = decodeState(data)
+		}
+	}
+	if err != nil || data == nil {
+		return nil, nil
+	}
+	return data, ds
+}
+
 // SetRemote attaches a secondary store consulted between the disk cache and
 // a local build. fetch returns the encoded snapshot for a key, or (nil, nil)
 // on a remote miss; the cache validates what it returns by decoding it.
-// publish (optional) is handed every locally built state.
+// publish (optional) is handed every locally built state. reject (optional)
+// is called when a fetched state does not decode, with the decode error: it
+// tells the remote store, which drops the state, and answers as fetch does.
 // Set it before the cache is shared across goroutines — the fields are not
 // synchronized.
-func (c *StateCache) SetRemote(fetch func(key string) ([]byte, error), publish func(key string, data []byte)) {
+func (c *StateCache) SetRemote(fetch func(key string) ([]byte, error), publish func(key string, data []byte),
+	reject func(key string, cause error) ([]byte, error)) {
 	c.remoteFetch = fetch
 	c.publish = publish
+	c.remoteReject = reject
 }
 
 // Peek returns the encoded snapshot for key if it is already present in
 // memory or on disk, without building and without consulting the remote
 // store. A key whose build is in flight counts as present: Peek waits for it,
 // so a coordinator serving concurrent workers never races a local build.
+// A disk hit is admitted on its seal alone (snapshot.CheckSeal), not
+// decoded: Peek serves states to the processes that restore them, and those
+// decode in full.
 func (c *StateCache) Peek(key string) ([]byte, bool) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		<-e.ready
-		return e.data, e.err == nil
-	}
+	e, ok := c.entries[key]
 	c.mu.Unlock()
-	data, ds := c.loadDisk(key)
-	if data == nil {
-		return nil, false
+	if !ok {
+		data := c.readDisk(key)
+		if data == nil || snapshot.CheckSeal(data) != nil {
+			return nil, false
+		}
+		e, _ = c.admit(key, data) // no saveDisk: the file is where data came from
 	}
-	c.admit(key, data, ds) // no saveDisk: the file is where data came from
-	return data, true
+	<-e.ready
+	return e.data, e.err == nil
 }
 
-// Put inserts an already-encoded snapshot — one received over a transport,
-// say. An existing entry (even an in-flight build) wins: the first state
-// bound to a key stays bound to it. The caller is responsible for having
-// verified the payload (snapshot.Verify); Put stores bytes, not trust.
-func (c *StateCache) Put(key string, data []byte) {
-	if c.admit(key, data, nil) {
+// Put admits an encoded snapshot received from another process — a worker's
+// published build, say — on its seal alone (snapshot.CheckSeal), and returns
+// the seal's error, storing nothing, when it fails. Put stores bytes proven
+// intact since they were sealed; the process that restores them decodes
+// them. An existing entry (even an in-flight build) wins: the first state
+// bound to a key stays bound to it.
+func (c *StateCache) Put(key string, data []byte) error {
+	if err := snapshot.CheckSeal(data); err != nil {
+		return err
+	}
+	if _, added := c.admit(key, data); added {
 		c.saveDisk(key, data)
 	}
+	return nil
 }
 
-// admit binds data — and its decoded form, when the caller has one — to key
-// unless the key is already bound, and reports whether it did.
-func (c *StateCache) admit(key string, data []byte, ds *snapshot.DeviceState) bool {
+// Evict drops key's entry from memory and from disk if it still holds data —
+// the slice Peek or Fetch returned, compared by identity, not content — and
+// reports whether it did. A consumer that could not decode what the cache
+// served evicts it, so the next Peek or Fetch misses. An entry a rebuild has
+// already replaced, and a build in flight, are kept.
+func (c *StateCache) Evict(key string, data []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
+	e, ok := c.entries[key]
+	if !ok {
 		return false
 	}
-	e := &cacheEntry{ready: make(chan struct{}), data: data, ds: ds}
+	select {
+	case <-e.ready:
+	default:
+		return false
+	}
+	if len(e.data) != len(data) || len(data) == 0 || &e.data[0] != &data[0] {
+		return false
+	}
+	delete(c.entries, key)
+	if c.dir != "" {
+		// Under c.mu, so no Peek reads the file between the two deletions.
+		_ = os.Remove(c.path(key))
+	}
+	return true
+}
+
+// admit binds data to key unless the key is already bound, and returns the
+// bound entry and whether it is the new one.
+func (c *StateCache) admit(key string, data []byte) (*cacheEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		return e, false
+	}
+	e := &cacheEntry{ready: make(chan struct{}), data: data}
 	close(e.ready)
 	c.entries[key] = e
-	return true
+	return e, true
 }
 
 // path maps a key to a stable filename; keys are long canonical
@@ -203,15 +272,25 @@ func (c *StateCache) path(key string) string {
 	return filepath.Join(c.dir, hex.EncodeToString(sum[:16])+".state")
 }
 
-// loadDisk returns the stored bytes for key and the decode that validated
-// them, or nils when the cache is memory-only, the file is missing, or its
-// content does not decode — a corrupt entry silently falls back to rebuilding.
-func (c *StateCache) loadDisk(key string) ([]byte, *snapshot.DeviceState) {
+// readDisk returns the stored bytes for key, or nil when the cache is
+// memory-only or the file is missing or unreadable.
+func (c *StateCache) readDisk(key string) []byte {
 	if c.dir == "" {
-		return nil, nil
+		return nil
 	}
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
+		return nil
+	}
+	return data
+}
+
+// loadDisk returns the stored bytes for key and the decode that validated
+// them, or nils when there are none or they do not decode — a corrupt entry
+// silently falls back to rebuilding.
+func (c *StateCache) loadDisk(key string) ([]byte, *snapshot.DeviceState) {
+	data := c.readDisk(key)
+	if data == nil {
 		return nil, nil
 	}
 	ds, err := decodeState(data)

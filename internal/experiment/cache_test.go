@@ -53,15 +53,21 @@ func readOnlyGrid(geo spec.Geometry) spec.Experiment {
 	}
 }
 
+// onDecode hands f every snapshot the cache and the Runner decode, before
+// decoding it, until the test ends.
+func onDecode(t testing.TB, f func(data []byte)) {
+	t.Cleanup(func() { decodeState = snapshot.Decode })
+	decodeState = func(data []byte) (*snapshot.DeviceState, error) {
+		f(data)
+		return snapshot.Decode(data)
+	}
+}
+
 // countDecodes counts every snapshot decode the cache and the Runner make
 // until the test ends.
 func countDecodes(t *testing.T) *atomic.Int64 {
 	var n atomic.Int64
-	t.Cleanup(func() { decodeState = snapshot.Decode })
-	decodeState = func(data []byte) (*snapshot.DeviceState, error) {
-		n.Add(1)
-		return snapshot.Decode(data)
-	}
+	onDecode(t, func([]byte) { n.Add(1) })
 	return &n
 }
 
@@ -165,4 +171,42 @@ func TestPeekDiskHitDoesNotWrite(t *testing.T) {
 		t.Fatalf("cold Fetch in a read-only cache directory: hit=%v err=%v", hit, err)
 	}
 	unchanged("read-only hits")
+}
+
+// TestPeekChecksSeal: Peek admits a disk hit on its seal instead of decoding
+// it, and the seal still catches damage: a state file with a flipped bit or a
+// cut-off tail is a miss, and nothing is admitted.
+func TestPeekChecksSeal(t *testing.T) {
+	def := suiteDef(t, "e11", Small)
+	data, err := buildPrepared(context.Background(), prepConfig(def.Base(), def.Base()), PrepareSpec{FillDepth: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)/2] ^= 0x10
+	for _, tc := range []struct {
+		name    string
+		damaged []byte
+	}{{"flipped bit", flipped}, {"truncated", data[:len(data)-9]}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := NewStateCache(dir).Put("k", data); err != nil {
+				t.Fatal(err)
+			}
+			files, err := filepath.Glob(filepath.Join(dir, "*.state"))
+			if err != nil || len(files) != 1 {
+				t.Fatalf("Put left %v in the cache directory (err %v), want one state file", files, err)
+			}
+			if err := os.WriteFile(files[0], tc.damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c := NewStateCache(dir)
+			if got, ok := c.Peek("k"); ok {
+				t.Fatalf("Peek served %d bytes of a damaged state file", len(got))
+			}
+			if c.Len() != 0 {
+				t.Fatal("Peek admitted a damaged state file")
+			}
+		})
+	}
 }

@@ -30,29 +30,15 @@ func (c *collectObserver) all() []Event {
 }
 
 // TestRunnerMatchesRunWorkers: across the whole E1–E14 suite, the Runner at
-// one worker with a private snapshot cache and the Runner at one and four
-// workers over one cache shared by every experiment produce the same Results,
-// bit for bit — parallel ≡ sequential, and a prepared state aged for one
-// experiment serves the next.
+// four workers produces the same Results as at one, bit for bit, over one
+// snapshot cache shared by every experiment — parallel ≡ sequential, and a
+// prepared state aged for one experiment serves the next.
 func TestRunnerMatchesRunWorkers(t *testing.T) {
-	cache := NewStateCache("")
-	for _, def := range Suite(Small) {
-		t.Run(def.Name, func(t *testing.T) {
-			want, err := New(Options{Workers: 1}).Run(context.Background(), def)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				got, err := New(Options{Workers: workers, Cache: cache}).Run(context.Background(), def)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%d-worker shared-cache results differ from the sequential private-cache run", workers)
-				}
-			}
-		})
-	}
+	forEachSuiteRun(t, func(t *testing.T, r suiteRun) {
+		if !reflect.DeepEqual(r.cached1, r.cached4) {
+			t.Fatalf("4-worker shared-cache results differ from the 1-worker run:\n1: %+v\n4: %+v", r.cached1, r.cached4)
+		}
+	})
 }
 
 // TestRunnerEventCoverage: an uncancelled run emits exactly one

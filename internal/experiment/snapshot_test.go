@@ -2,41 +2,105 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"eagletree/internal/core"
+	"eagletree/internal/spec"
 )
 
-// TestSnapshotRestoreDeterministic is the acceptance gate for the snapshot
-// flow: for E11 (fresh vs aged preparation) and E13 (trace replay over an
-// aged device), per-variant Reports from snapshot-restored devices must be
-// bit-identical to freshly prepared runs — on the sequential path and on the
-// parallel (Workers > 1) path alike. NoPrepareCache re-runs preparation for
-// every variant; the cached runs restore one shared snapshot per distinct
-// prepared state.
-func TestSnapshotRestoreDeterministic(t *testing.T) {
-	for _, def := range []Definition{suiteDef(t, "e11", Small), suiteDef(t, "e13", Small)} {
-		def := def
-		t.Run(def.Name, func(t *testing.T) {
-			fresh, err := New(Options{Workers: 1, NoPrepareCache: true}).Run(context.Background(), def)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				cached, err := New(Options{Workers: workers}).Run(context.Background(), def)
+// suiteRun is one experiment's share of the whole-suite pass.
+type suiteRun struct {
+	name string
+	// fresh re-runs preparation for every variant and restores nothing.
+	fresh Results
+	// cached1 and cached4 run at one and four workers on one snapshot cache
+	// shared by every experiment of the pass, so a state aged for one
+	// experiment serves the next.
+	cached1, cached4 Results
+	// fromFile runs the experiment's document read from specs/ by path — how
+	// the benchmark, CI and `eagletree spec` get it — on that cache, except
+	// with -short; newEntries counts the prepared states it added.
+	fromFile   Results
+	newEntries int
+	err        error
+}
+
+var (
+	suitePassOnce sync.Once
+	suitePassRuns []suiteRun
+)
+
+// suitePass runs the small E1–E14 suite once, down every run path, for the
+// three tests that compare those paths: TestSnapshotRestoreDeterministic,
+// TestRunnerMatchesRunWorkers and TestSpecSuiteMatchesCompiled each assert
+// their own equality over the same results.
+func suitePass() []suiteRun {
+	suitePassOnce.Do(func() {
+		ctx := context.Background()
+		cache := NewStateCache("")
+		for i, def := range Suite(Small) {
+			r := suiteRun{name: def.Name}
+			r.err = func() (err error) {
+				if r.fresh, err = New(Options{Workers: 1, NoPrepareCache: true}).Run(ctx, def); err != nil {
+					return err
+				}
+				if r.cached1, err = New(Options{Workers: 1, Cache: cache}).Run(ctx, def); err != nil {
+					return err
+				}
+				if r.cached4, err = New(Options{Workers: 4, Cache: cache}).Run(ctx, def); err != nil {
+					return err
+				}
+				if testing.Short() {
+					return nil // TestSpecSuiteMatchesCompiled is skipped
+				}
+				doc, err := spec.ReadFile(filepath.Join("../../specs", fmt.Sprintf("e%d.json", i+1)))
 				if err != nil {
-					t.Fatal(err)
+					return err
 				}
-				if !reflect.DeepEqual(fresh, cached) {
-					t.Fatalf("%d-worker cached results differ from fresh preparation:\nfresh:  %+v\ncached: %+v",
-						workers, fresh, cached)
+				fromFile, err := FromSpec(doc)
+				if err != nil {
+					return err
 				}
+				entries := cache.Len()
+				r.fromFile, err = New(Options{Workers: 1, Cache: cache}).Run(ctx, fromFile)
+				r.newEntries = cache.Len() - entries
+				return err
+			}()
+			suitePassRuns = append(suitePassRuns, r)
+		}
+	})
+	return suitePassRuns
+}
+
+// forEachSuiteRun runs check over the suite pass, one subtest an experiment.
+func forEachSuiteRun(t *testing.T, check func(t *testing.T, r suiteRun)) {
+	for _, r := range suitePass() {
+		t.Run(r.name, func(t *testing.T) {
+			if r.err != nil {
+				t.Fatal(r.err)
 			}
+			check(t, r)
 		})
 	}
+}
+
+// TestSnapshotRestoreDeterministic is the acceptance gate for the snapshot
+// flow: across the suite, per-variant Reports from snapshot-restored devices
+// must be bit-identical to freshly prepared runs. NoPrepareCache re-runs
+// preparation for every variant; the cached run restores one shared
+// snapshot per distinct prepared state. TestRunnerMatchesRunWorkers carries
+// the equality to four workers.
+func TestSnapshotRestoreDeterministic(t *testing.T) {
+	forEachSuiteRun(t, func(t *testing.T, r suiteRun) {
+		if !reflect.DeepEqual(r.fresh, r.cached1) {
+			t.Fatalf("cached results differ from fresh preparation:\nfresh:  %+v\ncached: %+v", r.fresh, r.cached1)
+		}
+	})
 }
 
 // TestStateCacheSharesPreparation: variants of one experiment that share a

@@ -2,11 +2,9 @@ package experiment
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"io/fs"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,44 +54,22 @@ func TestGoldenSpecFiles(t *testing.T) {
 
 // TestSpecSuiteMatchesCompiled: a suite document read from its file by path —
 // how the benchmark, CI and `eagletree spec` get it — runs to the same
-// Results as the suite entry compiled into the binary. The suite entry's run
-// fills a shared snapshot cache cold and the file's run must be served from
-// it entirely (two decodes of one document agree on every CanonKey), so the
-// comparison is also warm ≡ cold across the whole suite.
+// Results as the suite entry compiled into the binary. The file's run shares
+// the suite entry's snapshot cache and must be served from it entirely (two
+// decodes of one document agree on every CanonKey), so the comparison is
+// also warm ≡ cold across the whole suite.
 func TestSpecSuiteMatchesCompiled(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the whole suite twice; skipped with -short (the race CI leg)")
+		t.Skip("runs the whole suite from its files; skipped with -short (the race CI leg)")
 	}
-	cache := NewStateCache("")
-	for i, def := range Suite(Small) {
-		t.Run(def.Name, func(t *testing.T) {
-			doc, err := spec.ReadFile(filepath.Join("../../specs", fmt.Sprintf("e%d.json", i+1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromFile, err := FromSpec(doc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runner := New(Options{Workers: 1, Cache: cache})
-			want, err := runner.Run(context.Background(), def)
-			if err != nil {
-				t.Fatal(err)
-			}
-			entries := cache.Len()
-			got, err := runner.Run(context.Background(), fromFile)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cache.Len() != entries {
-				t.Errorf("the file-driven run built %d new prepared states; the suite entry's cache entries should have been hits",
-					cache.Len()-entries)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("file-driven results differ from the suite entry's:\nsuite: %+v\nfile:  %+v", want, got)
-			}
-		})
-	}
+	forEachSuiteRun(t, func(t *testing.T, r suiteRun) {
+		if r.newEntries != 0 {
+			t.Errorf("the file-driven run built %d new prepared states; the suite entry's cache entries should have been hits", r.newEntries)
+		}
+		if !reflect.DeepEqual(r.cached1, r.fromFile) {
+			t.Fatalf("file-driven results differ from the suite entry's:\nsuite: %+v\nfile:  %+v", r.cached1, r.fromFile)
+		}
+	})
 }
 
 // TestSuiteSpecsPaperOrder: SuiteSpecs yields E1…E14, in that order, as valid

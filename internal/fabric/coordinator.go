@@ -12,7 +12,6 @@ import (
 
 	"eagletree/internal/experiment"
 	"eagletree/internal/sim"
-	"eagletree/internal/snapshot"
 	"eagletree/internal/spec"
 )
 
@@ -380,9 +379,13 @@ func (c *coordinator) failoverBuildsLocked(worker int) {
 	}
 }
 
-// collect reads one lease's message stream — events, state fetches, puts —
-// until its result or failure arrives.
+// collect reads one lease's message stream — events, state fetches and
+// rejects, puts — until its result or failure arrives.
 func (c *coordinator) collect(ctx context.Context, id, idx int, codec *Codec) error {
+	// served is the state the last fetch answered with: the only one this
+	// lease may reject.
+	var served []byte
+	var servedKey string
 	for {
 		m, err := codec.Recv()
 		if err != nil {
@@ -391,11 +394,18 @@ func (c *coordinator) collect(ctx context.Context, id, idx int, codec *Codec) er
 		switch m.Type {
 		case MsgEvent:
 			c.forwardEvent(m)
-		case MsgFetch:
+		case MsgFetch, MsgReject:
+			if m.Type == MsgReject {
+				if served == nil || m.Key != servedKey {
+					return &ProtocolError{Reason: fmt.Sprintf("reject of state %q, which this lease was not served", m.Key)}
+				}
+				c.evict(id, m.Key, served, m.Error)
+			}
 			data, err := c.serveFetch(ctx, id, m.Key)
 			if err != nil {
 				return err
 			}
+			served, servedKey = data, m.Key
 			reply := Msg{Type: MsgState, Key: m.Key, Miss: data == nil, Data: data}
 			if err := codec.Send(reply); err != nil {
 				return err
@@ -452,19 +462,26 @@ func (c *coordinator) serveFetch(ctx context.Context, worker int, key string) ([
 	}
 }
 
-// handlePut admits a worker-built state to the cache and releases any
-// workers waiting on its build. An unverifiable payload is dropped and the
-// build failed over, exactly like an owner death.
+// evict drops a state the worker could not decode from the cache's memory
+// and disk, unless a rebuild has already replaced it. The fetch that follows
+// then misses and delegates the rebuild to this worker, so workers that ask
+// meanwhile wait for its put rather than build too.
+func (c *coordinator) evict(worker int, key string, served []byte, reason string) {
+	evicted := c.cache.Evict(key, served)
+	c.opts.Logf("fabric: worker %d rejected state %q (%s); evicted: %v", worker, key, reason, evicted)
+}
+
+// handlePut admits a worker-built state to the cache on its seal and
+// releases any workers waiting on its build. A payload whose seal fails is
+// dropped and the build failed over, exactly like an owner death.
 func (c *coordinator) handlePut(worker int, m Msg) {
-	verified := snapshot.Verify(m.Data) == nil
-	if verified {
-		c.cache.Put(m.Key, m.Data)
-	} else {
-		c.opts.Logf("fabric: dropping unverifiable state from worker %d", worker)
+	err := c.cache.Put(m.Key, m.Data)
+	if err != nil {
+		c.opts.Logf("fabric: dropping state from worker %d: %v", worker, err)
 	}
 	c.mu.Lock()
 	if b, ok := c.builds[m.Key]; ok {
-		if verified {
+		if err == nil {
 			b.data = m.Data
 		}
 		close(b.ready)

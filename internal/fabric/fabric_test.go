@@ -205,12 +205,9 @@ func TestWorkerKillLeaseReissue(t *testing.T) {
 	}
 }
 
-// TestFailedBuildFailsOver pins the delegated-build failover contract: a
-// worker that owns a preparation build and then ends its lease without
-// publishing (a failed or canceled local build sends no put) must hand the
-// build over, or every waiter — including the owner itself on a later lease —
-// blocks forever on the never-closed ready channel.
-func TestFailedBuildFailsOver(t *testing.T) {
+// testCoordinator is a two-variant coordinator over cache with no sessions:
+// the unit tests drive its fetch, put and lease handlers directly.
+func testCoordinator(cache *experiment.StateCache) *coordinator {
 	c := &coordinator{
 		keys:    []string{"k0", "k1"},
 		labels:  []string{"v0", "v1"},
@@ -220,10 +217,20 @@ func TestFailedBuildFailsOver(t *testing.T) {
 		started: make([]time.Time, 2),
 		flagged: make([]bool, 2),
 		builds:  make(map[string]*buildState),
-		cache:   experiment.NewStateCache(""),
+		cache:   cache,
 	}
 	c.cond = sync.NewCond(&c.mu)
 	c.opts.Logf = func(string, ...any) {}
+	return c
+}
+
+// TestFailedBuildFailsOver pins the delegated-build failover contract: a
+// worker that owns a preparation build and then ends its lease without
+// publishing (a failed or canceled local build sends no put) must hand the
+// build over, or every waiter — including the owner itself on a later lease —
+// blocks forever on the never-closed ready channel.
+func TestFailedBuildFailsOver(t *testing.T) {
+	c := testCoordinator(experiment.NewStateCache(""))
 	ctx := context.Background()
 
 	// Worker 0 misses the prep key: the build is delegated to it.

@@ -21,6 +21,12 @@
 // cross the wire. A miss delegates the build to the requesting worker, whose
 // published result then serves every other worker waiting on the same key.
 //
+// One trust rule covers those states: the coordinator, which never restores
+// a stack, checks a state's seal (magic, version, CRC32) and nothing more;
+// the worker that restores it decodes it in full. A state that is sealed but
+// does not decode is rejected back: the coordinator evicts it from memory
+// and disk and delegates its rebuild to the rejecting worker, as on a miss.
+//
 // Truncated, corrupted or out-of-protocol input surfaces as this package's
 // typed errors — never a panic, matching the snapshot codec's fuzz contract.
 //
@@ -43,8 +49,8 @@ import (
 
 // ProtoVersion is the wire protocol version; both ends must agree exactly.
 // Every frame carries it, so a peer of another version is refused at its
-// first frame, before any lease is granted.
-const ProtoVersion = 2
+// first frame, before any lease is granted. Version 3 added reject.
+const ProtoVersion = 3
 
 // Errors reported by the codec. Wrapped with detail; match with errors.Is.
 var (
@@ -67,7 +73,7 @@ type ProtocolError struct {
 func (e *ProtocolError) Error() string { return "fabric: protocol error: " + e.Reason }
 
 // Message types. The coordinator sends hello, lease, state and shutdown; a
-// worker sends ready, event, fetch, put, result and failed.
+// worker sends ready, event, fetch, reject, put, result and failed.
 const (
 	// MsgHello opens a session: protocol version, the spec document the
 	// sweep runs, and an optional series-bucket override.
@@ -85,9 +91,13 @@ const (
 	MsgFailed = "failed"
 	// MsgFetch asks the coordinator's state cache for a prepared snapshot.
 	MsgFetch = "fetch"
-	// MsgState answers fetch: the encoded snapshot, or a miss delegating
-	// the build to the asking worker.
+	// MsgState answers fetch and reject: the encoded snapshot, or a miss
+	// delegating the build to the asking worker.
 	MsgState = "state"
+	// MsgReject returns the state the last fetch served because it does not
+	// decode, with the decode error. The coordinator evicts it and answers
+	// with state, as to a fetch.
+	MsgReject = "reject"
 	// MsgPut publishes a locally built snapshot to the coordinator's cache.
 	MsgPut = "put"
 	// MsgShutdown ends the session; the worker exits its serve loop.
@@ -119,7 +129,8 @@ type Msg struct {
 	Variants int                  `json:"variants,omitempty"`
 	Wall     int64                `json:"wall,omitempty"` // ns; also result
 
-	// Failure payload (failed; also event error text).
+	// Failure payload (failed; also event error text and reject's decode
+	// error).
 	Error string `json:"error,omitempty"`
 	Panic bool   `json:"panic,omitempty"`
 
@@ -137,7 +148,7 @@ type Msg struct {
 var knownTypes = map[string]bool{
 	MsgHello: true, MsgReady: true, MsgLease: true, MsgEvent: true,
 	MsgResult: true, MsgFailed: true, MsgFetch: true, MsgState: true,
-	MsgPut: true, MsgShutdown: true,
+	MsgReject: true, MsgPut: true, MsgShutdown: true,
 }
 
 // wireFormat frames every message. A frame of another version is a

@@ -31,6 +31,7 @@ func sampleMsgs() []Msg {
 		{Type: MsgFetch, Key: "spec1|{}"},
 		{Type: MsgState, Key: "spec1|{}", Data: []byte{1, 2, 3, 0xff}},
 		{Type: MsgState, Key: "spec1|{}", Miss: true},
+		{Type: MsgReject, Key: "spec1|{}", Error: "snapshot: corrupt payload: 1 trailing bytes"},
 		{Type: MsgPut, Key: "spec1|{}", Data: []byte("EGTSNAP...")},
 		{Type: MsgShutdown, Error: "sweep complete"},
 	}
@@ -66,9 +67,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-var updateGoldenWire = flag.Bool("update-golden-wire", false, "rewrite testdata/golden-v2.wire")
+var updateGoldenWire = flag.Bool("update-golden-wire", false, "rewrite testdata/golden-v3.wire")
 
-const goldenWire = "testdata/golden-v2.wire"
+const goldenWire = "testdata/golden-v3.wire"
 
 // TestCodecFrameGolden pins the wire byte for byte: sampleMsgs encodes to the
 // committed golden stream, and the golden stream decodes back to sampleMsgs.
@@ -196,7 +197,8 @@ func TestRecvTypedErrors(t *testing.T) {
 	}{
 		{"unknown type", `"gossip"`, frame(ProtoVersion, payload(`{"type":"gossip"}`, nil))},
 		{"version 1 frame", "got 1", frame(1, payload(`{"type":"lease"}`, nil))},
-		{"version 3 frame", "got 3", frame(3, payload(`{"type":"lease"}`, nil))},
+		{"version 2 frame", "got 2", frame(2, payload(`{"type":"lease"}`, nil))},
+		{"version 4 frame", "got 4", frame(4, payload(`{"type":"lease"}`, nil))},
 		{"version 1 NDJSON line", "protocol 1", []byte(`{"type":"ready","version":1,"count":9,"sum":"ab12"}` + "\n")},
 	} {
 		_, err := NewCodec(bytes.NewReader(tc.input), nil).Recv()
@@ -311,6 +313,8 @@ func FuzzRecv(f *testing.F) {
 	f.Add(frame(1, payload(`{"type":"lease"}`, nil)))
 	f.Add(frame(ProtoVersion, payload(`{"type":"event","kind":"sideways"}`, nil)))
 	f.Add(frame(ProtoVersion, payload(`{"type":"gossip"}`, nil)))
+	f.Add(frame(ProtoVersion, payload(`{"type":"reject","key":"k","error":"snapshot: corrupt payload"}`, nil)))
+	f.Add(frame(2, payload(`{"type":"reject","key":"k"}`, nil)))
 	f.Add(append(binary.AppendUvarint(wireFormat.Begin(nil), 1<<30), 1, 2, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCodec(bytes.NewReader(data), nil)

@@ -80,7 +80,7 @@ func Serve(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptions) er
 	if cache == nil {
 		cache = experiment.NewStateCache("")
 	}
-	cache.SetRemote(s.remoteFetch, s.publish)
+	cache.SetRemote(s.remoteFetch, s.publish, s.reject)
 	runner := experiment.New(experiment.Options{
 		Workers:  1,
 		Cache:    cache,
@@ -165,6 +165,23 @@ func (s *workerSession) remoteFetch(key string) ([]byte, error) {
 	if err := s.codec.Send(Msg{Type: MsgFetch, Key: key}); err != nil {
 		return nil, err
 	}
+	return s.recvState(key)
+}
+
+// reject returns a fetched state that does not decode: the coordinator
+// evicts it and answers like a fetch — with a miss that delegates the
+// rebuild here, or with a state another worker has rebuilt meanwhile.
+func (s *workerSession) reject(key string, cause error) ([]byte, error) {
+	s.logf("worker: rejecting state %q: %v", key, cause)
+	if err := s.codec.Send(Msg{Type: MsgReject, Key: key, Error: cause.Error()}); err != nil {
+		return nil, err
+	}
+	return s.recvState(key)
+}
+
+// recvState reads the coordinator's state reply for key: its bytes, or
+// (nil, nil) on a miss.
+func (s *workerSession) recvState(key string) ([]byte, error) {
 	m, err := s.codec.Recv()
 	if err != nil {
 		return nil, err

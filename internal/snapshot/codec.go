@@ -81,11 +81,21 @@ func Decode(data []byte) (*DeviceState, error) {
 
 // Verify checks that data is a complete, well-formed snapshot — magic,
 // version, checksum and every structural field — without handing the decoded
-// state to the caller. Transports use it to validate encoded snapshots
-// received from another process before admitting them to a state cache; the
-// errors are Decode's typed errors.
+// state to the caller; the errors are Decode's typed errors. It costs a full
+// decode, so no transport calls it: a store that only forwards snapshots
+// checks their seal (CheckSeal), and the end that restores one decodes it.
 func Verify(data []byte) error {
 	_, err := Decode(data)
+	return err
+}
+
+// CheckSeal checks the framing Encode wrote — magic, version and the CRC32
+// over the payload — without decoding a field. It proves bytes intact since
+// they were sealed, not that they decode: a state cache that only serves or
+// stores snapshots admits them on it, and the restoring end still decodes
+// in full. The errors are Decode's typed errors.
+func CheckSeal(data []byte) error {
+	_, err := format.Open(data)
 	return err
 }
 
