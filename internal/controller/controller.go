@@ -57,7 +57,7 @@ func (m MappingScheme) String() string {
 }
 
 // Config assembles a controller. Zero fields get sane defaults from
-// (*Config).withDefaults; Validate rejects inconsistent combinations.
+// (*Config).WithDefaults; Validate rejects inconsistent combinations.
 type Config struct {
 	Geometry flash.Geometry
 	Timing   flash.Timing
@@ -123,7 +123,10 @@ type Config struct {
 	OnComplete func(*iface.Request)
 }
 
-func (c *Config) withDefaults() {
+// WithDefaults fills every zero field that has a default: the stack's one
+// statement of them, which spec.FromConfig applies too so that cache keys
+// describe exactly what runs.
+func (c *Config) WithDefaults() {
 	if c.Timing.Cmd == 0 {
 		c.Timing = flash.TimingSLC()
 	}
@@ -409,7 +412,7 @@ func New(eng *sim.Engine, bus *iface.Bus, col *stats.Collector, cfg Config) (*Co
 // it, until this one first writes to them: st must not be modified again.
 // Call Kick once the engine clock is restored, so GC sees a changed target.
 func Restore(eng *sim.Engine, bus *iface.Bus, col *stats.Collector, cfg Config, st *State) (*Controller, error) {
-	cfg.withDefaults()
+	cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

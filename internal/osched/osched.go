@@ -53,7 +53,8 @@ type Config struct {
 	Capture Capture
 }
 
-func (c *Config) withDefaults() {
+// WithDefaults fills the zero Policy and QueueDepth with their defaults.
+func (c *Config) WithDefaults() {
 	if c.Policy == nil {
 		c.Policy = &FIFO{}
 	}
@@ -96,7 +97,7 @@ type OS struct {
 // New builds the OS layer over a device. Wire the controller's OnComplete to
 // (*OS).Completed before running.
 func New(eng *sim.Engine, dev Device, cfg Config) (*OS, error) {
-	cfg.withDefaults()
+	cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -231,26 +231,59 @@ func TestCanonKeyDistinguishesEveryComponent(t *testing.T) {
 // TestCanonKeyNormalizesDefaults: a configuration relying on runtime
 // defaults and one spelling them out must share a key — that is what lets
 // a configuration built in Go and a spec-driven run hit the same snapshot
-// cache entries.
+// cache entries. The explicit side spells out every default the stack fills
+// in, components and scalars alike; knobs with no effect in a configuration
+// (CMT sizes without DFTL, a buffer latency without a buffer) key as unset.
 func TestCanonKeyNormalizesDefaults(t *testing.T) {
 	implicit := canonBase()
-	explicit := canonBase()
+	implicit.Seed = 0
+	implicit.Controller.Timing = flash.Timing{}
+	implicit.Controller.Overprovision = 0
+	implicit.Controller.GCGreediness = 0
+	implicit.Controller.Mapping = controller.MapDFTL
+	implicit.Controller.WriteBufferPages = 16
+	implicit.Controller.WL.CheckInterval = 0
+	implicit.OS.QueueDepth = 0
+
+	explicit := implicit
+	explicit.Seed = 1
+	explicit.Controller.Timing = flash.TimingSLC()
+	explicit.Controller.Overprovision = 0.1
+	explicit.Controller.GCGreediness = 2
+	explicit.Controller.CMTEntries = 4096
+	explicit.Controller.ReservedTransBlocks = 2
+	explicit.Controller.WriteBufferLatency = 5 * sim.Microsecond
+	explicit.Controller.WL.CheckInterval = wl.DefaultConfig().CheckInterval
 	explicit.Controller.Policy = &sched.FIFO{}
 	explicit.Controller.Alloc = sched.LeastLoaded{}
 	explicit.Controller.GCPolicy = gc.Greedy{}
 	explicit.Controller.Detector = hotcold.None{}
+	explicit.OS.QueueDepth = 32
 	explicit.OS.Policy = &osched.FIFO{}
 
-	k1, err := CanonKey(implicit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := CanonKey(explicit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Fatalf("defaulted and explicit configurations key differently:\n%s\n%s", k1, k2)
+	unused := canonBase()
+	unused.Controller.CMTEntries = 128
+	unused.Controller.ReservedTransBlocks = 8
+	unused.Controller.WriteBufferLatency = 3 * sim.Microsecond
+
+	for _, pair := range []struct {
+		label string
+		a, b  core.Config
+	}{
+		{"defaults", implicit, explicit},
+		{"unused knobs", canonBase(), unused},
+	} {
+		k1, err := CanonKey(pair.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k2, err := CanonKey(pair.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k1 != k2 {
+			t.Errorf("%s: configurations the stack runs alike key differently:\n%s\n%s", pair.label, k1, k2)
+		}
 	}
 }
 

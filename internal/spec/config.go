@@ -194,7 +194,13 @@ func (c Config) Resolve() (core.Config, error) {
 // description; callers keying caches must account for it separately if it
 // can change behavior.
 func FromConfig(cfg core.Config) (Config, error) {
+	// Describe what runs: the runtime's own default fill-in, then the
+	// normalizations it does not apply — core.New's seed, and knobs that
+	// have no effect in this configuration.
 	ctl := cfg.Controller
+	ctl.WithDefaults()
+	osCfg := cfg.OS
+	osCfg.WithDefaults()
 	out := Config{
 		Geometry: Geometry{
 			Channels:       ctl.Geometry.Channels,
@@ -205,102 +211,51 @@ func FromConfig(cfg core.Config) (Config, error) {
 		},
 		Features:      Features{Copyback: ctl.Features.Copyback, Interleaving: ctl.Features.Interleaving},
 		Overprovision: ctl.Overprovision,
+		GC:            GCSpec{Greediness: ctl.GCGreediness, Copyback: ctl.GCCopyback},
 		OpenInterface: ctl.OpenInterface,
 		WriteBuffer:   WriteBufferSpec{Pages: ctl.WriteBufferPages, Latency: Duration(ctl.WriteBufferLatency)},
 		RAM:           RAMSpec{Bytes: ctl.RAMBytes, SafeBytes: ctl.SafeRAMBytes},
 		BadBlocks:     BadBlockSpec{Fraction: ctl.BadBlockFraction, Seed: ctl.BadBlockSeed},
+		OS:            OSSpec{QueueDepth: osCfg.QueueDepth},
 		Seed:          cfg.Seed,
 		SeriesBucket:  Duration(cfg.SeriesBucket),
 		TraceCap:      cfg.TraceCap,
 		LockBus:       cfg.LockBus,
 	}
-
-	// Normalization mirrors the runtime default fill-in (core.New and the
-	// controller/OS withDefaults), so a configuration relying on defaults
-	// and one spelling them out describe — and cache-key — identically.
 	if out.Seed == 0 {
 		out.Seed = 1
 	}
-	if out.Overprovision == 0 {
-		out.Overprovision = 0.1
-	}
-	timing := ctl.Timing
-	if timing.Cmd == 0 {
-		timing = flash.TimingSLC()
-	}
-	gcPolicy := ctl.GCPolicy
-	if gcPolicy == nil {
-		gcPolicy = gc.Greedy{}
-	}
-	out.GC.Greediness = ctl.GCGreediness
-	if out.GC.Greediness == 0 {
-		out.GC.Greediness = 2
-	}
-	out.GC.Copyback = ctl.GCCopyback
-	policy := ctl.Policy
-	if policy == nil {
-		policy = &sched.FIFO{}
-	}
-	alloc := ctl.Alloc
-	if alloc == nil {
-		alloc = sched.LeastLoaded{}
-	}
-	detector := ctl.Detector
-	if detector == nil {
-		detector = hotcold.None{}
-	}
-	mapping := MappingChoice{Scheme: ctl.Mapping, CMTEntries: ctl.CMTEntries, ReservedTransBlocks: ctl.ReservedTransBlocks}
-	if mapping.Scheme == controller.MapDFTL {
-		if mapping.CMTEntries == 0 {
-			mapping.CMTEntries = 4096
-		}
-		if mapping.ReservedTransBlocks == 0 {
-			mapping.ReservedTransBlocks = 2
-		}
-	} else {
-		mapping.CMTEntries, mapping.ReservedTransBlocks = 0, 0
-	}
-	wlCfg := ctl.WL
-	if wlCfg.CheckInterval == 0 {
-		wlCfg.CheckInterval = wl.DefaultConfig().CheckInterval
-	}
-	if out.WriteBuffer.Pages > 0 && out.WriteBuffer.Latency == 0 {
-		out.WriteBuffer.Latency = Duration(5000) // 5us, the controller default
-	} else if out.WriteBuffer.Pages == 0 {
+	if out.WriteBuffer.Pages == 0 {
 		out.WriteBuffer.Latency = 0
 	}
-	osPolicy := cfg.OS.Policy
-	if osPolicy == nil {
-		osPolicy = &osched.FIFO{}
-	}
-	out.OS.QueueDepth = cfg.OS.QueueDepth
-	if out.OS.QueueDepth == 0 {
-		out.OS.QueueDepth = 32
+	mapping := MappingChoice{Scheme: ctl.Mapping, CMTEntries: ctl.CMTEntries, ReservedTransBlocks: ctl.ReservedTransBlocks}
+	if mapping.Scheme != controller.MapDFTL {
+		mapping.CMTEntries, mapping.ReservedTransBlocks = 0, 0
 	}
 
 	var err error
-	if out.Timing, err = Describe(KindTiming, timing); err != nil {
+	if out.Timing, err = Describe(KindTiming, ctl.Timing); err != nil {
 		return out, fmt.Errorf("spec: timing: %w", err)
 	}
 	if out.Mapping, err = Describe(KindMapping, mapping); err != nil {
 		return out, fmt.Errorf("spec: mapping: %w", err)
 	}
-	if out.GC.Policy, err = Describe(KindGCPolicy, gcPolicy); err != nil {
+	if out.GC.Policy, err = Describe(KindGCPolicy, ctl.GCPolicy); err != nil {
 		return out, fmt.Errorf("spec: gc policy: %w", err)
 	}
-	if out.WL, err = Describe(KindWL, wlCfg); err != nil {
+	if out.WL, err = Describe(KindWL, ctl.WL); err != nil {
 		return out, fmt.Errorf("spec: wear leveling: %w", err)
 	}
-	if out.Policy, err = Describe(KindPolicy, policy); err != nil {
+	if out.Policy, err = Describe(KindPolicy, ctl.Policy); err != nil {
 		return out, fmt.Errorf("spec: scheduling policy: %w", err)
 	}
-	if out.Alloc, err = Describe(KindAllocator, alloc); err != nil {
+	if out.Alloc, err = Describe(KindAllocator, ctl.Alloc); err != nil {
 		return out, fmt.Errorf("spec: allocator: %w", err)
 	}
-	if out.Detector, err = Describe(KindDetector, detector); err != nil {
+	if out.Detector, err = Describe(KindDetector, ctl.Detector); err != nil {
 		return out, fmt.Errorf("spec: detector: %w", err)
 	}
-	if out.OS.Policy, err = Describe(KindOSPolicy, osPolicy); err != nil {
+	if out.OS.Policy, err = Describe(KindOSPolicy, osCfg.Policy); err != nil {
 		return out, fmt.Errorf("spec: os policy: %w", err)
 	}
 	if ctl.Fault != nil {

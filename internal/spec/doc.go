@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"eagletree/internal/workload"
@@ -280,227 +279,6 @@ func (e Experiment) ConfigFor(v Variant) (Config, error) {
 		return cfg, fmt.Errorf("spec: variant %q: %w", v.Label, err)
 	}
 	return cfg, nil
-}
-
-// Apply writes a variant-style override set into the configuration. Paths
-// are applied in sorted order (Go maps are unordered) so the result is
-// deterministic even if two paths overlap. Overrides replace whole values
-// (a component reference swaps the component); they never mutate maps
-// shared with another Config, so applying to a shallow copy is safe.
-func (c *Config) Apply(set map[string]any) error {
-	paths := make([]string, 0, len(set))
-	for p := range set { //lint:ordered keys are sorted before use
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if err := applySet(c, p, set[p]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applySet writes one override into the configuration mirror. The path set
-// is explicit — the supported knobs are the API — and unknown paths are an
-// *UnknownFieldError.
-func applySet(c *Config, path string, val any) error {
-	fail := func(err error) error {
-		return fmt.Errorf("set %q: %w", path, err)
-	}
-	setInt := func(dst *int) error {
-		n, err := coerceInt(val)
-		if err != nil {
-			return fail(err)
-		}
-		*dst = int(n)
-		return nil
-	}
-	setInt64 := func(dst *int64) error {
-		n, err := coerceInt(val)
-		if err != nil {
-			return fail(err)
-		}
-		*dst = n
-		return nil
-	}
-	setUint64 := func(dst *uint64) error {
-		n, err := coerceInt(val)
-		if err != nil {
-			return fail(err)
-		}
-		if n < 0 {
-			return fail(fmt.Errorf("%d is negative", n))
-		}
-		*dst = uint64(n)
-		return nil
-	}
-	setFloat := func(dst *float64) error {
-		f, err := coerceFloat(val)
-		if err != nil {
-			return fail(err)
-		}
-		*dst = f
-		return nil
-	}
-	setBool := func(dst *bool) error {
-		b, ok := val.(bool)
-		if !ok {
-			return fail(fmt.Errorf("cannot use %T as a bool", val))
-		}
-		*dst = b
-		return nil
-	}
-	setRef := func(dst *Ref) error {
-		r, err := coerceRef(val)
-		if err != nil {
-			return fail(err)
-		}
-		*dst = r
-		return nil
-	}
-	setDur := func(dst *Duration) error {
-		d, err := coerceDuration(val)
-		if err != nil {
-			return fail(err)
-		}
-		*dst = Duration(d)
-		return nil
-	}
-
-	switch path {
-	case "geometry.channels":
-		return setInt(&c.Geometry.Channels)
-	case "geometry.luns_per_channel":
-		return setInt(&c.Geometry.LUNsPerChannel)
-	case "geometry.blocks_per_lun":
-		return setInt(&c.Geometry.BlocksPerLUN)
-	case "geometry.pages_per_block":
-		return setInt(&c.Geometry.PagesPerBlock)
-	case "geometry.page_size":
-		return setInt(&c.Geometry.PageSize)
-	case "timing":
-		return setRef(&c.Timing)
-	case "features.copyback":
-		return setBool(&c.Features.Copyback)
-	case "features.interleaving":
-		return setBool(&c.Features.Interleaving)
-	case "mapping":
-		return setRef(&c.Mapping)
-	case "overprovision":
-		return setFloat(&c.Overprovision)
-	case "gc.policy":
-		return setRef(&c.GC.Policy)
-	case "gc.greediness":
-		return setInt(&c.GC.Greediness)
-	case "gc.copyback":
-		return setBool(&c.GC.Copyback)
-	case "wl":
-		return setRef(&c.WL)
-	case "policy":
-		return setRef(&c.Policy)
-	case "alloc":
-		return setRef(&c.Alloc)
-	case "detector":
-		return setRef(&c.Detector)
-	case "fault":
-		// Fault is a pointer so the no-fault default serializes as an absent
-		// field; "none" maps back to nil for the same reason.
-		r, err := coerceRef(val)
-		if err != nil {
-			return fail(err)
-		}
-		if r.None() || r.Name == "none" {
-			c.Fault = nil
-		} else {
-			c.Fault = &r
-		}
-		return nil
-	case "open_interface":
-		return setBool(&c.OpenInterface)
-	case "write_buffer.pages":
-		return setInt(&c.WriteBuffer.Pages)
-	case "write_buffer.latency":
-		return setDur(&c.WriteBuffer.Latency)
-	case "ram.bytes":
-		return setInt64(&c.RAM.Bytes)
-	case "ram.safe_bytes":
-		return setInt64(&c.RAM.SafeBytes)
-	case "bad_blocks.fraction":
-		return setFloat(&c.BadBlocks.Fraction)
-	case "bad_blocks.seed":
-		return setUint64(&c.BadBlocks.Seed)
-	case "os.policy":
-		return setRef(&c.OS.Policy)
-	case "os.queue_depth":
-		return setInt(&c.OS.QueueDepth)
-	case "seed":
-		return setUint64(&c.Seed)
-	case "series_bucket":
-		return setDur(&c.SeriesBucket)
-	case "trace_cap":
-		return setInt(&c.TraceCap)
-	case "lock_bus":
-		return setBool(&c.LockBus)
-	default:
-		if ref, param, ok := componentAt(c, path); ok {
-			if ref.None() {
-				return fail(fmt.Errorf("no named component at %q to parameterize", path[:len(path)-len(param)-1]))
-			}
-			// Never mutate a params map shared with another Config: overrides
-			// apply to shallow copies.
-			params := make(map[string]any, len(ref.Params)+1)
-			for k, v := range ref.Params { //lint:ordered writes land in a keyed map
-				params[k] = v
-			}
-			params[param] = val
-			ref.Params = params
-			return nil
-		}
-		return &UnknownFieldError{Context: "variant set", Field: path}
-	}
-}
-
-// componentAt resolves a "slot.param" override path — one parameter of the
-// component currently referenced at a slot ("policy.internal",
-// "mapping.cmt", "gc.policy.<param>") — to the slot's reference and the
-// parameter name. Whether the component accepts the parameter is checked at
-// resolve time, where the registry declaration is in hand.
-func componentAt(c *Config, path string) (ref *Ref, param string, ok bool) {
-	slots := []struct {
-		prefix string
-		ref    *Ref
-	}{
-		{"gc.policy.", &c.GC.Policy},
-		{"os.policy.", &c.OS.Policy},
-		{"timing.", &c.Timing},
-		{"mapping.", &c.Mapping},
-		{"wl.", &c.WL},
-		{"policy.", &c.Policy},
-		{"alloc.", &c.Alloc},
-		{"detector.", &c.Detector},
-	}
-	for _, s := range slots {
-		rest, found := strings.CutPrefix(path, s.prefix)
-		if found && rest != "" && !strings.Contains(rest, ".") {
-			return s.ref, rest, true
-		}
-	}
-	// The fault slot is a pointer (absent by default), so it cannot sit in
-	// the value-slot table above: clone before handing out a mutable
-	// reference — shallow Config copies share the pointee — and materialize
-	// an empty reference when absent so the caller reports "no named
-	// component" instead of "unknown field".
-	if rest, found := strings.CutPrefix(path, "fault."); found && rest != "" && !strings.Contains(rest, ".") {
-		if c.Fault == nil {
-			c.Fault = &Ref{}
-		} else {
-			clone := *c.Fault
-			c.Fault = &clone
-		}
-		return c.Fault, rest, true
-	}
-	return nil, "", false
 }
 
 func coerceInt(v any) (int64, error) {

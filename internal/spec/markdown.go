@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
@@ -64,11 +65,18 @@ func Markdown() string {
 	b.WriteString("| `variants` | explicit sweep list: `label`, `x`, `set`, `prepare`, `workload` |\n")
 	b.WriteString("| `grid` | sweep as a cross-product of axes (mutually exclusive with `variants`): each axis is `{name, variants}`, combination labels join with `,` and override sets merge |\n")
 	b.WriteString("| `series_bucket` | completion time-series bucket width |\n\n")
-	b.WriteString("Variant `set` paths address configuration knobs (`gc.greediness`,\n")
-	b.WriteString("`geometry.channels`, `policy`, ...). A `slot.param` path — `policy.internal`,\n")
-	b.WriteString("`mapping.cmt`, `gc.policy.<param>` — overrides one parameter of the component\n")
-	b.WriteString("currently referenced at that slot, which is how independent grid axes\n")
-	b.WriteString("parameterize one component.\n")
+
+	b.WriteString("## Configuration paths\n\n")
+	b.WriteString("Every path a variant `set` addresses, read off the `base` configuration's\n")
+	b.WriteString("fields. A `slot.param` path — `policy.internal`, `mapping.cmt`,\n")
+	b.WriteString("`gc.policy.<param>` — overrides one parameter of the component currently\n")
+	b.WriteString("referenced at a component slot, which is how independent grid axes\n")
+	b.WriteString("parameterize one component.\n\n")
+	b.WriteString("| Path | Type |\n|---|---|\n")
+	paths := configPaths()
+	for _, name := range sortedKeys(paths) {
+		fmt.Fprintf(&b, "| `%s` | %s |\n", name, pathType(paths[name].Type))
+	}
 
 	for _, sec := range kindSections {
 		b.WriteString("\n## " + sec.Title + "\n\n")
@@ -89,4 +97,21 @@ func Markdown() string {
 		}
 	}
 	return b.String()
+}
+
+// pathType names a configuration path's value type as parameter tables do.
+func pathType(t reflect.Type) string {
+	switch {
+	case t == reflect.TypeFor[Duration]():
+		return TDuration.String()
+	case t == refType || t == refPtrType:
+		return TComponent.String()
+	case t.Kind() == reflect.Bool:
+		return TBool.String()
+	case t.Kind() == reflect.Float64:
+		return TFloat.String()
+	case t.Kind() == reflect.Uint64:
+		return "int ≥ 0"
+	}
+	return TInt.String()
 }

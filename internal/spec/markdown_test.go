@@ -37,3 +37,14 @@ func TestMarkdownCoversEveryRegisteredKind(t *testing.T) {
 		}
 	}
 }
+
+// TestMarkdownListsEveryConfigPath: SPEC.md's configuration paths table
+// names every leaf path of a fully populated Config's encoding.
+func TestMarkdownListsEveryConfigPath(t *testing.T) {
+	page := Markdown()
+	for _, path := range sortedKeys(fullLeaves(t)) {
+		if !strings.Contains(page, "| `"+path+"` |") {
+			t.Errorf("SPEC.md's configuration paths table omits %s", path)
+		}
+	}
+}

@@ -12,7 +12,7 @@ import (
 // sortedKeys returns the map's keys in sorted order. Validation walks
 // parameter maps through this so the first-reported error is deterministic
 // regardless of Go's randomized map iteration.
-func sortedKeys(m map[string]any) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m { //lint:ordered keys are sorted before use
 		keys = append(keys, k)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -48,6 +47,22 @@ func jsonLeaves(prefix string, obj map[string]any, out map[string]any) {
 		}
 		out[prefix+k] = v
 	}
+}
+
+// fullLeaves maps every leaf path of fullConfig's encoding to its value.
+func fullLeaves(t *testing.T) map[string]any {
+	t.Helper()
+	data, err := json.Marshal(fullConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obj map[string]any
+	if err := json.Unmarshal(data, &obj); err != nil {
+		t.Fatal(err)
+	}
+	leaves := map[string]any{}
+	jsonLeaves("", obj, leaves)
+	return leaves
 }
 
 // setJSON replaces the value at a dotted path of a decoded JSON object.
@@ -121,24 +136,21 @@ func leafClass(t *testing.T, base Config, path string, leaf any) string {
 // empty slot.
 func TestEveryConfigPathSettable(t *testing.T) {
 	base := fullConfig()
-	data, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
+	leaves := fullLeaves(t)
+	paths := sortedKeys(leaves)
+	// A field fullConfig leaves zero is omitted from the encoding and would
+	// go unchecked.
+	var populated func(v reflect.Value, name string)
+	populated = func(v reflect.Value, name string) {
+		if v.Kind() == reflect.Struct && v.Type() != reflect.TypeOf(Ref{}) {
+			for i := range v.NumField() {
+				populated(v.Field(i), name+"."+v.Type().Field(i).Name)
+			}
+		} else if v.IsZero() {
+			t.Errorf("fullConfig leaves %s zero; populate it", name)
+		}
 	}
-	var obj map[string]any
-	if err := json.Unmarshal(data, &obj); err != nil {
-		t.Fatal(err)
-	}
-	leaves := map[string]any{}
-	jsonLeaves("", obj, leaves)
-	paths := make([]string, 0, len(leaves))
-	for p := range leaves { //lint:ordered keys are sorted before use
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	if len(paths) != 31 {
-		t.Errorf("fully populated Config encodes %d leaf paths, want 31: %v", len(paths), paths)
-	}
+	populated(reflect.ValueOf(base), "Config")
 
 	probes := []any{3.0, 0.25, -1.0, true, false, "3ms", "bogus", "some-name",
 		map[string]any{"name": "n", "params": map[string]any{"k": 1.0}}}
@@ -210,9 +222,13 @@ func assertUnknownPath(t *testing.T, path string) {
 	}
 }
 
-// TestFaultNoneClearsSlot: "none" at the fault slot maps back to the absent
-// field, so a no-fault variant keys like a configuration without one.
-func TestFaultNoneClearsSlot(t *testing.T) {
+// TestFaultSlotOverrides: the fault slot is a pointer, absent by default.
+// "none" maps back to the absent field; a fault.<param> override on a
+// configuration without a fault model fails and leaves the slot absent (it
+// once left an empty reference behind, which encodes as "fault": ""); and a
+// parameter override on a shallow copy never reaches the original's
+// reference.
+func TestFaultSlotOverrides(t *testing.T) {
 	cfg := fullConfig()
 	if err := cfg.Apply(map[string]any{"fault": "none"}); err != nil {
 		t.Fatal(err)
@@ -220,13 +236,17 @@ func TestFaultNoneClearsSlot(t *testing.T) {
 	if cfg.Fault != nil {
 		t.Fatalf("fault = %+v after \"none\", want nil", cfg.Fault)
 	}
-}
 
-// TestFaultParamDoesNotAlias: overriding a fault parameter on a shallow copy
-// leaves the original's reference untouched.
-func TestFaultParamDoesNotAlias(t *testing.T) {
+	var empty Config
+	if err := empty.Apply(map[string]any{"fault.program_fail": 0.1}); err == nil {
+		t.Fatal("parameterizing an absent fault model succeeded")
+	}
+	if empty.Fault != nil {
+		t.Fatalf("failed override left fault = %+v, want nil", empty.Fault)
+	}
+
 	base := fullConfig()
-	cfg := base
+	cfg = base
 	if err := cfg.Apply(map[string]any{"fault.program_fail": 0.1}); err != nil {
 		t.Fatal(err)
 	}
