@@ -174,12 +174,18 @@ type runtimeOpts struct {
 	capture   *trace.Capture
 }
 
-// executeSingle drives one single-run document to completion on a live
-// stack — the identical path for `run` flags, `record`, `replay` and a
-// single-variant `spec FILE`, so they cannot drift — and prints the report.
-func executeSingle(doc spec.Experiment, variant spec.Variant, rt runtimeOpts, repF *reportFlags, header string, stdout, stderr io.Writer) int {
-	cs := doc.Base
-	if err := cs.Apply(variant.Set); err != nil {
+// executeSingle drives a single-run document's one variant (the implicit
+// "run" variant unless it declares its own) to completion on a live stack —
+// the identical path for `run` flags, `record`, `replay` and a single-variant
+// `spec FILE`, so they cannot drift — and prints the report.
+func executeSingle(doc spec.Experiment, rt runtimeOpts, repF *reportFlags, header string, stdout, stderr io.Writer) int {
+	variants, err := doc.ExpandVariants()
+	if err != nil {
+		return fail(stderr, err)
+	}
+	variant := variants[0]
+	cs, err := doc.ConfigFor(variant)
+	if err != nil {
 		return fail(stderr, err)
 	}
 	cfg, err := cs.Resolve()
@@ -292,7 +298,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	}
 	header := fmt.Sprintf("eagletree: run %s (%dx%d LUNs, policy=%s, qd=%d)",
 		doc.Name, *cfgF.channels, *cfgF.luns, cfgF.policy.ref.Name, *cfgF.qd)
-	return executeSingle(doc, spec.Variant{Label: "run"}, runtimeOpts{loadState: *loadState}, repF, header, stdout, stderr)
+	return executeSingle(doc, runtimeOpts{loadState: *loadState}, repF, header, stdout, stderr)
 }
 
 // cmdRecord is run plus trace capture: the app-level IO stream of the
@@ -326,7 +332,7 @@ func cmdRecord(args []string, stdout, stderr io.Writer) int {
 		capture.Stop() // re-armed once the measured window starts
 	}
 	header := fmt.Sprintf("eagletree: record %s -> %s", doc.Name, *out)
-	if code := executeSingle(doc, spec.Variant{Label: "run"}, runtimeOpts{loadState: *loadState, capture: capture}, repF, header, stdout, stderr); code != 0 {
+	if code := executeSingle(doc, runtimeOpts{loadState: *loadState, capture: capture}, repF, header, stdout, stderr); code != 0 {
 		return code
 	}
 	tr := capture.Trace()
@@ -398,7 +404,7 @@ func cmdReplay(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	header := fmt.Sprintf("eagletree: replay %s (mode=%s, scale=%g, policy=%s)", file, *mode, *scale, cfgF.policy.ref.Name)
-	return executeSingle(doc, spec.Variant{Label: "run"}, runtimeOpts{loadState: *loadState}, repF, header, stdout, stderr)
+	return executeSingle(doc, runtimeOpts{loadState: *loadState}, repF, header, stdout, stderr)
 }
 
 // cmdState prepares and saves device states (state save FILE) and inspects

@@ -576,21 +576,13 @@ func cmdSpec(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		if *validate {
-			variants, err := doc.ExpandVariants()
-			if err != nil {
-				return fail(stderr, err)
-			}
-			n := len(variants)
-			if n == 0 {
-				n = 1
-			}
-			fmt.Fprintf(stdout, "%s: %s valid (%d variant(s))\n", path, doc.Name, n)
-			continue
-		}
 		variants, err := doc.ExpandVariants()
 		if err != nil {
 			return fail(stderr, err)
+		}
+		if *validate {
+			fmt.Fprintf(stdout, "%s: %s valid (%d variant(s))\n", path, doc.Name, len(variants))
+			continue
 		}
 		if len(variants) > 1 {
 			def, err := experiment.FromSpec(doc)
@@ -606,12 +598,8 @@ func cmdSpec(args []string, stdout, stderr io.Writer) int {
 			}
 			continue
 		}
-		variant := spec.Variant{Label: "run"}
-		if len(variants) == 1 {
-			variant = variants[0]
-		}
-		header := fmt.Sprintf("eagletree: spec %s: %s / %s", path, doc.Name, variant.Label)
-		if code := executeSingle(doc, variant, runtimeOpts{}, nil, header, stdout, stderr); code != 0 {
+		header := fmt.Sprintf("eagletree: spec %s: %s / %s", path, doc.Name, variants[0].Label)
+		if code := executeSingle(doc, runtimeOpts{}, nil, header, stdout, stderr); code != 0 {
 			return code
 		}
 	}

@@ -124,7 +124,7 @@ type Config struct {
 }
 
 // WithDefaults fills every zero field that has a default: the stack's one
-// statement of them, which spec.FromConfig applies too so that cache keys
+// statement of them, which spec.CanonKey applies too so that cache keys
 // describe exactly what runs.
 func (c *Config) WithDefaults() {
 	if c.Timing.Cmd == 0 {

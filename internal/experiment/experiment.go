@@ -31,7 +31,10 @@ type Variant struct {
 	// X is the variant's numeric value where one exists (sweep position);
 	// charts use it as the x coordinate.
 	X float64
-	// Mutate applies the variant to the base configuration.
+	// Mutate applies the variant to the configuration the runner hands it:
+	// Base(), with the definition's SeriesBucket set. A variant compiled
+	// from a spec document replaces that configuration with its own and
+	// keeps only the SeriesBucket (see FromSpec).
 	Mutate func(*core.Config)
 	// Prep, when non-nil, overrides the definition's Prep for this variant —
 	// used when preparation itself is what varies (fresh vs aged device,

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"testing"
-
-	"eagletree/internal/core"
 )
 
 // suiteDef compiles one embedded suite document, looked up by id.
@@ -33,12 +31,11 @@ func goldenDump(t *testing.T, s Scale) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, seed := range []uint64{7, 12345} {
-		for _, def := range Suite(s) {
-			base := def.Base
-			def.Base = func() core.Config {
-				cfg := base()
-				cfg.Seed = seed
-				return cfg
+		for _, doc := range SuiteSpecs(s) {
+			doc.Base.Seed = seed // as `eagletree sweep -seeds` varies it
+			def, err := FromSpec(doc)
+			if err != nil {
+				t.Fatal(err)
 			}
 			res, err := New(Options{}).Run(context.Background(), def)
 			if err != nil {

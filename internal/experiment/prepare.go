@@ -71,7 +71,6 @@ func prepConfig(cfg, base core.Config) core.Config {
 	p.Controller.GCGreediness = base.Controller.GCGreediness
 	p.Controller.OpenInterface = base.Controller.OpenInterface
 	p.OS = base.OS
-	p.OS.Trace = nil
 	p.OS.Capture = nil
 	p.LockBus = base.LockBus
 	p.SeriesBucket = 0

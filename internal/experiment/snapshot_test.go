@@ -27,7 +27,9 @@ type suiteRun struct {
 	// with -short; newEntries counts the prepared states it added.
 	fromFile   Results
 	newEntries int
-	err        error
+	// programs tallies each variant of the fresh run for TestProgramIdentity.
+	programs []programTally
+	err      error
 }
 
 var (
@@ -46,9 +48,11 @@ func suitePass() []suiteRun {
 		for i, def := range Suite(Small) {
 			r := suiteRun{name: def.Name}
 			r.err = func() (err error) {
-				if r.fresh, err = New(Options{Workers: 1, NoPrepareCache: true}).Run(ctx, def); err != nil {
+				fresh, tally := withProgramTally(def)
+				if r.fresh, err = New(Options{Workers: 1, NoPrepareCache: true}).Run(ctx, fresh); err != nil {
 					return err
 				}
+				r.programs = tally(r.fresh)
 				if r.cached1, err = New(Options{Workers: 1, Cache: cache}).Run(ctx, def); err != nil {
 					return err
 				}
@@ -75,6 +79,76 @@ func suitePass() []suiteRun {
 		}
 	})
 	return suitePassRuns
+}
+
+// programTally is one variant's flash programs over the measurement window
+// beside the writes that account for them.
+type programTally struct {
+	label                string
+	writes, copybacks    uint64 // flash programs
+	app, gc, wl, trans   uint64 // app writes, GC and WL migrations, translation writes
+	retries, relocations uint64 // fault recovery
+}
+
+func (p programTally) String() string {
+	return fmt.Sprintf("%s: writes %d + copybacks %d vs app %d + gc %d + wl %d + trans %d + retries %d + relocations %d",
+		p.label, p.writes, p.copybacks, p.app, p.gc, p.wl, p.trans, p.retries, p.relocations)
+}
+
+// withProgramTally wraps every variant's workload hook to keep its stack and
+// the counters at the measurement epoch (the hook runs right after it). The
+// returned function reads each stack's counters back after the run.
+func withProgramTally(def Definition) (Definition, func(Results) []programTally) {
+	stacks := make([]*core.Stack, len(def.Variants))
+	epoch := make([]programTally, len(def.Variants))
+	counts := func(s *core.Stack) programTally {
+		ac, cc := s.Controller.Array().Counters(), s.Controller.Counters()
+		rel := s.Controller.Reliability()
+		return programTally{writes: ac.Writes, copybacks: ac.Copybacks, app: cc.AppWrites,
+			retries: rel.Retries, relocations: rel.Relocations}
+	}
+	def.Variants = append([]Variant(nil), def.Variants...)
+	for i := range def.Variants {
+		hook := def.Workload
+		if def.Variants[i].Workload != nil {
+			hook = def.Variants[i].Workload
+		}
+		def.Variants[i].Workload = func(s *core.Stack) {
+			stacks[i], epoch[i] = s, counts(s)
+			hook(s)
+		}
+	}
+	return def, func(res Results) []programTally {
+		out := make([]programTally, len(res.Rows))
+		for i, row := range res.Rows {
+			end, rep := counts(stacks[i]), row.Report
+			out[i] = programTally{label: row.Label,
+				writes: end.writes - epoch[i].writes, copybacks: end.copybacks - epoch[i].copybacks,
+				app: end.app - epoch[i].app, gc: rep.GCMigratedPages, wl: rep.WLMigratedPages, trans: rep.TransWrites,
+				retries: end.retries - epoch[i].retries, relocations: end.relocations - epoch[i].relocations}
+		}
+		return out
+	}
+}
+
+// TestProgramIdentity: every flash program in a measurement window is
+// accounted for — flash writes + copybacks = app writes + GC migrations + WL
+// migrations + translation writes + retries + relocations — on every variant
+// of the small suite, read from the fresh pass's stacks.
+func TestProgramIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads the whole-suite pass; skipped with -short")
+	}
+	forEachSuiteRun(t, func(t *testing.T, r suiteRun) {
+		if len(r.programs) == 0 {
+			t.Fatal("the fresh pass tallied no variant")
+		}
+		for _, p := range r.programs {
+			if p.writes+p.copybacks != p.app+p.gc+p.wl+p.trans+p.retries+p.relocations {
+				t.Errorf("program identity does not close: %v", p)
+			}
+		}
+	})
 }
 
 // forEachSuiteRun runs check over the suite pass, one subtest an experiment.

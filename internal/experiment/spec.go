@@ -15,10 +15,18 @@ import (
 // unknown fields, bad parameters and malformed expressions all surface here
 // as the spec package's typed errors, before any simulation runs.
 //
-// The compiled definition resolves components freshly on every Base/Mutate
-// call (policies and detectors are stateful), so spec-driven runs share
-// nothing across variants — exactly like hand-written definitions — and the
-// parallel runner stays bit-identical to the sequential one.
+// A compiled variant's configuration is its document's configuration: Mutate
+// replaces the configuration it is handed with the variant's own (the
+// document's base with the variant's overrides, resolved), keeping only the
+// SeriesBucket the runner set. To vary a knob across runs — the seed, say —
+// change it on the document before compiling, as `eagletree sweep -seeds`
+// does with Base.Seed; a wrapped Definition.Base does not reach a variant
+// that sets paths.
+//
+// Components are resolved freshly on every Base/Mutate call (policies and
+// detectors are stateful), so spec-driven runs share nothing across variants
+// — exactly like hand-written definitions — and the parallel runner stays
+// bit-identical to the sequential one.
 func FromSpec(e spec.Experiment) (Definition, error) {
 	if err := e.Validate(); err != nil {
 		return Definition{}, err
@@ -46,44 +54,24 @@ func FromSpec(e spec.Experiment) (Definition, error) {
 	if err != nil {
 		return Definition{}, err
 	}
-	if len(variants) == 0 {
-		variants = []spec.Variant{{Label: "run"}}
-	}
+	baseBucket := e.Base.SeriesBucket.D()
 	for _, v := range variants {
-		v := v
 		variant := Variant{Label: v.Label, X: v.X}
 		if len(v.Set) > 0 {
-			// Validate the override set against the document's own base once,
-			// eagerly; at run time the same overrides are applied to whatever
-			// configuration the runner hands in.
-			if vspec, err := e.ConfigFor(v); err != nil {
-				return Definition{}, err
-			} else if _, err := vspec.Resolve(); err != nil {
-				return Definition{}, fmt.Errorf("spec: variant %q: %w", v.Label, err)
-			}
-			set := v.Set
 			variant.Mutate = func(c *core.Config) {
-				// Mutate the configuration it is given, not the document's
-				// base: callers may wrap Definition.Base to override knobs
-				// (a different seed, say) and the variant's deltas must
-				// compose with that. Describing the live config through the
-				// registry and re-resolving it is behavior-preserving for
-				// everything a spec can express; runtime-only hooks are
-				// carried across by hand.
-				cs, err := spec.FromConfig(*c)
+				cs, err := e.ConfigFor(v)
 				if err != nil {
-					panic(fmt.Sprintf("experiment: spec %q variant %q: describe base: %v", e.Name, v.Label, err))
-				}
-				if err := cs.Apply(set); err != nil {
-					panic(fmt.Sprintf("experiment: spec %q variant %q: %v", e.Name, v.Label, err))
+					panic(fmt.Sprintf("experiment: spec %q: %v", e.Name, err))
 				}
 				cfg, err := cs.Resolve()
 				if err != nil {
 					panic(fmt.Sprintf("experiment: spec %q variant %q resolution failed after validation: %v", e.Name, v.Label, err))
 				}
-				cfg.OS.Trace = c.OS.Trace
-				cfg.OS.Capture = c.OS.Capture
-				cfg.Controller.OnComplete = c.Controller.OnComplete
+				// The runner sets SeriesBucket before Mutate (the CLI's
+				// -timeline); a variant setting series_bucket itself wins.
+				if cfg.SeriesBucket == baseBucket {
+					cfg.SeriesBucket = c.SeriesBucket
+				}
 				*c = cfg
 			}
 		}
@@ -115,14 +103,12 @@ func (p PrepareSpec) specOf() spec.Prep {
 // and the CLIs' single-run barrier flow, so the two cannot drift.
 func addSpecThreads(st *core.Stack, barrier *workload.Handle, threads []spec.Thread, factor int64) error {
 	cfg := st.Config()
+	cfg.OS.WithDefaults()
 	env := spec.Env{
 		N:   int64(st.LogicalPages()),
 		PPB: int64(cfg.Controller.Geometry.PagesPerBlock),
 		QD:  int64(cfg.OS.QueueDepth),
 		F:   factor,
-	}
-	if env.QD == 0 {
-		env.QD = 32 // the OS layer's runtime default
 	}
 	for _, t := range threads {
 		env.I = 0 // i is per-thread; a prior thread's replica count must not leak

@@ -14,8 +14,6 @@ import (
 	"eagletree/specs"
 )
 
-type coreConfig = core.Config
-
 var updateSpecs = flag.Bool("update-specs", false, "rewrite the derived golden files under specs/full/")
 
 // TestGoldenSpecFiles: every embedded suite document decodes, validates, and
@@ -127,28 +125,5 @@ func TestSpecRepeatIndexDoesNotLeak(t *testing.T) {
 	}
 	if got := st.Runner.Active(); got != 4 {
 		t.Fatalf("registered %d threads, want 4 (3 writers + 1 reader; i must reset per thread)", got)
-	}
-}
-
-// TestFromSpecComposesWithBaseOverrides: wrapping a spec-compiled
-// definition's Base (the golden-dump test does this to sweep seeds) must
-// compose with variant overrides — the variant mutates the wrapped
-// configuration instead of rebuilding the document's base.
-func TestFromSpecComposesWithBaseOverrides(t *testing.T) {
-	def := suiteDef(t, "e3", Small)
-	base := def.Base
-	def.Base = func() (cfg coreConfig) {
-		cfg = base()
-		cfg.Seed = 12345
-		return cfg
-	}
-	for _, v := range def.Variants {
-		cfg := def.Base()
-		if v.Mutate != nil {
-			v.Mutate(&cfg)
-		}
-		if cfg.Seed != 12345 {
-			t.Fatalf("variant %q reset the seed to %d", v.Label, cfg.Seed)
-		}
 	}
 }

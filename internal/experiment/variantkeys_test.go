@@ -27,7 +27,7 @@ func TestGoldenVariantKeys(t *testing.T) {
 		scale Scale
 	}{{"small", Small}, {"full", Full}} {
 		for _, e := range SuiteSpecs(sc.scale) {
-			keys, err := e.VariantKeys()
+			keys, _, err := e.VariantKeys()
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name, err)
 			}

@@ -62,16 +62,13 @@ func Run(ctx context.Context, doc spec.Experiment, opts Options) (experiment.Res
 	if err := doc.Validate(); err != nil {
 		return res, err
 	}
-	keys, err := doc.VariantKeys()
+	keys, _, err := doc.VariantKeys()
 	if err != nil {
 		return res, err
 	}
 	variants, err := doc.ExpandVariants()
 	if err != nil {
 		return res, err
-	}
-	if len(variants) == 0 {
-		variants = []spec.Variant{{Label: "run"}}
 	}
 	docJSON, err := spec.Encode(doc)
 	if err != nil {

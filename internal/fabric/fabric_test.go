@@ -295,7 +295,7 @@ func TestCanceledWorkerDropsSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := doc.VariantKeys()
+	keys, _, err := doc.VariantKeys()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestLeaseIndexValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := doc.VariantKeys()
+	keys, _, err := doc.VariantKeys()
 	if err != nil {
 		t.Fatal(err)
 	}

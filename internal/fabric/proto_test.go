@@ -266,7 +266,7 @@ func TestCodecLeaseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	keys, err := suiteDoc(t, "E2").VariantKeys()
+	keys, _, err := suiteDoc(t, "E2").VariantKeys()
 	if err != nil {
 		t.Fatal(err)
 	}

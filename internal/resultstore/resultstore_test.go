@@ -326,7 +326,7 @@ func suiteDoc(t testing.TB, id string) spec.Experiment {
 
 func TestSinkCapturesRowsWithProvenance(t *testing.T) {
 	doc := suiteDoc(t, "E2")
-	keys, err := doc.VariantKeys()
+	keys, _, err := doc.VariantKeys()
 	if err != nil {
 		t.Fatal(err)
 	}

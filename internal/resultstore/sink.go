@@ -3,7 +3,6 @@ package resultstore
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sync"
 
 	"eagletree/internal/experiment"
@@ -33,20 +32,17 @@ type Sink struct {
 }
 
 // NewSink builds a sink for one run of doc, labeling every row with commit.
-// The variant identities — canonical keys and resolved seeds — are computed
-// up front from the document, exactly as the distributed fabric computes its
-// lease keys, so a row's provenance never depends on which path executed it.
+// The variant identities — canonical keys and seeds — are computed up front
+// from the document, exactly as the distributed fabric computes its lease
+// keys, so a row's provenance never depends on which path executed it.
 func NewSink(store *Store, doc spec.Experiment, commit string) (*Sink, error) {
-	keys, err := doc.VariantKeys()
+	keys, cfgs, err := doc.VariantKeys()
 	if err != nil {
 		return nil, err
 	}
 	variants, err := doc.ExpandVariants()
 	if err != nil {
 		return nil, err
-	}
-	if len(variants) == 0 {
-		variants = []spec.Variant{{Label: "run"}}
 	}
 	docJSON, err := spec.Encode(doc)
 	if err != nil {
@@ -62,23 +58,16 @@ func NewSink(store *Store, doc spec.Experiment, commit string) (*Sink, error) {
 		present:    make([]bool, len(keys)),
 	}
 	for i, v := range variants {
-		cfg, err := doc.ConfigFor(v)
-		if err != nil {
-			return nil, err
-		}
-		resolved, err := cfg.Resolve()
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: variant %q: %w", v.Label, err)
-		}
-		// Mirror the canonical-key normalization: an unset seed runs as 1.
-		if resolved.Seed == 0 {
-			resolved.Seed = 1
+		// An unset seed runs as 1, as the canonical key records it.
+		seed := cfgs[i].Seed
+		if seed == 0 {
+			seed = 1
 		}
 		s.rows[i] = Row{
 			Experiment: doc.Name,
 			Spec:       s.digest,
 			Commit:     commit,
-			Seed:       resolved.Seed,
+			Seed:       seed,
 			Index:      i,
 			Variant:    keys[i],
 			Label:      v.Label,

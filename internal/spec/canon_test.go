@@ -202,9 +202,9 @@ func TestCanonKeyDistinguishesEveryComponent(t *testing.T) {
 		}
 		keys[key] = c.label
 
-		cs, err := FromConfig(cfg)
+		cs, err := fromConfig(cfg)
 		if err != nil {
-			t.Fatalf("%s: FromConfig: %v", c.label, err)
+			t.Fatalf("%s: fromConfig: %v", c.label, err)
 		}
 		cover(KindPolicy, cs.Policy)
 		cover(KindAllocator, cs.Alloc)
@@ -302,7 +302,7 @@ func TestFromConfigResolveRoundTrip(t *testing.T) {
 	cfg.Controller.WL = wl.DefaultConfig()
 	cfg.OS.Policy = &osched.CFQ{Quantum: 6}
 
-	first, err := FromConfig(cfg)
+	first, err := fromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestFromConfigResolveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := FromConfig(resolved)
+	second, err := fromConfig(resolved)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,17 +183,18 @@ func (c Config) Resolve() (core.Config, error) {
 	return cfg, nil
 }
 
-// FromConfig describes a live configuration back into its serializable
-// mirror. Every component is reverse-mapped through the registry — a value
-// of an unregistered type is an *UnknownComponentError, never a silently
-// lossy description — and defaulted fields are normalized to their effective
-// values (nil policy describes as "fifo", zero greediness as 2, …), so two
-// configurations the stack would run identically describe identically.
+// fromConfig describes a live configuration back into its serializable
+// mirror, for CanonKey. Every component is reverse-mapped through the
+// registry — a value of an unregistered type is an *UnknownComponentError,
+// never a silently lossy description — and defaulted fields are normalized
+// to their effective values (nil policy describes as "fifo", zero greediness
+// as 2, …), so two configurations the stack would run identically describe
+// identically.
 //
 // Runtime wiring (OnComplete, OS trace and capture hooks) is outside the
 // description; callers keying caches must account for it separately if it
 // can change behavior.
-func FromConfig(cfg core.Config) (Config, error) {
+func fromConfig(cfg core.Config) (Config, error) {
 	// Describe what runs: the runtime's own default fill-in, then the
 	// normalizations it does not apply — core.New's seed, and knobs that
 	// have no effect in this configuration.
@@ -275,7 +276,7 @@ func FromConfig(cfg core.Config) (Config, error) {
 // reflective printer this replaces silently produced colliding keys for
 // components configured through unexported state.
 func CanonKey(cfg core.Config) (string, error) {
-	cs, err := FromConfig(cfg)
+	cs, err := fromConfig(cfg)
 	if err != nil {
 		return "", err
 	}

@@ -58,8 +58,9 @@ type Experiment struct {
 	Prep *Prep `json:"prepare,omitempty"`
 	// Workload is the measured thread list.
 	Workload []Thread `json:"workload"`
-	// Variants is the sweep list; empty means one unmodified run (unless
-	// Grid declares the sweep instead).
+	// Variants is the sweep list; empty means one unmodified run, the
+	// implicit "run" variant ExpandVariants returns (unless Grid declares
+	// the sweep instead).
 	Variants []Variant `json:"variants,omitempty"`
 	// Grid declares the sweep as a cross-product of axes instead of an
 	// explicit variant list: every combination of one variant per axis
@@ -88,8 +89,14 @@ type Axis struct {
 // outermost, so the last axis varies fastest). Combination labels join the
 // fragments' labels with ","; their override sets merge, and two axes
 // setting the same path is an error — axes must be independent dimensions.
+// A document declaring neither runs its base once, as the one implicit
+// variant labeled "run"; this is the only place that fallback is written,
+// so every consumer's variant list has the same length and order.
 func (e Experiment) ExpandVariants() ([]Variant, error) {
 	if len(e.Grid) == 0 {
+		if len(e.Variants) == 0 {
+			return []Variant{{Label: "run"}}, nil
+		}
 		return e.Variants, nil
 	}
 	if len(e.Variants) > 0 {
@@ -388,13 +395,13 @@ func (e Experiment) Validate() error {
 		}
 	}
 	if len(e.Workload) == 0 {
+		if len(e.Variants) == 0 && len(e.Grid) == 0 {
+			return fmt.Errorf("%w: %q has no workload", ErrExperiment, e.Name)
+		}
 		for _, v := range variants {
 			if len(v.Workload) == 0 {
 				return fmt.Errorf("%w: %q: variant %q has no workload", ErrExperiment, e.Name, v.Label)
 			}
-		}
-		if len(variants) == 0 {
-			return fmt.Errorf("%w: %q has no workload", ErrExperiment, e.Name)
 		}
 	}
 	return nil

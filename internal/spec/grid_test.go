@@ -59,6 +59,17 @@ func TestGridExpansion(t *testing.T) {
 	if err := e.Validate(); err != nil {
 		t.Fatalf("grid document does not validate: %v", err)
 	}
+
+	// Neither variants nor grid: the base runs once, as the implicit "run"
+	// variant — the one place that fallback lives.
+	bare := Experiment{Name: "bare", Base: gridBase(), Workload: e.Workload}
+	implicit, err := bare.ExpandVariants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(implicit) != 1 || implicit[0].Label != "run" || implicit[0].Set != nil || implicit[0].X != 0 {
+		t.Fatalf("bare document expands to %+v, want one implicit run variant", implicit)
+	}
 }
 
 // TestGridParamPathOverride: a "slot.param" path overrides one parameter of
@@ -161,6 +172,25 @@ func TestGridRejectsConflicts(t *testing.T) {
 	}
 	if _, err := xClash.ExpandVariants(); err == nil || !strings.Contains(err.Error(), "more than one axis") {
 		t.Fatalf("two axes setting x: err = %v", err)
+	}
+
+	// A document with no workload names what lacks one, in these exact
+	// words whether its variants are implicit, listed or a grid.
+	for _, c := range []struct {
+		doc  Experiment
+		want string
+	}{
+		{Experiment{Name: "bare", Base: gridBase()},
+			`spec: invalid experiment: "bare" has no workload`},
+		{Experiment{Name: "listed", Base: gridBase(), Variants: []Variant{{Label: "v", Workload: wl}, {Label: "run"}}},
+			`spec: invalid experiment: "listed": variant "run" has no workload`},
+		{Experiment{Name: "gridded", Base: gridBase(), Grid: []Axis{{Variants: []Variant{{Label: "a"}}}}},
+			`spec: invalid experiment: "gridded": variant "a" has no workload`},
+	} {
+		err := c.doc.Validate()
+		if err == nil || err.Error() != c.want || !errors.Is(err, ErrExperiment) {
+			t.Errorf("%s: err = %v, want %q", c.doc.Name, err, c.want)
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ func Markdown() string {
 	b.WriteString("| `base` | the shared configuration (components by name) |\n")
 	b.WriteString("| `prepare` | device preparation: `fill_depth`, `age_passes`, `age_depth` |\n")
 	b.WriteString("| `workload` | measured thread list (`type`, `params`, `repeat`) |\n")
-	b.WriteString("| `variants` | explicit sweep list: `label`, `x`, `set`, `prepare`, `workload` |\n")
+	b.WriteString("| `variants` | explicit sweep list: `label`, `x`, `set`, `prepare`, `workload`; with neither `variants` nor `grid`, the base runs once as the implicit variant `run` |\n")
 	b.WriteString("| `grid` | sweep as a cross-product of axes (mutually exclusive with `variants`): each axis is `{name, variants}`, combination labels join with `,` and override sets merge |\n")
 	b.WriteString("| `series_bucket` | completion time-series bucket width |\n\n")
 
