@@ -132,8 +132,12 @@ type (
 // Workload layer.
 type (
 	// Thread is a simulated application: Init plus a completion callback.
+	// The *Request OnComplete receives is recycled once OnComplete returns:
+	// copy the fields you need, do not keep the pointer.
 	Thread = workload.Thread
-	// Ctx is a thread's window onto the stack.
+	// Ctx is a thread's window onto the stack. The *Request Ctx.Submit
+	// returns is the one OnComplete later receives, valid until that
+	// OnComplete returns: copy the fields you need, do not keep the pointer.
 	Ctx = workload.Ctx
 	// Handle names a registered thread for dependencies.
 	Handle = workload.Handle

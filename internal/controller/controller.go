@@ -255,13 +255,12 @@ type writeMemoEntry struct {
 
 // gcRun tracks one in-flight collection or wear-leveling migration.
 type gcRun struct {
-	victim    flash.BlockID
-	pending   int  // migration pairs not yet finished
-	erased    bool // erase issued (or run reached its terminal state)
-	isWL      bool
-	condemn   bool // relocation off a grown-bad block; never erased
-	failed    bool // the victim erase was failed by injection; block retired
-	collector *Controller
+	victim  flash.BlockID
+	pending int  // migration pairs not yet finished
+	erased  bool // erase issued (or run reached its terminal state)
+	isWL    bool
+	condemn bool // relocation off a grown-bad block; never erased
+	failed  bool // the victim erase was failed by injection; block retired
 }
 
 // Counters aggregates controller-level totals for reports.
@@ -338,7 +337,6 @@ type Controller struct {
 	completions  uint64
 	opsSinceScan uint64
 	wlScanArmed  bool
-	wlScanEv     *sim.Event       // armed static-WL scan timer (cancelled on restore)
 	deferred     []*iface.Request // writes an allocator refused; retried after the next completion
 	lastTrans    *iface.Request   // tail of the most recently planned translation chain
 
@@ -346,11 +344,13 @@ type Controller struct {
 	// and callbacks bound once so per-IO scheduling allocates nothing.
 	statePool    []*reqState
 	reqPool      []*iface.Request // recycled controller-internal requests
+	runPool      []*gcRun         // recycled GC/WL/relocation run records
 	views        []sched.LUNView
 	detectorLive bool // detector state can change classifications (not hotcold.None)
 	dispatchFn   func(any)
 	ioDoneFn     func(any)
 	flushFn      func(any)
+	wlScanFn     func(any)
 
 	// Readiness epochs. Every mutation of a readiness input bumps the
 	// matching epoch, so cached Evaluate inputs are reused exactly while
@@ -382,10 +382,11 @@ type Controller struct {
 	// queued request that needs no LUN can start. lunFree counts those
 	// conservatively — every queued opData read (it may be unmapped) and
 	// trim, blocked or not — from Submit/enqueueTransChain to executeData.
-	lunEpoch []uint64
-	readWait map[iface.LPN][]*iface.Request
-	busyLUNs int
-	lunFree  int
+	lunEpoch     []uint64
+	readWait     map[iface.LPN][]*iface.Request
+	readWaitFree [][]*iface.Request // emptied readWait lists, reused for the next LPN
+	busyLUNs     int
+	lunFree      int
 
 	// Open-interface state fed by bus hints.
 	threadPrio map[int]iface.Priority
@@ -490,6 +491,7 @@ func Restore(eng *sim.Engine, bus *iface.Bus, col *stats.Collector, cfg Config, 
 	c.dispatchFn = func(any) { c.dispPend = false; c.dispatch() }
 	c.ioDoneFn = c.ioDone
 	c.flushFn = c.flushDone
+	c.wlScanFn = c.wlScanDue
 	c.mem = NewMemoryManager(cfg.RAMBytes, cfg.SafeRAMBytes)
 	if err := c.mem.Reserve("mapping", mapper.RAMBytes(), false); err != nil {
 		return nil, err
@@ -892,7 +894,7 @@ func (c *Controller) Evaluate(r *iface.Request) (bool, int) {
 		st.waitClass = int32(ppa.LUN)
 		if !st.waitRead {
 			st.waitRead = true
-			c.readWait[r.LPN] = append(c.readWait[r.LPN], r)
+			c.parkRead(r)
 		}
 		return false, ppa.LUN
 	case iface.Write:
@@ -974,6 +976,21 @@ func (c *Controller) wakeRead(lpn iface.LPN) {
 		c.cfg.Policy.WakeRequest(r, int(st.waitClass))
 		st.waitClass = -1
 	}
+	c.readWaitFree = append(c.readWaitFree, lst[:0])
+}
+
+// parkRead indexes a parked read under its LPN, giving a new entry an
+// emptied list when one is spare.
+//
+//eagletree:hotpath
+func (c *Controller) parkRead(r *iface.Request) {
+	lst, ok := c.readWait[r.LPN]
+	if n := len(c.readWaitFree); !ok && n > 0 {
+		lst = c.readWaitFree[n-1]
+		c.readWaitFree[n-1] = nil
+		c.readWaitFree = c.readWaitFree[:n-1]
+	}
+	c.readWait[r.LPN] = append(lst, r)
 }
 
 // readWaitDel removes a read that executeData is dispatching from the readWait
@@ -994,6 +1011,7 @@ func (c *Controller) readWaitDel(r *iface.Request, st *reqState) {
 	}
 	if len(lst) == 0 {
 		delete(c.readWait, r.LPN)
+		c.readWaitFree = append(c.readWaitFree, lst)
 	} else {
 		c.readWait[r.LPN] = lst
 	}

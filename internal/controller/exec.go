@@ -503,8 +503,11 @@ func (c *Controller) finish(r *iface.Request, at sim.Time) {
 	}
 	c.unblockSuccessors(st)
 	// Detach before any callback below: OnComplete may synchronously submit
-	// new IOs, possibly reusing this very request object.
+	// new IOs, possibly reusing this very request object. For the same
+	// reason ownership is read now: once OnComplete returns, an application
+	// request belongs to its submitter again, which recycles it.
 	r.Ctl = nil
+	ownReq := st.buffered || r.Source != iface.SourceApp
 
 	switch st.kind {
 	case opGCWrite, opGCCopyback:
@@ -553,7 +556,6 @@ func (c *Controller) finish(r *iface.Request, at sim.Time) {
 		c.array.Prune(c.eng.Now())
 	}
 	c.scheduleDispatch()
-	ownReq := st.buffered || r.Source != iface.SourceApp
 	c.freeState(st)
 	if ownReq {
 		c.recycleRequest(r)

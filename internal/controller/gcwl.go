@@ -21,14 +21,42 @@ func (c *Controller) maybeGC(lun int) {
 
 // startRun begins migrating a victim block's live pages (GC or static WL).
 func (c *Controller) startRun(victim flash.BlockID, isWL bool) {
-	c.beginRun(&gcRun{victim: victim, isWL: isWL})
+	run := c.newRun()
+	run.victim, run.isWL = victim, isWL
+	c.beginRun(run)
 }
 
 // startCondemnRun begins relocating the survivors of a grown-bad block. The
 // run reuses the GC migration machinery but terminates without an erase: a
 // retired block is never reclaimed.
 func (c *Controller) startCondemnRun(victim flash.BlockID) {
-	c.beginRun(&gcRun{victim: victim, condemn: true})
+	run := c.newRun()
+	run.victim, run.condemn = victim, true
+	c.beginRun(run)
+}
+
+// newRun takes a zeroed run record from the free list or allocates one.
+//
+//eagletree:hotpath
+func (c *Controller) newRun() *gcRun {
+	n := len(c.runPool)
+	if n == 0 {
+		return &gcRun{}
+	}
+	run := c.runPool[n-1]
+	c.runPool[n-1] = nil
+	c.runPool = c.runPool[:n-1]
+	*run = gcRun{}
+	return run
+}
+
+// freeRun returns a finished run record to the free list. No request state
+// refers to it any more: every migration state has been freed and the erase
+// state's reference is dropped when that state is.
+//
+//eagletree:hotpath
+func (c *Controller) freeRun(run *gcRun) {
+	c.runPool = append(c.runPool, run)
 }
 
 // beginRun walks the run's victim and queues a migration pair per live page.
@@ -131,13 +159,15 @@ func (c *Controller) finishErase(run *gcRun) {
 // finishRun closes out a GC, WL, or relocation run and re-arms whatever work
 // the LUN still owes: queued condemned-block relocations first, then GC.
 func (c *Controller) finishRun(run *gcRun) {
-	c.gcActive[run.victim.LUN] = false
+	lun := run.victim.LUN
+	c.gcActive[lun] = false
 	if tr := c.stats.Trace(); tr != nil && !run.isWL && !run.condemn {
 		tr.Record(c.eng.Now(), 0, stats.StageGCEnd, nil)
 	}
-	c.drainCondemned(run.victim.LUN)
-	if !c.gcActive[run.victim.LUN] {
-		c.maybeGC(run.victim.LUN)
+	c.freeRun(run) // the runs started below may reuse the record
+	c.drainCondemned(lun)
+	if !c.gcActive[lun] {
+		c.maybeGC(lun)
 	}
 }
 
@@ -175,15 +205,19 @@ func (c *Controller) scheduleWLScan() {
 		return
 	}
 	c.wlScanArmed = true
-	c.wlScanEv = c.eng.ScheduleAfter(c.cfg.WL.CheckInterval, func() {
-		c.wlScanArmed = false
-		if c.opsSinceScan == 0 {
-			return // quiet device: stop scanning until traffic resumes
-		}
-		c.opsSinceScan = 0
-		c.wlScan()
-		c.scheduleWLScan()
-	})
+	c.eng.ScheduleCall(c.eng.Now().Add(c.cfg.WL.CheckInterval), c.wlScanFn, nil)
+}
+
+// wlScanDue is the engine callback of the armed static-WL scan, bound once
+// in Restore.
+func (c *Controller) wlScanDue(any) {
+	c.wlScanArmed = false
+	if c.opsSinceScan == 0 {
+		return // quiet device: stop scanning until traffic resumes
+	}
+	c.opsSinceScan = 0
+	c.wlScan()
+	c.scheduleWLScan()
 }
 
 // wlScan migrates the victims static wear leveling identified.

@@ -39,11 +39,15 @@ func perfRig(tb testing.TB) *rig {
 	return r
 }
 
-// TestDispatchAllocsPerIO guards the hot-path allocation budget: at most one
-// heap allocation per IO end to end through Submit, dispatch, flash
-// scheduling and completion — and that one belongs to whoever constructs the
-// request. Here requests are recycled, so the dispatch machinery itself must
-// run allocation-free apart from amortized container growth.
+// TestDispatchAllocsPerIO guards the controller's allocation budget through
+// Submit, dispatch, flash scheduling, completion and the GC runs they set
+// off. Requests are recycled here as the workload Runner recycles them, and
+// the controller recycles its own request states, internal requests, GC run
+// records and parked-read lists, so what allocates is only container growth
+// while pools and queues still reach their high-water marks: about 28
+// objects per 256-IO batch after two warm-up batches, budgeted at 32 (0.125
+// per IO). TestSteadyStateAllocsPerIO in internal/core holds the whole stack
+// to none per IO once warm.
 func TestDispatchAllocsPerIO(t *testing.T) {
 	r := perfRig(t)
 	const batch = 256
@@ -72,10 +76,11 @@ func TestDispatchAllocsPerIO(t *testing.T) {
 	runBatch()
 	allocs := testing.AllocsPerRun(10, runBatch)
 	perIO := allocs / batch
-	if perIO > 1.0 {
-		t.Fatalf("dispatch path allocates %.2f objects per IO, budget is 1", perIO)
+	const budget = 32.0 / batch
+	if perIO > budget {
+		t.Fatalf("dispatch path allocates %.3f objects per IO, budget is %.3f", perIO, budget)
 	}
-	t.Logf("dispatch path: %.3f allocs per IO (budget 1)", perIO)
+	t.Logf("dispatch path: %.3f allocs per IO (budget %.3f)", perIO, budget)
 }
 
 // BenchmarkControllerDispatch measures the full per-IO dispatch cost on a

@@ -126,7 +126,7 @@ func (c *Controller) State() (*State, error) {
 		Completions:  c.completions,
 		OpsSinceScan: c.opsSinceScan,
 		Reliability:  c.reliability,
-		Array:        c.array.State(),
+		Array:        c.array.State(c.eng.Now()),
 		BlockManager: c.bm.State(),
 		GC:           c.gc.State(),
 		WL:           c.lvl.State(),

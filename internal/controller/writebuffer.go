@@ -68,9 +68,13 @@ func (c *Controller) flushDone(arg any) {
 // onFlushDone frees a buffer slot and admits a stalled write, if any.
 func (c *Controller) onFlushDone() {
 	c.buffer.used--
-	if len(c.buffer.waiting) > 0 {
-		next := c.buffer.waiting[0]
-		c.buffer.waiting = c.buffer.waiting[1:]
+	if w := c.buffer.waiting; len(w) > 0 {
+		// Shift rather than reslice: the queue keeps its storage, and it is
+		// never longer than the IOs the OS has outstanding.
+		next := w[0]
+		n := copy(w, w[1:])
+		w[n] = nil
+		c.buffer.waiting = w[:n]
 		c.absorb(next)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"eagletree/internal/flash"
 	"eagletree/internal/gc"
 	"eagletree/internal/hotcold"
+	"eagletree/internal/iface"
 	"eagletree/internal/osched"
 	"eagletree/internal/sched"
 	"eagletree/internal/sim"
@@ -140,6 +141,122 @@ func TestSnapshotContinuationMatchesDirect(t *testing.T) {
 
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("restored report differs from direct continuation:\ndirect:   %+v\nrestored: %+v", want, got)
+			}
+		})
+	}
+}
+
+// completionLog wraps a measured thread and logs every completion it sees,
+// in order.
+type completionLog struct {
+	workload.Thread
+	log *[]iface.Request
+}
+
+func (c completionLog) OnComplete(ctx *workload.Ctx, r *iface.Request) {
+	*c.log = append(*c.log, *r)
+	c.Thread.OnComplete(ctx, r)
+}
+
+// TestTrimmedReservationsRestoreIdentically: a snapshot keeps of each
+// channel's and LUN's reservations only those ending after the snapshot's
+// instant, and the last one. A stack restored from it must run exactly as
+// one restored from the whole history since the last prune: the same
+// completions in the same order at the same instants, the same counters and
+// Report, and the same state at the end.
+func TestTrimmedReservationsRestoreIdentically(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func() core.Config
+	}{
+		{"pagemap", pagemapCfg},
+		{"dftl-wl-mbf-buffer", richCfg},
+		// LeastLoaded ranks idle LUNs by when their last reservation ended,
+		// which only the kept last interval can tell.
+		{"leastloaded", func() core.Config {
+			cfg := pagemapCfg()
+			cfg.Controller.Alloc = sched.LeastLoaded{}
+			return cfg
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prep, err := core.New(tc.cfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			prepare(prep)
+			prep.Run()
+			// End the preparation on LUN 0, so that the LUN whose last
+			// reservation ended latest is the one index order ranks first.
+			for lpn := iface.LPN(0); ; lpn++ {
+				if ppa, ok := prep.Controller.Mapper().Lookup(lpn); ok && ppa.LUN == 0 {
+					prep.Add(&workload.Func{F: func(ctx *workload.Ctx) { ctx.Read(lpn) }})
+					break
+				}
+			}
+			prep.Run()
+			trimmed, err := prep.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := *trimmed
+			whole := prep.Controller.Array().State(0) // every interval ends after 0
+			full.Controller.Array.Channels, full.Controller.Array.LUNs = whole.Channels, whole.LUNs
+			count := func(rs []flash.ResourceState) (n int) {
+				for _, r := range rs {
+					n += len(r.Intervals)
+				}
+				return n
+			}
+			nt := count(trimmed.Controller.Array.Channels) + count(trimmed.Controller.Array.LUNs)
+			nf := count(whole.Channels) + count(whole.LUNs)
+			if nf <= nt {
+				t.Fatalf("the history holds %d intervals and the snapshot %d: nothing was trimmed", nf, nt)
+			}
+
+			type outcome struct {
+				log    []iface.Request
+				report core.Report
+				ctl    controller.Counters
+				flash  flash.Counters
+				fired  uint64
+				end    []byte
+			}
+			run := func(ds *snapshot.DeviceState) outcome {
+				decoded, err := snapshot.Decode(snapshot.Encode(ds))
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := core.Restore(tc.cfg(), decoded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var o outcome
+				n := int64(s.LogicalPages())
+				s.MarkMeasurement()
+				s.Add(completionLog{&workload.ReadWriteMix{From: 0, Space: n, Count: 600, ReadFraction: 0.5, Depth: 8}, &o.log})
+				s.Add(completionLog{&workload.RandomWriter{From: 0, Space: n, Count: 300, Depth: 8}, &o.log})
+				s.Run()
+				end, err := s.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.report, o.ctl, o.flash = s.Report(), s.Controller.Counters(), s.Controller.Array().Counters()
+				o.fired, o.end = s.Engine.Fired(), snapshot.Encode(end)
+				return o
+			}
+			want, got := run(&full), run(trimmed)
+			if len(want.log) != 900 {
+				t.Fatalf("%d completions, want 900", len(want.log))
+			}
+			for i := range want.log {
+				if i >= len(got.log) || got.log[i] != want.log[i] {
+					t.Fatalf("completion %d differs: from the whole history %+v, from the trimmed one %+v", i, want.log[i], got.log[min(i, len(got.log)-1)])
+				}
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("restoring the trimmed reservations diverged from restoring the whole history:\nwhole:   %+v %+v %+v %d\ntrimmed: %+v %+v %+v %d",
+					want.report, want.ctl, want.flash, want.fired, got.report, got.ctl, got.flash, got.fired)
 			}
 		})
 	}

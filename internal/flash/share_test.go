@@ -29,7 +29,7 @@ func sharedArrayState(t *testing.T) ArrayState {
 			}
 		}
 	}
-	return a.State()
+	return a.State(0)
 }
 
 // TestRestoredArraySharesPagesUntilWrite: RestoreArray adopts the snapshot's
@@ -120,7 +120,7 @@ func TestRestoreArrayRejectsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.State(), st) {
+	if !reflect.DeepEqual(a.State(0), st) {
 		t.Fatal("a restored array's State differs from the snapshot it was restored from")
 	}
 }

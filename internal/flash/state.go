@@ -57,8 +57,13 @@ type ArrayState struct {
 	LUNs     []ResourceState
 }
 
-// State deep-copies the array's mutable state for a snapshot.
-func (a *Array) State() ArrayState {
+// State deep-copies the array's mutable state for a snapshot taken at now,
+// the engine's current time. Of each channel's and LUN's reservations it
+// keeps the ones that end after now, and the last one, which freeAt reads.
+// The history before them can neither cover an instant from now on nor
+// bound a gap usable from one (firstEndingAfter skips it), so an array
+// restored from the state books and answers exactly as this one would.
+func (a *Array) State(now sim.Time) ArrayState {
 	st := ArrayState{
 		Pages: append([]PageState(nil), a.pages...),
 		Blocks: BlockColumns{
@@ -73,17 +78,23 @@ func (a *Array) State() ArrayState {
 		LUNs:     make([]ResourceState, len(a.luns)),
 	}
 	for i := range a.channels {
-		st.Channels[i] = ResourceState{Intervals: copyIntervals(a.channels[i].intervals)}
+		st.Channels[i] = ResourceState{Intervals: a.channels[i].live(now)}
 	}
 	for i := range a.luns {
-		st.LUNs[i] = ResourceState{Intervals: copyIntervals(a.luns[i].intervals)}
+		st.LUNs[i] = ResourceState{Intervals: a.luns[i].live(now)}
 	}
 	return st
 }
 
-func copyIntervals(ivs []interval) []Interval {
-	out := make([]Interval, len(ivs))
-	for i, iv := range ivs {
+// live copies the reservations a snapshot taken at now keeps: those ending
+// after now, or the last one when none does.
+func (r *resource) live(now sim.Time) []Interval {
+	from := r.firstEndingAfter(now)
+	if from == len(r.intervals) && from > 0 {
+		from--
+	}
+	out := make([]Interval, len(r.intervals)-from)
+	for i, iv := range r.intervals[from:] {
 		out[i] = Interval{Start: iv.start, End: iv.end}
 	}
 	return out
@@ -114,21 +125,33 @@ func RestoreArray(geo Geometry, timing Timing, feat Features, st ArrayState) (*A
 	copy(a.bad, st.Blocks.Bad)
 	a.fillBuckets()
 	a.counters = st.Counters
-	for i := range a.channels {
-		a.channels[i].intervals = restoreIntervals(st.Channels[i].Intervals)
-	}
-	for i := range a.luns {
-		a.luns[i].intervals = restoreIntervals(st.LUNs[i].Intervals)
-	}
+	restoreIntervals(a.channels, st.Channels)
+	restoreIntervals(a.luns, st.LUNs)
 	return a, nil
 }
 
-func restoreIntervals(ivs []Interval) []interval {
-	out := make([]interval, len(ivs))
-	for i, iv := range ivs {
-		out[i] = interval{start: iv.Start, end: iv.End}
+// restoreSlack is the room each restored reservation list gets beyond the
+// intervals it restores. A snapshot keeps only the live tail of each list,
+// so without room the first bookings after a restore would regrow every
+// list from a handful of entries, one allocation per doubling.
+const restoreSlack = 256
+
+// restoreIntervals gives each resource its snapshotted reservations, all
+// lists carved from one allocation, each with restoreSlack spare capacity.
+func restoreIntervals(rs []resource, sts []ResourceState) {
+	total := 0
+	for _, st := range sts {
+		total += len(st.Intervals) + restoreSlack
 	}
-	return out
+	buf := make([]interval, 0, total)
+	for i, st := range sts {
+		from := len(buf)
+		for _, iv := range st.Intervals {
+			buf = append(buf, interval{start: iv.Start, end: iv.End})
+		}
+		rs[i].intervals = buf[from : len(buf) : len(buf)+restoreSlack]
+		buf = buf[:len(buf)+restoreSlack]
+	}
 }
 
 // Errors returned by configuration validation and snapshot restore.

@@ -102,6 +102,7 @@ type lunState struct {
 	freeq    []int
 	freeHead int
 	buckets  []ecBucket
+	spare    [][]int // emptied buckets' block slices, reused by bucketAppend
 	freeN    int
 
 	// open is indexed by Stream: a dense value array instead of a map,
@@ -199,9 +200,22 @@ func (ls *lunState) bucketAppend(ec int32, block int) {
 		ls.buckets[pos].blocks = append(ls.buckets[pos].blocks, block)
 		return
 	}
+	var blocks []int
+	if n := len(ls.spare); n > 0 {
+		blocks = ls.spare[n-1]
+		ls.spare[n-1] = nil
+		ls.spare = ls.spare[:n-1]
+	}
 	ls.buckets = append(ls.buckets, ecBucket{})
 	copy(ls.buckets[pos+1:], ls.buckets[pos:])
-	ls.buckets[pos] = ecBucket{ec: ec, blocks: []int{block}}
+	ls.buckets[pos] = ecBucket{ec: ec, blocks: append(blocks, block)}
+}
+
+// dropBucket removes the emptied bucket at pos and keeps its block slice for
+// the next bucket bucketAppend creates.
+func (ls *lunState) dropBucket(pos int) {
+	ls.spare = append(ls.spare, ls.buckets[pos].blocks[:0])
+	ls.buckets = append(ls.buckets[:pos], ls.buckets[pos+1:]...)
 }
 
 // ReservedTrans returns the number of translation blocks per LUN.
@@ -297,7 +311,7 @@ func (bm *BlockManager) takeFree(lun int, stream Stream) (int, error) {
 		b = bkt.blocks[len(bkt.blocks)-1]
 		bkt.blocks = bkt.blocks[:len(bkt.blocks)-1]
 		if bkt.empty() {
-			st.buckets = st.buckets[:len(st.buckets)-1]
+			st.dropBucket(len(st.buckets) - 1)
 		}
 	} else {
 		// Youngest block: front of the lowest-count bucket.
@@ -305,7 +319,7 @@ func (bm *BlockManager) takeFree(lun int, stream Stream) (int, error) {
 		b = bkt.blocks[bkt.head]
 		bkt.head++
 		if bkt.empty() {
-			st.buckets = append(st.buckets[:0], st.buckets[1:]...)
+			st.dropBucket(0)
 		}
 	}
 	return b, nil
@@ -359,7 +373,7 @@ func (bm *BlockManager) Condemn(b flash.BlockID) {
 				bkt.blocks = append(bkt.blocks[:i], bkt.blocks[i+1:]...)
 				st.freeN--
 				if bkt.empty() {
-					st.buckets = append(st.buckets[:bi], st.buckets[bi+1:]...)
+					st.dropBucket(bi)
 				}
 				return
 			}

@@ -53,6 +53,8 @@ type DFTL struct {
 	ring []ringBlock
 	cur  int
 
+	ops []TransOp // Access's result, reused by the next miss
+
 	stats DFTLStats
 }
 
@@ -112,7 +114,9 @@ func (d *DFTL) tvpn(lpn iface.LPN) int { return int(lpn) / d.entriesPerPage }
 // Access implements Mapper. On a CMT hit it returns nil; on a miss it
 // returns the translation ops (possible dirty-eviction write with ring
 // maintenance, then the translation-page read) the controller must execute
-// before the data IO.
+// before the data IO. The slice is valid until the next Access. A miss on a
+// full CMT reuses the evicted entry, so steady-state misses allocate
+// nothing.
 func (d *DFTL) Access(lpn iface.LPN, write bool) []TransOp {
 	if el, ok := d.cmt[lpn]; ok {
 		d.stats.Hits++
@@ -123,11 +127,11 @@ func (d *DFTL) Access(lpn iface.LPN, write bool) []TransOp {
 		return nil
 	}
 	d.stats.Misses++
-	var ops []TransOp
+	ops := d.ops[:0]
+	var evicted *list.Element
 	if d.lru.Len() >= d.capacity {
-		back := d.lru.Back()
-		victim := back.Value.(*cmtEntry)
-		d.lru.Remove(back)
+		evicted = d.lru.Back()
+		victim := evicted.Value.(*cmtEntry)
 		delete(d.cmt, victim.lpn)
 		if victim.dirty {
 			d.stats.DirtyEvicts++
@@ -140,7 +144,16 @@ func (d *DFTL) Access(lpn iface.LPN, write bool) []TransOp {
 		d.stats.TransReads++
 		ops = append(ops, TransOp{Kind: TransRead, PPA: ppa})
 	}
-	d.cmt[lpn] = d.lru.PushFront(&cmtEntry{lpn: lpn, dirty: write})
+	if evicted != nil {
+		// The LRU tail becomes the new head: the same order as removing the
+		// victim and pushing a fresh entry.
+		*evicted.Value.(*cmtEntry) = cmtEntry{lpn: lpn, dirty: write}
+		d.lru.MoveToFront(evicted)
+		d.cmt[lpn] = evicted
+	} else {
+		d.cmt[lpn] = d.lru.PushFront(&cmtEntry{lpn: lpn, dirty: write})
+	}
+	d.ops = ops
 	return ops
 }
 

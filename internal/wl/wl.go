@@ -67,7 +67,8 @@ type Leveler struct {
 	totalEr   uint64 // running erase count the leveler has observed
 	observedA float64
 
-	picks []scored // victimsForLUN's candidate scratch, reset per LUN
+	picks []scored        // victimsForLUN's candidate scratch, reset per LUN
+	out   []flash.BlockID // Victims' result, reused by the next scan
 }
 
 // scored is one static-WL candidate with its erase count.
@@ -114,16 +115,18 @@ func (l *Leveler) RestoreState(st LevelerState) {
 // Victims scans every LUN and returns the blocks static wear leveling should
 // migrate now: blocks at least AgeSlack erases younger than the mean whose
 // last erase is more than IdleFactor mean-erase-intervals ago. At most
-// MaxMigrationsPerScan blocks are returned per LUN, fewest-erase first.
+// MaxMigrationsPerScan blocks are returned per LUN, fewest-erase first. The
+// slice is valid until the next call.
 func (l *Leveler) Victims(now sim.Time) []flash.BlockID {
 	if !l.cfg.Static {
 		return nil
 	}
 	l.scans++
-	var out []flash.BlockID
+	out := l.out[:0]
 	for lun := 0; lun < l.nLUN; lun++ {
 		out = l.victimsForLUN(lun, now, out)
 	}
+	l.out = out
 	return out
 }
 

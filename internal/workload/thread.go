@@ -31,7 +31,9 @@ var (
 // Thread is one simulated concurrent application. Init is called by the OS
 // when the thread starts; OnComplete is triggered every time an IO
 // originating from the thread completes. Within both, the thread may issue
-// any number of new IOs through the Ctx.
+// any number of new IOs through the Ctx. The request OnComplete receives is
+// recycled once it returns: copy the fields you need, do not keep the
+// pointer.
 type Thread interface {
 	Init(ctx *Ctx)
 	OnComplete(ctx *Ctx, r *iface.Request)
@@ -61,13 +63,17 @@ func (c *Ctx) InFlight() int { return c.entry.inFlight }
 // Issued returns how many IOs the thread has submitted so far.
 func (c *Ctx) Issued() uint64 { return c.entry.issued }
 
-// Submit issues one IO with explicit tags and returns the request.
+// Submit issues one IO with explicit tags and returns the request. The
+// Runner recycles requests: the one returned here, which OnComplete later
+// receives, is valid only until that OnComplete returns. Copy the fields you
+// need; do not keep the pointer.
 func (c *Ctx) Submit(t iface.ReqType, lpn iface.LPN, tags iface.Tags) *iface.Request {
 	if c.entry.finished {
 		panic(fmt.Sprintf("workload: thread %d submitted an IO after finishing", c.entry.id))
 	}
 	c.runner.nextID++
-	r := &iface.Request{
+	r := c.runner.newRequest()
+	*r = iface.Request{
 		ID:        c.runner.nextID,
 		Type:      t,
 		LPN:       lpn,
@@ -98,7 +104,9 @@ func (c *Ctx) Publish(m iface.Message) bool { return c.runner.bus.Publish(m) }
 // Schedule runs fn after d of virtual time — the timer facility open-loop
 // workloads (trace replay, think times, periodic bursts) pace themselves
 // with. A pending timer keeps the thread alive like an in-flight IO does;
-// timers armed by a thread that has since finished are discarded.
+// timers armed by a thread that has since finished are discarded. Pass a
+// callback bound once (a method value kept in a field): the timer record
+// itself is recycled, so arming one allocates nothing.
 func (c *Ctx) Schedule(d sim.Duration, fn func(*Ctx)) {
 	if c.entry.finished {
 		panic(fmt.Sprintf("workload: thread %d scheduled a timer after finishing", c.entry.id))
@@ -107,19 +115,37 @@ func (c *Ctx) Schedule(d sim.Duration, fn func(*Ctx)) {
 		d = 0
 	}
 	c.entry.timers++
-	c.runner.eng.Schedule(c.runner.eng.Now().Add(d), func() {
-		c.entry.timers--
-		if c.entry.finished {
-			return
-		}
-		fn(c)
-		// Same rule as launch: a thread with nothing in flight, no timers
-		// pending and no finish request can never be woken again — treat it
-		// as finished rather than hanging its dependents.
-		if c.entry.inFlight == 0 && c.entry.timers == 0 && !c.entry.finishReq {
-			c.Finish()
-		}
-	})
+	t := c.runner.newTimer()
+	t.ctx, t.fn = c, fn
+	c.runner.eng.ScheduleCall(c.runner.eng.Now().Add(d), c.runner.timerFn, t)
+}
+
+// timer is one armed Ctx.Schedule callback. The Runner recycles it as soon
+// as it fires.
+type timer struct {
+	ctx *Ctx
+	fn  func(*Ctx)
+}
+
+// fireTimer is the engine callback of every Ctx.Schedule timer, bound once
+// in NewRunner.
+//
+//eagletree:hotpath
+func (r *Runner) fireTimer(arg any) {
+	t := arg.(*timer)
+	c, fn := t.ctx, t.fn
+	r.freeTimer(t)
+	c.entry.timers--
+	if c.entry.finished {
+		return
+	}
+	fn(c)
+	// Same rule as launch: a thread with nothing in flight, no timers
+	// pending and no finish request can never be woken again — treat it as
+	// finished rather than hanging its dependents.
+	if c.entry.inFlight == 0 && c.entry.timers == 0 && !c.entry.finishReq {
+		c.Finish()
+	}
 }
 
 // Finish declares the thread done. Pending IOs still complete (and still
@@ -171,6 +197,13 @@ type Runner struct {
 	entries []*entry
 	active  int
 
+	// Free lists: requests come back once their OnComplete has returned,
+	// timer records once they fire, so a steady-state workload allocates
+	// neither per IO nor per timer.
+	reqFree   []*iface.Request
+	timerFree []*timer
+	timerFn   func(any) // fireTimer, bound once
+
 	// OnAllDone, if set, fires when the last registered thread finishes.
 	OnAllDone func()
 }
@@ -178,7 +211,9 @@ type Runner struct {
 // NewRunner builds a thread runner over the OS layer. The seed determines
 // every thread's private RNG, so (workload, seed) fully fixes the IO trace.
 func NewRunner(eng *sim.Engine, os *osched.OS, bus *iface.Bus, seed uint64) *Runner {
-	return &Runner{eng: eng, os: os, bus: bus, rng: sim.NewRNG(seed)}
+	r := &Runner{eng: eng, os: os, bus: bus, rng: sim.NewRNG(seed)}
+	r.timerFn = r.fireTimer
+	return r
 }
 
 // Add registers a thread that starts when every dependency has finished
@@ -264,12 +299,88 @@ func (r *Runner) launch(e *entry) {
 	})
 }
 
+// deliver hands a completed request to its thread and then recycles it:
+// nothing below the Runner reads a request after delivering it here.
+//
+//eagletree:hotpath
 func (r *Runner) deliver(e *entry, req *iface.Request) {
 	e.inFlight--
 	if !e.finished {
 		e.t.OnComplete(e.ctx, req)
 	}
 	r.maybeFinalize(e)
+	r.freeRequest(req)
+}
+
+// poisonRecycled makes freeRequest and freeTimer overwrite every recycled
+// object with values no live one can hold, so that a read after recycling
+// changes behavior instead of passing silently. Only tests set it (through
+// export_test.go).
+var poisonRecycled bool
+
+var poisonedRequest = iface.Request{
+	ID:         ^uint64(0),
+	Type:       iface.ReqType(-1),
+	LPN:        -1,
+	Source:     iface.Source(-1),
+	Thread:     -1,
+	Submitted:  sim.Never,
+	Issued:     sim.Never,
+	Dispatched: sim.Never,
+	Completed:  sim.Never,
+}
+
+func poisonedTimer(*Ctx) { panic("workload: a recycled timer record fired") }
+
+// newRequest takes a request from the free list or allocates one. The
+// caller overwrites every field.
+//
+//eagletree:hotpath
+func (r *Runner) newRequest() *iface.Request {
+	n := len(r.reqFree)
+	if n == 0 {
+		return &iface.Request{}
+	}
+	req := r.reqFree[n-1]
+	r.reqFree[n-1] = nil
+	r.reqFree = r.reqFree[:n-1]
+	return req
+}
+
+// freeRequest returns a delivered request to the free list.
+//
+//eagletree:hotpath
+func (r *Runner) freeRequest(req *iface.Request) {
+	if poisonRecycled {
+		*req = poisonedRequest
+	}
+	r.reqFree = append(r.reqFree, req)
+}
+
+// newTimer takes a timer record from the free list or allocates one.
+//
+//eagletree:hotpath
+func (r *Runner) newTimer() *timer {
+	n := len(r.timerFree)
+	if n == 0 {
+		return &timer{}
+	}
+	t := r.timerFree[n-1]
+	r.timerFree[n-1] = nil
+	r.timerFree = r.timerFree[:n-1]
+	return t
+}
+
+// freeTimer returns a fired timer record to the free list, dropping its
+// references.
+//
+//eagletree:hotpath
+func (r *Runner) freeTimer(t *timer) {
+	*t = timer{}
+	if poisonRecycled {
+		t.fn = poisonedTimer
+	}
+	r.timerFree = append(r.timerFree, t)
 }
 
 func (r *Runner) maybeFinalize(e *entry) {
