@@ -78,6 +78,20 @@ func naiveCanRun(c *Controller, r *iface.Request) bool {
 	return true // trim
 }
 
+// sourceCounter counts the requests a policy pops from each source.
+type sourceCounter struct {
+	sched.Policy
+	popped [iface.NumSources]int
+}
+
+func (p *sourceCounter) PopClassed(now sim.Time, g sched.Gate) *iface.Request {
+	r := p.Policy.PopClassed(now, g)
+	if r != nil {
+		p.popped[r.Source]++
+	}
+	return r
+}
+
 type completion struct {
 	id uint64
 	at sim.Time
@@ -91,6 +105,7 @@ type diffRun struct {
 	end      sim.Time
 	ctl      *Controller
 	probes   []*iface.Request // LUN-free requests submitted by the prober
+	readWait sim.Duration     // the longest an application read waited for dispatch
 }
 
 // diffLoad is a seeded closed loop: depth requests stay outstanding until ops
@@ -143,6 +158,9 @@ func runDiffCase(t *testing.T, policy sched.Policy, mutate func(*Config), load d
 	}
 	cfg.OnComplete = func(r *iface.Request) {
 		out.done = append(out.done, completion{r.ID, r.Completed})
+		if r.Type == iface.Read {
+			out.readWait = max(out.readWait, r.Dispatched.Sub(r.Submitted))
+		}
 		if r.ID < 1<<32 { // probes do not drive the loop
 			next()
 		}
@@ -243,6 +261,22 @@ func TestClassedDispatchMatchesPlainScan(t *testing.T) {
 			check: wantGC,
 		},
 		{
+			// E2's deadline variant: read and write deadlines, no cap, no
+			// fallback, so an empty overdue sweep hands the pop to the queue's
+			// own arrival-order pick.
+			name: "deadline-preempt",
+			policy: func() sched.Policy {
+				return &sched.Deadline{ReadDeadline: 200 * sim.Microsecond, WriteDeadline: 2 * sim.Millisecond}
+			},
+			load: mixed,
+			check: func(t *testing.T, r *diffRun) {
+				wantGC(t, r)
+				if r.readWait <= 200*sim.Microsecond {
+					t.Errorf("no read waited past its deadline (longest wait %v): the case never preempts", r.readWait)
+				}
+			},
+		},
+		{
 			name: "deadline-priority-fallback",
 			policy: func() sched.Policy {
 				return &sched.Deadline{ReadDeadline: 300 * sim.Microsecond, WriteDeadline: 3 * sim.Millisecond,
@@ -263,6 +297,23 @@ func TestClassedDispatchMatchesPlainScan(t *testing.T) {
 			mutate: dftl,
 			load:   mixed,
 			check:  wantTransWrites,
+		},
+		{
+			name: "fair/all-sources",
+			policy: func() sched.Policy {
+				return &sourceCounter{Policy: &sched.Fair{Weights: [iface.NumSources]int{3, 1, 2, 1}}}
+			},
+			mutate: func(cfg *Config) { staticWL(cfg); dftl(cfg) },
+			load:   mixed,
+			check: func(t *testing.T, r *diffRun) {
+				wantGC(t, r)
+				wantTransWrites(t, r)
+				for src, n := range r.ctl.cfg.Policy.(*sourceCounter).popped {
+					if n == 0 {
+						t.Errorf("Fair never dispatched a %v request", iface.Source(src))
+					}
+				}
+			},
 		},
 		{
 			name:   "lun-free-probes-under-saturation",

@@ -255,3 +255,62 @@ func TestDerivedReverseMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestDFTLRestoreCarvesEntriesFromOneSlab: RestoreState allocates the cached
+// mappings' entries in one slab, so a restore of n entries costs one list
+// element per entry and a few allocations besides, not two per entry. The
+// restored DFTL then runs in lock-step with the one it was restored from
+// through a seeded run of hits, misses that evict and reuse a restored entry,
+// writes and trims, and both report the same State after every operation.
+func TestDFTLRestoreCarvesEntriesFromOneSlab(t *testing.T) {
+	g := ftlGeo()
+	const nLPNs, capacity = 64, 32
+	src := NewDFTL(g, nLPNs, capacity, 2)
+	for lpn := 0; lpn < nLPNs; lpn++ {
+		src.Access(iface.LPN(lpn), lpn%3 == 0)
+		src.Map(iface.LPN(lpn), g.PPAOf(lpn))
+	}
+	st := src.State()
+	if len(st.CMT) != capacity {
+		t.Fatalf("the cache holds %d entries, want %d", len(st.CMT), capacity)
+	}
+	truth, err := RestorePageMap(g, nLPNs, st.Truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := NewDFTLOver(truth, capacity, 2)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := back.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(capacity + capacity/4); allocs > limit {
+		t.Fatalf("RestoreState of %d entries made %.0f allocations, want at most %.0f", capacity, allocs, limit)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 2000; step++ {
+		lpn := iface.LPN(rng.Intn(nLPNs))
+		switch op := rng.Intn(8); {
+		case op == 0:
+			src.Unmap(lpn)
+			back.Unmap(lpn)
+		default:
+			write := op < 4
+			a, b := fmt.Sprint(src.Access(lpn, write)), fmt.Sprint(back.Access(lpn, write))
+			if a != b {
+				t.Fatalf("step %d: Access(%d) = %s from the source, %s from the restore", step, lpn, a, b)
+			}
+			if write {
+				ppa := g.PPAOf(rng.Intn(g.Pages()))
+				if _, ok := src.LPNAt(ppa); ok {
+					continue // the page is taken; map nothing this step
+				}
+				src.Map(lpn, ppa)
+				back.Map(lpn, ppa)
+			}
+		}
+		if !reflect.DeepEqual(src.State(), back.State()) {
+			t.Fatalf("step %d: the restored DFTL's State departs from its source's", step)
+		}
+	}
+}

@@ -117,9 +117,11 @@ func (d *DFTL) RestoreState(st DFTLState) error {
 	}
 	d.lru.Init()
 	d.cmt = make(map[iface.LPN]*list.Element, len(st.CMT))
+	slab := make([]cmtEntry, len(st.CMT)) // one allocation for every entry
 	for i := len(st.CMT) - 1; i >= 0; i-- {
 		e := st.CMT[i]
-		d.cmt[e.LPN] = d.lru.PushFront(&cmtEntry{lpn: e.LPN, dirty: e.Dirty})
+		slab[i] = cmtEntry{lpn: e.LPN, dirty: e.Dirty}
+		d.cmt[e.LPN] = d.lru.PushFront(&slab[i])
 	}
 	d.gtd = make(map[int]flash.PPA, len(st.GTD))
 	for _, e := range st.GTD {

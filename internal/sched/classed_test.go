@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"eagletree/internal/iface"
@@ -20,6 +22,7 @@ import (
 type modelGate struct {
 	class   map[uint64]int            // request ID → wait-class; absent = unclassed
 	solo    map[uint64]bool           // unclassed requests currently blocked
+	held    map[uint64]bool           // pushed with PushBlocked and not yet Unblocked
 	live    map[uint64]*iface.Request // everything queued
 	notices bool                      // whether Saturated reports a saturated queue
 	satHits int                       // times Saturated said yes
@@ -29,7 +32,8 @@ type modelGate struct {
 }
 
 func newModelGate() *modelGate {
-	return &modelGate{class: make(map[uint64]int), solo: make(map[uint64]bool), live: make(map[uint64]*iface.Request)}
+	return &modelGate{class: make(map[uint64]int), solo: make(map[uint64]bool), held: make(map[uint64]bool),
+		live: make(map[uint64]*iface.Request)}
 }
 
 func (m *modelGate) Saturated() bool {
@@ -46,6 +50,9 @@ func (m *modelGate) Saturated() bool {
 }
 
 func (m *modelGate) canRun(r *iface.Request) bool {
+	if m.held[r.ID] {
+		return false
+	}
 	if c, ok := m.class[r.ID]; ok {
 		return !m.blocked[c]
 	}
@@ -53,6 +60,9 @@ func (m *modelGate) canRun(r *iface.Request) bool {
 }
 
 func (m *modelGate) Evaluate(r *iface.Request) (bool, int) {
+	if m.held[r.ID] {
+		panic(fmt.Sprintf("request %d was evaluated between PushBlocked and Unblock", r.ID))
+	}
 	if c, ok := m.class[r.ID]; ok {
 		if m.blocked[c] {
 			return false, c
@@ -75,31 +85,59 @@ func (m *modelGate) toggle(c int) {
 	m.tokens[c]++
 }
 
-// moveOne reassigns one member of class c to class nc (or to unclassed when
-// nc < 0) and bumps c's stable token: that member's wait changed identity,
-// the way a read retargets when its page is remapped.
-func (m *modelGate) moveOne(c, nc int, soloBlocked bool) {
+// members returns the IDs of class c's members in ascending order, so a
+// seeded schedule picks the same one every run.
+func (m *modelGate) members(c int) []uint64 {
+	var ids []uint64
 	for id, cl := range m.class {
-		if cl != c {
-			continue
+		if cl == c {
+			ids = append(ids, id)
 		}
-		if nc < 0 {
-			delete(m.class, id)
-			if soloBlocked {
-				m.solo[id] = true
-			}
-		} else {
-			m.class[id] = nc
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// sortedIDs returns a set's IDs in ascending order.
+func sortedIDs(set map[uint64]bool) []uint64 {
+	ids := make([]uint64, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// retarget reassigns member id to class nc (or to unclassed when nc < 0,
+// individually blocked if soloBlocked): its wait changed identity.
+func (m *modelGate) retarget(id uint64, nc int, soloBlocked bool) {
+	if nc < 0 {
+		delete(m.class, id)
+		if soloBlocked {
+			m.solo[id] = true
 		}
-		m.stable[c]++
 		return
 	}
+	m.class[id] = nc
+}
+
+// moveOne retargets one member of class c, chosen by rng, and bumps c's stable
+// token: the way a write's stream assignment moves, which the controller
+// announces through ClassStable rather than per request.
+func (m *modelGate) moveOne(rng *rand.Rand, c, nc int, soloBlocked bool) {
+	ids := m.members(c)
+	if len(ids) == 0 {
+		return
+	}
+	m.retarget(ids[rng.Intn(len(ids))], nc, soloBlocked)
+	m.stable[c]++
 }
 
 // forget drops a popped request from the model.
 func (m *modelGate) forget(id uint64) {
 	delete(m.class, id)
 	delete(m.solo, id)
+	delete(m.held, id)
 	delete(m.live, id)
 }
 
@@ -237,12 +275,19 @@ func referencePairs() []referencePair {
 
 // TestClassedMatchesPlain drives the flat-slice reference and the real policy
 // (PopClassed under modelGate: wait-classes, tokens, retargets, a saturation
-// proof that comes and goes) through the same random schedule of pushes,
-// condition flips, wait retargets and pops, and requires identical selections
-// throughout. This is the determinism contract the controller relies on:
-// parking by class is cost-only. Even seeds pop more than they push, so the
-// queue keeps draining to its blocked residue and the saturation
-// short-circuit answers many of the nil pops.
+// proof that comes and goes) through the same random schedule of pushes from
+// all four sources, condition flips, wait retargets and pops, and requires
+// identical selections throughout. This is the determinism contract the
+// controller relies on: parking by class is cost-only. Two kinds of retarget
+// move a member's wait: one bumps its class's stable token (a write's stream
+// moved), the other leaves the token alone and calls WakeRequest with the
+// class the member waited in (a read's page was remapped, as
+// Controller.wakeRead does). Some pushes are PushBlocked and reach the
+// reference as unrunnable until a later step Unblocks them. Even seeds pop
+// more than they push, so the queue keeps draining to its blocked residue and
+// the saturation short-circuit answers many of the nil pops. Every random
+// choice comes from the seed's rng, over candidates in ID order, so a seed
+// replays one schedule.
 func TestClassedMatchesPlain(t *testing.T) {
 	for _, pair := range referencePairs() {
 		plain, classed := pair.ref, pair.policy
@@ -252,10 +297,11 @@ func TestClassedMatchesPlain(t *testing.T) {
 			now := sim.Time(0)
 			nextID := uint64(1)
 			queued := 0
+			var sources [iface.NumSources]int
 			for step := 0; step < 3000; step++ {
-				op := rng.Intn(12)
+				op := rng.Intn(14)
 				if seed%2 == 0 && op < 5 && rng.Intn(2) == 0 {
-					op = 11 // half the pushes become pops
+					op = 13 // half the pushes become pops
 				}
 				switch {
 				case op < 5: // push
@@ -266,9 +312,10 @@ func TestClassedMatchesPlain(t *testing.T) {
 					} else {
 						r.Type = iface.Write
 					}
-					if rng.Intn(4) == 0 {
-						r.Source = iface.SourceGC
+					if rng.Intn(2) == 0 {
+						r.Source = iface.Source(1 + rng.Intn(iface.NumSources-1))
 					}
+					sources[r.Source]++
 					switch rng.Intn(4) {
 					case 0: // unclassed, runnable
 					case 1: // unclassed, individually blocked
@@ -278,22 +325,39 @@ func TestClassedMatchesPlain(t *testing.T) {
 					}
 					gate.live[r.ID] = r
 					plain.push(r)
-					classed.Push(r)
+					if rng.Intn(8) == 0 {
+						gate.held[r.ID] = true
+						classed.PushBlocked(r)
+					} else {
+						classed.Push(r)
+					}
 					queued++
 				case op < 6: // a shared condition flips
 					gate.toggle(rng.Intn(len(gate.tokens)))
-				case op < 7: // one member's wait changes identity
+				case op < 7: // one member's wait changes identity, announced by the stable token
 					c := rng.Intn(len(gate.tokens))
 					nc := rng.Intn(len(gate.tokens)+1) - 1
-					gate.moveOne(c, nc, rng.Intn(2) == 0)
+					gate.moveOne(rng, c, nc, rng.Intn(2) == 0)
 				case op < 8: // an individual block clears or forms
-					for id := range gate.solo {
-						delete(gate.solo, id)
-						break
+					if ids := sortedIDs(gate.solo); len(ids) > 0 {
+						delete(gate.solo, ids[rng.Intn(len(ids))])
 					}
 					gate.notices = !gate.notices // and saturation goes (un)noticed
 				case op < 9: // time passes: deadlines become overdue
 					now = now.Add(sim.Duration(rng.Intn(100)))
+				case op < 10: // one member's wait changes identity, announced by WakeRequest
+					c := rng.Intn(len(gate.tokens))
+					if ids := gate.members(c); len(ids) > 0 {
+						id := ids[rng.Intn(len(ids))]
+						gate.retarget(id, rng.Intn(len(gate.tokens)+1)-1, rng.Intn(2) == 0)
+						classed.WakeRequest(gate.live[id], c)
+					}
+				case op < 11: // a blocked request becomes visible
+					if ids := sortedIDs(gate.held); len(ids) > 0 {
+						id := ids[rng.Intn(len(ids))]
+						delete(gate.held, id)
+						classed.Unblock(gate.live[id])
+					}
 				default: // pop both, compare
 					a := plain.pop(now, gate.canRun)
 					b := classed.PopClassed(now, gate)
@@ -312,6 +376,11 @@ func TestClassedMatchesPlain(t *testing.T) {
 					t.Fatalf("%s seed %d step %d: Len reference=%d policy=%d want %d", classed.Name(), seed, step, lp, lc, queued)
 				}
 			}
+			for src, n := range sources {
+				if n == 0 {
+					t.Fatalf("%s seed %d: no request from source %v was pushed", classed.Name(), seed, iface.Source(src))
+				}
+			}
 			// Drain with every condition clear: both must empty identically.
 			for c := range gate.tokens {
 				if gate.blocked[c] {
@@ -319,6 +388,10 @@ func TestClassedMatchesPlain(t *testing.T) {
 				}
 			}
 			gate.solo = map[uint64]bool{}
+			for _, id := range sortedIDs(gate.held) {
+				delete(gate.held, id)
+				classed.Unblock(gate.live[id])
+			}
 			if seed%2 == 0 && gate.satHits == 0 {
 				t.Fatalf("%s seed %d: the saturation short-circuit never fired", classed.Name(), seed)
 			}

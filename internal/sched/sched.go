@@ -528,11 +528,10 @@ func (q *queue) locate(r *iface.Request) (scanLoc, bool) {
 
 // parkRequest locates a scannable request by pointer and parks it under the
 // given wait-class. Scans that discover class-wide failures away from a
-// class head (Deadline's overdue sweep, Fair's per-source rounds) collect
-// them and park here after the scan, so later pops skip the whole class with
-// one token comparison. A request already filed under the right class only
-// puts that class to sleep: the member just proved the class-wide condition
-// still holds.
+// class head (Deadline's sweeps) collect them and park here after the scan,
+// so later pops skip the whole class with one token comparison. A request
+// already filed under the right class only puts that class to sleep: the
+// member just proved the class-wide condition still holds.
 //
 //eagletree:hotpath
 func (q *queue) parkRequest(r *iface.Request, class int, g Gate) {
@@ -891,6 +890,8 @@ func (d *Deadline) deadlineFor(r *iface.Request) sim.Time {
 // but none is runnable, the overdue backlog is served rather than idling the
 // device. Whole wait-classes stay parked off the scans: deadlines only order
 // requests that are dispatchable in the first place.
+//
+//eagletree:hotpath
 func (d *Deadline) PopClassed(now sim.Time, g Gate) *iface.Request {
 	if saturated(g) {
 		d.overdueRun = 0 // what every nil pop below leaves behind
@@ -905,6 +906,11 @@ func (d *Deadline) PopClassed(now sim.Time, g Gate) *iface.Request {
 		}
 	}
 	d.overdueRun = 0
+	if preempt && d.Fallback == nil {
+		// The overdue sweep just found no overdue request dispatchable, so
+		// the earliest dispatchable request is the earliest fresh one.
+		return d.q.popClassed(g)
+	}
 	if r := d.popFreshClassed(now, g); r != nil {
 		return r
 	}
@@ -1031,29 +1037,38 @@ func (d *Deadline) popViaFallbackClassed(now sim.Time, g Gate) *iface.Request {
 // Fair serves sources in weighted round-robin order, preventing any single
 // source (for example a write-heavy thread, or GC) from monopolizing the
 // array. Weights index by iface.Source; zero weights default to 1.
+//
+// Each source keeps its own arrival-ordered queue, with its own wait-classes
+// parked off its scan path, so a turn is one classed pop of that source's
+// queue: the lowest-seq request of the source that the Gate accepts.
 type Fair struct {
 	Weights [iface.NumSources]int
 
-	q       queue
+	qs      [iface.NumSources]queue
 	credits [iface.NumSources]int
 	turn    iface.Source
-	parks   parkLog
 }
 
 // Name implements Policy.
 func (f *Fair) Name() string { return "fair" }
 
 // Push implements Policy.
-func (f *Fair) Push(r *iface.Request) { f.q.push(r) }
+func (f *Fair) Push(r *iface.Request) { f.qs[r.Source].push(r) }
 
 // PushBlocked implements Policy.
-func (f *Fair) PushBlocked(r *iface.Request) { f.q.pushParked(r) }
+func (f *Fair) PushBlocked(r *iface.Request) { f.qs[r.Source].pushParked(r) }
 
 // Unblock implements Policy.
-func (f *Fair) Unblock(r *iface.Request) { f.q.release(r) }
+func (f *Fair) Unblock(r *iface.Request) { f.qs[r.Source].release(r) }
 
 // Len implements Policy.
-func (f *Fair) Len() int { return f.q.len() }
+func (f *Fair) Len() int {
+	n := 0
+	for s := range f.qs {
+		n += f.qs[s].len()
+	}
+	return n
+}
 
 func (f *Fair) weight(s iface.Source) int {
 	if w := f.Weights[s]; w > 0 {
@@ -1064,51 +1079,33 @@ func (f *Fair) weight(s iface.Source) int {
 
 // PopClassed implements Policy. Each source is tried starting from the
 // current turn; within a source, arrival order; a source with remaining
-// credits keeps the turn. Whole wait-classes stay parked off the per-source
-// scans, and each entry is evaluated in at most one source round (the one
-// matching its own source).
+// credits keeps the turn.
 //
 //eagletree:hotpath
 func (f *Fair) PopClassed(_ sim.Time, g Gate) *iface.Request {
 	if saturated(g) {
 		return nil
 	}
-	f.q.classMaintain(g)
 	for tried := 0; tried < int(iface.NumSources); tried++ {
 		src := iface.Source((int(f.turn) + tried) % iface.NumSources)
-		cur := f.q.scanStart()
-		for {
-			e, loc, more := cur.next()
-			if !more {
-				break
-			}
-			r := e.r
-			if r.Source != src {
-				continue
-			}
-			ok, class := g.Evaluate(r)
-			if !ok {
-				f.q.refuse(&f.parks, g, r, loc, class)
-				continue
-			}
-			if tried != 0 {
-				// Turn moved on; reset credits for the new holder.
-				f.turn = src
-				f.credits[src] = 0
-			}
-			f.credits[src]++
-			if f.credits[src] >= f.weight(src) {
-				f.credits[src] = 0
-				f.turn = iface.Source((int(src) + 1) % iface.NumSources)
-			}
-			f.q.removeLoc(loc)
-			f.parks.apply(&f.q, g)
-			return r
+		r := f.qs[src].popClassed(g)
+		if r == nil {
+			continue
 		}
+		if tried != 0 {
+			// Turn moved on; reset credits for the new holder.
+			f.turn = src
+			f.credits[src] = 0
+		}
+		f.credits[src]++
+		if f.credits[src] >= f.weight(src) {
+			f.credits[src] = 0
+			f.turn = iface.Source((int(src) + 1) % iface.NumSources)
+		}
+		return r
 	}
-	f.parks.apply(&f.q, g)
 	return nil
 }
 
 // WakeRequest implements Policy.
-func (f *Fair) WakeRequest(r *iface.Request, class int) { f.q.wakeRequest(r, class) }
+func (f *Fair) WakeRequest(r *iface.Request, class int) { f.qs[r.Source].wakeRequest(r, class) }
