@@ -58,11 +58,13 @@ var accepts = map[string][3]bool{
 // = != < <= > >=.
 func (t *Table) Filter(preds []Predicate) (*Table, error) {
 	comp := make([]compiled, len(preds))
+	cols := make([]*column, len(preds))
 	for k, p := range preds {
 		c, err := t.col(p.Col)
 		if err != nil {
 			return nil, err
 		}
+		cols[k] = c
 		lit := &column{kind: c.kind, strs: []string{p.Val}, ints: []int64{0}, uints: []uint64{0}, floats: []float64{0}}
 		switch c.kind {
 		case resultstore.KindString:
@@ -86,6 +88,7 @@ func (t *Table) Filter(preds []Predicate) (*Table, error) {
 		}
 		comp[k] = compiled{c: c, lit: lit, accept: accepts[p.Op], substr: p.Op == "~"}
 	}
+	build(cols)
 	sel := t.matching(comp, []int32{}) // never nil: nil would select every row
 	return &Table{cols: t.cols, sel: sel, n: len(sel)}, nil
 }
@@ -188,6 +191,7 @@ func (t *Table) Sort(names []string) (*Table, error) {
 		}
 		s.keys[i] = c
 	}
+	build(s.keys)
 	sel := make([]int32, t.n)
 	for i := range sel {
 		sel[i] = int32(i)
@@ -252,6 +256,7 @@ func (t *Table) GroupBy(keyNames []string, aggs []Agg) (*Table, error) {
 		aggCols[i] = c
 	}
 
+	build(slices.Concat(keyCols, aggCols))
 	ch := t.chains(keyCols, 0)
 	out := &Table{cols: make([]*column, 0, len(keyCols)+len(aggs)), n: len(ch.head)}
 	for i, c := range keyCols {
@@ -396,6 +401,10 @@ func (t *Table) Join(other *Table, on []string, suffixL, suffixR string) (*Table
 		}
 		lk[i], rk[i] = lc, rc
 	}
+
+	// Every column of both sides is gathered into the result, keys first.
+	build(t.cols)
+	build(other.cols)
 
 	// Every left row beside each right row of the chain its key names.
 	ch := other.chains(rk, other.n) // a join key is close to unique on one side

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"eagletree/internal/core"
 	"eagletree/internal/resultstore"
@@ -47,8 +48,8 @@ func refAppend(c *column, v resultstore.Value) {
 // refTake builds a new materialised table holding the given positions of t.
 func refTake(t *Table, idx []int) *Table {
 	out := &Table{cols: make([]*column, len(t.cols)), n: len(idx)}
+	build(t.cols)
 	for i, src := range t.cols {
-		src.once.Do(src.build)
 		dst := &column{name: src.name, kind: src.kind, better: src.better}
 		for _, r := range idx {
 			refAppend(dst, refValue(src, t.row(r)))
@@ -372,6 +373,71 @@ func TestFromRowsBuildsOnlyNamedColumns(t *testing.T) {
 	for _, c := range tab.cols {
 		if n := len(c.strs) + len(c.ints) + len(c.uints) + len(c.floats); n != 0 && n != tab.Len() {
 			t.Fatalf("column %s holds %d cells, want exactly %d", c.name, n, tab.Len())
+		}
+	}
+}
+
+// TestOperatorBuildsItsColumnsInOnePass: the columns one call names that are
+// still promises are read out of the rows together, row by row — one pass
+// over the rows per call, not one per column — and each is read only once.
+func TestOperatorBuildsItsColumnsInOnePass(t *testing.T) {
+	rows := randomRows(rand.New(rand.NewSource(2)), 40)
+	tab := FromRows(rows)
+	var reads []int // row index of every cell read, in order
+	seen := map[string]int{}
+	for _, c := range tab.cols {
+		get := c.get
+		c.get = func(r *resultstore.Row) resultstore.Value {
+			reads = append(reads, int((uintptr(unsafe.Pointer(r))-uintptr(unsafe.Pointer(&rows[0])))/unsafe.Sizeof(rows[0])))
+			seen[c.name]++
+			return get(r)
+		}
+	}
+	pred := func(expr string) Predicate {
+		p, err := ParsePredicate(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	calls := []struct {
+		name string
+		cols int
+		run  func() error
+	}{
+		{"Filter", 3, func() error {
+			_, err := tab.Filter([]Predicate{pred("commit=c1"), pred("seed>1"), pred("throughput_iops>0")})
+			return err
+		}},
+		{"Sort", 2, func() error { _, err := tab.Sort([]string{"-write_amp", "label"}); return err }},
+		{"GroupBy", 2, func() error { // commit is built already
+			_, err := tab.GroupBy([]string{"experiment", "commit"}, []Agg{{Fn: "count"}, {Fn: "mean", Col: "read_mean_ns"}})
+			return err
+		}},
+		{"Join", 2, func() error { // experiment is built already
+			p, err := tab.Project([]string{"experiment", "index", "x"})
+			if err != nil {
+				return err
+			}
+			_, err = p.Join(p, []string{"experiment", "index"}, "_l", "_r")
+			return err
+		}},
+	}
+	for _, call := range calls {
+		reads = reads[:0]
+		if err := call.run(); err != nil {
+			t.Fatalf("%s: %v", call.name, err)
+		}
+		if len(reads) != call.cols*len(rows) {
+			t.Fatalf("%s read %d cells, want %d: %d new columns of %d rows", call.name, len(reads), call.cols*len(rows), call.cols, len(rows))
+		}
+		if !sort.IntsAreSorted(reads) {
+			t.Fatalf("%s read its columns in more than one pass over the rows: %v", call.name, reads)
+		}
+	}
+	for name, n := range seen {
+		if n != len(rows) {
+			t.Fatalf("column %s was read %d times for %d rows", name, n, len(rows))
 		}
 	}
 }

@@ -16,9 +16,11 @@ package query
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"eagletree/internal/resultstore"
 )
@@ -40,8 +42,8 @@ var (
 
 // column is one typed, immutable column, shared by pointer; exactly one value
 // slice is populated, selected by kind. One made by FromRows starts as a
-// promise: it keeps the rows and fills its slice, in one allocation of exact
-// size, the first time a query names it.
+// promise: it reads its table's source rows and has its slice filled, in one
+// allocation of exact size, the first time a query names it.
 type column struct {
 	name   string
 	kind   resultstore.Kind
@@ -51,51 +53,81 @@ type column struct {
 	uints  []uint64
 	floats []float64
 
-	once sync.Once
-	rows []resultstore.Row // nil on a column made with its values
-	get  func(*resultstore.Row) resultstore.Value
+	src   *source // nil on a column made with its values
+	built atomic.Bool
+	get   func(*resultstore.Row) resultstore.Value
 }
 
-// build populates a promised column's value slice; it runs under c.once.
-func (c *column) build() {
-	if c.rows == nil {
-		return
-	}
-	switch c.kind {
-	case resultstore.KindString:
-		c.strs = make([]string, len(c.rows))
-	case resultstore.KindInt:
-		c.ints = make([]int64, len(c.rows))
-	case resultstore.KindUint:
-		c.uints = make([]uint64, len(c.rows))
-	default:
-		c.floats = make([]float64, len(c.rows))
-	}
-	c.fill()
+// source is the rows a FromRows table keeps. Its lock serialises the builds
+// of its columns, so each is filled once however many readers name it.
+type source struct {
+	mu   sync.Mutex
+	rows []resultstore.Row
 }
 
-// fill copies the column's cell out of every row into the slice build sized.
+// build fills every column among cols that is still a promise, in one pass
+// over the rows of each source they read. Nil entries are skipped.
+func build(cols []*column) {
+	for _, c := range cols {
+		if c != nil && c.src != nil && !c.built.Load() {
+			c.src.build(cols)
+		}
+	}
+}
+
+// build fills the columns among cols that read s and are still promises.
+func (s *source) build(cols []*column) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var todo []*column
+	for _, c := range cols {
+		if c == nil || c.src != s || c.built.Load() || slices.Contains(todo, c) {
+			continue
+		}
+		switch c.kind {
+		case resultstore.KindString:
+			c.strs = make([]string, len(s.rows))
+		case resultstore.KindInt:
+			c.ints = make([]int64, len(s.rows))
+		case resultstore.KindUint:
+			c.uints = make([]uint64, len(s.rows))
+		default:
+			c.floats = make([]float64, len(s.rows))
+		}
+		todo = append(todo, c)
+	}
+	s.fill(todo)
+	for _, c := range todo {
+		c.built.Store(true)
+	}
+}
+
+// fill copies every row's cells of the given columns into the slices build
+// sized, row by row, so the rows are read once however many columns are built.
 //
 //eagletree:hotpath
-func (c *column) fill() {
-	for i := range c.rows {
-		switch v := c.get(&c.rows[i]); c.kind {
-		case resultstore.KindString:
-			c.strs[i] = v.Str
-		case resultstore.KindInt:
-			c.ints[i] = v.Int
-		case resultstore.KindUint:
-			c.uints[i] = v.Uint
-		default:
-			c.floats[i] = v.Float
+func (s *source) fill(cols []*column) {
+	for i := range s.rows {
+		r := &s.rows[i]
+		for _, c := range cols {
+			switch v := c.get(r); c.kind {
+			case resultstore.KindString:
+				c.strs[i] = v.Str
+			case resultstore.KindInt:
+				c.ints[i] = v.Int
+			case resultstore.KindUint:
+				c.uints[i] = v.Uint
+			default:
+				c.floats[i] = v.Float
+			}
 		}
 	}
 }
 
 // gather returns a new column called name holding c's cells at the given rows:
-// the one populated value slice is gathered, the nil ones stay nil.
+// the one populated value slice is gathered, the nil ones stay nil. A promised
+// c must have been built.
 func (c *column) gather(name string, rows []int32) *column {
-	c.once.Do(c.build)
 	return &column{name: name, kind: c.kind, better: c.better, strs: gather(c.strs, rows),
 		ints: gather(c.ints, rows), uints: gather(c.uints, rows), floats: gather(c.floats, rows)}
 }
@@ -117,8 +149,8 @@ func gather[T any](src []T, rows []int32) []T {
 func (c *column) cell(i int) string {
 	var v resultstore.Value
 	switch {
-	case c.rows != nil:
-		v = c.get(&c.rows[i])
+	case c.src != nil:
+		v = c.get(&c.src.rows[i])
 	case c.kind == resultstore.KindString:
 		v.Str = c.strs[i]
 	case c.kind == resultstore.KindInt:
@@ -185,11 +217,11 @@ func (t *Table) Names() []string {
 	return names
 }
 
-// col finds a column by name, building it if it is still a promise.
+// col finds a column by name. It builds nothing: an operator builds the
+// columns it reads together, with build.
 func (t *Table) col(name string) (*column, error) {
 	for _, c := range t.cols {
 		if c.name == name {
-			c.once.Do(c.build)
 			return c, nil
 		}
 	}
@@ -198,12 +230,14 @@ func (t *Table) col(name string) (*column, error) {
 
 // FromRows builds a table over the full result-store schema, one table row
 // per store row, preserving row order. It keeps rows and reads a column out
-// of them the first time a query names it: do not change rows afterwards.
+// of them the first time a query names it — every column one operator names
+// in one pass over the rows: do not change rows afterwards.
 func FromRows(rows []resultstore.Row) *Table {
 	specs := resultstore.Columns()
+	src := &source{rows: rows}
 	t := &Table{cols: make([]*column, len(specs)), n: len(rows)}
 	for i, cs := range specs {
-		t.cols[i] = &column{name: cs.Name, kind: cs.Kind, better: cs.Better, rows: rows, get: cs.Get}
+		t.cols[i] = &column{name: cs.Name, kind: cs.Kind, better: cs.Better, src: src, get: cs.Get}
 	}
 	return t
 }

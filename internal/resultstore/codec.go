@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"eagletree/internal/binfmt"
@@ -42,6 +43,14 @@ var encoders = sync.Pool{New: func() any { return &enc{dictIdx: make(map[string]
 // EncodeSegment serializes rows to one immutable columnar segment.
 func EncodeSegment(rows []Row) []byte {
 	e := encoders.Get().(*enc)
+	out := bytes.Clone(e.segment(rows)) // the caller's own, at exactly the segment's size
+	encoders.Put(e)
+	return out
+}
+
+// segment encodes rows into e's buffer and returns the sealed segment, valid
+// until e is next used.
+func (e *enc) segment(rows []Row) []byte {
 	e.b = segFormat.Begin(e.b[:0])
 	cols := Columns()
 	e.u64(uint64(len(cols)))
@@ -72,17 +81,15 @@ func EncodeSegment(rows []Row) []byte {
 		}
 	}
 	e.b = segFormat.Seal(e.b)
-	out := bytes.Clone(e.b) // the caller's own, at exactly the segment's size
-	encoders.Put(e)
-	return out
+	return e.b
 }
 
 // DecodeSegment parses a segment produced by EncodeSegment, verifying magic,
 // version, checksum and the embedded column schema before reconstructing any
 // row. All failures are the package's typed errors.
 func DecodeSegment(data []byte) ([]Row, error) {
-	d, err := openSegment(data)
-	if err != nil {
+	var d dec
+	if err := d.open(data); err != nil {
 		return nil, err
 	}
 	rows := make([]Row, d.nrows)
@@ -92,45 +99,71 @@ func DecodeSegment(data []byte) ([]Row, error) {
 	return rows, nil
 }
 
-// openSegment runs every check that needs no row — magic, version, checksum,
-// embedded schema, row-count bound — and returns a decoder at the first column.
-func openSegment(data []byte) (*dec, error) {
+// open runs every check that needs no row — magic, version, checksum,
+// embedded schema, row-count bound — and leaves d at the first column.
+func (d *dec) open(data []byte) error {
 	r, err := segFormat.Open(data)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	d := &dec{Reader: r}
+	d.Reader = r
+	return d.header(0)
+}
+
+// peekRows returns the row count in the header at the start of a segment
+// size bytes long, head being its first bytes, without verifying the
+// checksum; the count is held to the same bound open applies. A header that
+// does not parse counts 0 rows: a segment's failure is reported by open,
+// after the checksum, so damaged bytes read as ErrCorrupt, not as a
+// misleading field error.
+func peekRows(head []byte, size int) int {
+	r, err := segFormat.Header(head)
+	if err != nil {
+		return 0
+	}
+	d := dec{Reader: r}
+	if d.header(size-len(head)-4) != nil { // the checksum is not payload
+		return 0
+	}
+	return d.nrows
+}
+
+// header reads the embedded schema and the row count. A count is refused
+// when the payload could not hold it: rest is how many payload bytes lie
+// beyond d's input (a header read from the head of a file).
+func (d *dec) header(rest int) error {
 	cols := Columns()
 	ncols := d.U64()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if ncols != uint64(len(cols)) {
-		return nil, fmt.Errorf("%w: segment has %d columns, schema has %d", ErrVersion, ncols, len(cols))
+		return fmt.Errorf("%w: segment has %d columns, schema has %d", ErrVersion, ncols, len(cols))
 	}
 	for _, c := range cols {
-		name := d.Str()
+		name := d.Raw()
 		kind := d.Byte()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		if name != c.Name || Kind(kind) != c.Kind {
-			return nil, fmt.Errorf("%w: segment column %q (kind %d), schema expects %q (%s)",
+		if string(name) != c.Name || Kind(kind) != c.Kind {
+			return fmt.Errorf("%w: segment column %q (kind %d), schema expects %q (%s)",
 				ErrVersion, name, kind, c.Name, c.Kind)
 		}
 	}
 	nrows := d.U64()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	// Bounded allocation: every row contributes at least one byte per column
 	// to the payload, so more rows than remaining bytes / columns is
 	// structurally impossible — refuse before allocating.
-	if remain := uint64(d.Len()); nrows > remain/ncols {
-		return nil, fmt.Errorf("%w: %d rows of %d columns promised, %d payload bytes remain", ErrCorrupt, nrows, ncols, remain)
+	remain := max(d.Len()+rest, 0)
+	if nrows > uint64(remain)/ncols {
+		return fmt.Errorf("%w: %d rows of %d columns promised, %d payload bytes remain", ErrCorrupt, nrows, ncols, remain)
 	}
 	d.nrows = int(nrows)
-	return d, nil
+	return nil
 }
 
 // columns decodes every column into rows, d.nrows of them, and requires the
@@ -139,7 +172,7 @@ func (d *dec) columns(rows []Row) error {
 	for _, c := range Columns() {
 		switch c.Kind {
 		case KindString:
-			dict := d.dict(uint64(len(rows)))
+			dict := d.readDict(uint64(len(rows)))
 			for i := range rows {
 				idx := d.U64()
 				if err := d.Err(); err != nil {
@@ -217,12 +250,15 @@ func (e *enc) flushDict() {
 
 type dec struct {
 	binfmt.Reader
-	nrows int // set by openSegment: how many rows columns must be handed
+	nrows int // set by open: how many rows columns must be handed
+	// strs, when set, interns string cells across every segment d decodes.
+	strs map[string]string
+	dict []string // the current string column's dictionary, reused
 }
 
-// dict reads one string column's dictionary, bounding its size by the row
-// count: a dictionary never holds more distinct values than rows.
-func (d *dec) dict(nrows uint64) []string {
+// readDict reads one string column's dictionary, bounding its size by the
+// row count: a dictionary never holds more distinct values than rows.
+func (d *dec) readDict(nrows uint64) []string {
 	n := d.Count(1)
 	if uint64(n) > nrows {
 		d.Corruptf("dictionary of %d entries for %d rows", n, nrows)
@@ -230,9 +266,19 @@ func (d *dec) dict(nrows uint64) []string {
 	if d.Err() != nil {
 		return nil
 	}
-	dict := make([]string, n)
-	for i := range dict {
-		dict[i] = d.Str()
+	d.dict = slices.Grow(d.dict[:0], n)[:n]
+	for i := range d.dict {
+		raw := d.Raw()
+		if d.strs == nil {
+			d.dict[i] = string(raw)
+			continue
+		}
+		s, ok := d.strs[string(raw)]
+		if !ok {
+			s = string(raw)
+			d.strs[s] = s
+		}
+		d.dict[i] = s
 	}
-	return dict
+	return d.dict
 }

@@ -8,7 +8,7 @@
 // The store is a directory of immutable segment files. Every append writes
 // one new segment atomically (temp file + link), so a crash mid-append never
 // corrupts existing data and concurrent appenders never interleave; readers
-// concatenate segments in name order. Row identity is canonical: the spec
+// concatenate segments in sequence order. Row identity is canonical: the spec
 // document digest, the variant's canonical configuration key, the seed and
 // the commit label pin exactly what produced each row, so rows from a
 // distributed 4-worker sweep are bit-identical to rows from the same

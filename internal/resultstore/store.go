@@ -1,12 +1,16 @@
 package resultstore
 
 import (
+	"cmp"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // segExt is the segment file suffix; everything else in the directory is
@@ -20,6 +24,9 @@ const segExt = ".etres"
 // rows.
 type Store struct {
 	dir string
+
+	mu   sync.Mutex
+	next int // the sequence number the next Append tries first; 0 until the directory is listed
 }
 
 // Open opens (creating if needed) the result store rooted at dir.
@@ -33,8 +40,18 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Segments lists the store's segment files in name order — which is append
-// order, since names carry a monotonic sequence number.
+// seq returns the sequence number in a segment name "seg-N.etres", or 0 for
+// a name without one.
+func seq(name string) int {
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), segExt))
+	if err != nil || n < 0 {
+		return 0
+	}
+	return n
+}
+
+// Segments lists the store's segment files in append order: by sequence
+// number, then by name (a segment file named without a number sorts first).
 func (s *Store) Segments() ([]string, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -46,7 +63,9 @@ func (s *Store) Segments() ([]string, error) {
 			segs = append(segs, e.Name())
 		}
 	}
-	sort.Strings(segs)
+	slices.SortFunc(segs, func(a, b string) int {
+		return cmp.Or(cmp.Compare(seq(a), seq(b)), strings.Compare(a, b))
+	})
 	return segs, nil
 }
 
@@ -59,36 +78,45 @@ func (s *Store) Append(rows []Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	data := EncodeSegment(rows)
 	tmp, err := os.CreateTemp(s.dir, "append-*.tmp")
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
+	e := encoders.Get().(*enc)
+	_, err = tmp.Write(e.segment(rows))
+	encoders.Put(e)
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
+	return s.link(tmp.Name())
+}
 
-	segs, err := s.Segments()
-	if err != nil {
-		return err
-	}
-	next := 1
-	if len(segs) > 0 {
-		last := strings.TrimSuffix(strings.TrimPrefix(segs[len(segs)-1], "seg-"), segExt)
-		if n, perr := strconv.Atoi(last); perr == nil && n >= next {
-			next = n + 1
+// link links the written segment tmp into place under the next free sequence
+// number. The store lists its directory once, at its first append, and
+// counts up from the last number there.
+func (s *Store) link(tmp string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.next == 0 {
+		segs, err := s.Segments()
+		if err != nil {
+			return err
+		}
+		s.next = 1
+		if len(segs) > 0 {
+			s.next = seq(segs[len(segs)-1]) + 1
 		}
 	}
 	// os.Link fails when the target exists, so losing a race to another
 	// appender is detected, not overwritten; claim the next number instead.
 	for attempt := 0; ; attempt++ {
-		name := filepath.Join(s.dir, fmt.Sprintf("seg-%06d%s", next, segExt))
-		err := os.Link(tmp.Name(), name)
+		err := os.Link(tmp, filepath.Join(s.dir, fmt.Sprintf("seg-%06d%s", s.next, segExt)))
+		s.next++
 		if err == nil {
 			return nil
 		}
@@ -98,38 +126,83 @@ func (s *Store) Append(rows []Row) error {
 		if attempt > 1<<20 {
 			return fmt.Errorf("resultstore: cannot allocate a segment number after %d attempts: %w", attempt, err)
 		}
-		next++
 	}
 }
 
+// headerPeek is how much of a segment Rows reads to learn its row count; the
+// header of this schema (magic, version, column names and kinds, row count)
+// takes well under it (TestSegmentHeaderFitsThePeek).
+const headerPeek = 4 << 10
+
 // Rows reads every segment and returns their rows concatenated in segment
-// order. Every segment is read and checked (checksum, schema, row count)
-// before the result is allocated, once; each then decodes straight into its
-// part of it. A segment that fails to decode is a typed error naming the file.
+// order. It first reads each segment's header for its row count, so the
+// result is allocated once at its exact size; it then reads each segment
+// whole, once, into one buffer sized for the largest, verifies it (checksum,
+// schema, row count) and decodes it straight into its part of the result.
+// String cells are interned across segments: a value repeated in every
+// segment is allocated once. A segment that fails to decode is a typed error
+// naming the file.
 func (s *Store) Rows() ([]Row, error) {
 	segs, err := s.Segments()
 	if err != nil {
 		return nil, err
 	}
-	open := make([]*dec, len(segs))
-	total := 0
+	counts := make([]int, len(segs))
+	total, largest := 0, 0
+	var buf []byte
 	for i, seg := range segs {
-		data, err := os.ReadFile(filepath.Join(s.dir, seg))
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
+		var size int
+		if buf, size, err = s.read(seg, buf, headerPeek); err != nil {
+			return nil, err
 		}
-		if open[i], err = openSegment(data); err != nil {
+		n := peekRows(buf, size)
+		counts[i], total, largest = n, total+n, max(largest, size)
+	}
+	rows := make([]Row, total)
+	if cap(buf) < largest {
+		buf = make([]byte, 0, largest)
+	}
+	d := dec{strs: make(map[string]string)}
+	at := 0
+	for i, seg := range segs {
+		if buf, _, err = s.read(seg, buf, math.MaxInt); err != nil {
+			return nil, err
+		}
+		if err := d.open(buf); err != nil {
 			return nil, fmt.Errorf("resultstore: segment %s: %w", seg, err)
 		}
-		total += open[i].nrows
-	}
-	rows := make([]Row, 0, total)
-	for i, d := range open {
-		rows = rows[:len(rows)+d.nrows]
-		if err := d.columns(rows[len(rows)-d.nrows:]); err != nil {
-			return nil, fmt.Errorf("resultstore: segment %s: %w", segs[i], err)
+		if d.nrows != counts[i] { // the file changed since its head was read
+			return nil, fmt.Errorf("resultstore: segment %s: %w: header read %d rows, verified segment holds %d",
+				seg, ErrCorrupt, counts[i], d.nrows)
 		}
-		open[i] = nil // the segment's bytes are garbage from here on
+		if err := d.columns(rows[at : at+d.nrows]); err != nil {
+			return nil, fmt.Errorf("resultstore: segment %s: %w", seg, err)
+		}
+		at += d.nrows
 	}
 	return rows, nil
+}
+
+// read reads at most limit bytes of the named segment into buf, growing it
+// only when it is too small, and returns them with the file's size.
+func (s *Store) read(seg string, buf []byte, limit int) ([]byte, int, error) {
+	f, err := os.Open(filepath.Join(s.dir, seg))
+	if err != nil {
+		return buf, 0, fmt.Errorf("resultstore: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return buf, 0, fmt.Errorf("resultstore: %w", err)
+	}
+	size := int(fi.Size())
+	n := min(size, limit)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return buf, size, fmt.Errorf("resultstore: segment %s: %w: %w", seg, ErrTruncated, err)
+	}
+	return buf, size, nil
 }

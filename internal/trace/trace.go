@@ -186,7 +186,7 @@ func (c *Capture) Stop() { c.active = false }
 // Active reports whether submissions are currently being recorded.
 func (c *Capture) Active() bool { return c.active }
 
-// Len returns how many records have been captured.
+// Len returns how many records have been captured since the previous Trace.
 func (c *Capture) Len() int { return len(c.recs) }
 
 // Submitted records one request submission. It implements osched.Capture.
@@ -214,9 +214,12 @@ func (c *Capture) Submitted(at sim.Time, r *iface.Request) {
 	})
 }
 
-// Trace returns a copy of everything captured so far.
+// Trace hands over everything captured since the previous Trace, without
+// copying it: the capture keeps no reference to the returned records and
+// starts recording into a new slice, so neither side sees the other's
+// later changes.
 func (c *Capture) Trace() *Trace {
-	out := make([]Record, len(c.recs))
-	copy(out, c.recs)
+	out := c.recs
+	c.recs = nil
 	return &Trace{Records: out}
 }

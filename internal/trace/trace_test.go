@@ -327,6 +327,41 @@ func TestCaptureTraceIsACopy(t *testing.T) {
 	}
 }
 
+// TestCaptureTraceHandsOver: Trace hands its records over without a copy,
+// yet the capture and the returned trace stay apart — records captured after
+// Trace never show up in it, and an edit to it never reaches the capture.
+func TestCaptureTraceHandsOver(t *testing.T) {
+	c := NewCapture()
+	for lpn := iface.LPN(0); lpn < 5; lpn++ {
+		c.Submitted(sim.Time(10*lpn), &iface.Request{Type: iface.Write, LPN: lpn})
+	}
+	tr := c.Trace()
+	if tr.Len() != 5 || c.Len() != 0 {
+		t.Fatalf("Trace took %d records and left %d, want 5 and 0", tr.Len(), c.Len())
+	}
+	kept := append([]Record(nil), tr.Records...)
+
+	for lpn := iface.LPN(100); lpn < 108; lpn++ { // more than the handed-over slice's spare capacity
+		c.Submitted(sim.Time(lpn), &iface.Request{Type: iface.Read, LPN: lpn})
+	}
+	if !reflect.DeepEqual(tr.Records, kept) {
+		t.Fatal("records captured after Trace reached the returned trace")
+	}
+
+	for i := range tr.Records {
+		tr.Records[i].LPN = -1
+	}
+	next := c.Trace()
+	if next.Len() != 8 {
+		t.Fatalf("second Trace has %d records, want the 8 captured since the first", next.Len())
+	}
+	for i, r := range next.Records {
+		if r.LPN != iface.LPN(100+i) || r.Op != iface.Read {
+			t.Fatalf("record %d of the second trace is %+v: an edit to the first trace reached the capture", i, r)
+		}
+	}
+}
+
 func TestTraceHelpers(t *testing.T) {
 	tr := sampleTrace()
 	if tr.Len() != 4 {
