@@ -12,10 +12,8 @@ import (
 	"testing"
 
 	"eagletree/internal/experiment"
-	"eagletree/internal/flash"
-	"eagletree/internal/gc"
-	"eagletree/internal/osched"
 	"eagletree/internal/sched"
+	"eagletree/internal/spec"
 	"eagletree/internal/workload"
 )
 
@@ -25,17 +23,45 @@ func ablBase() Config {
 	return cfg
 }
 
-var ablPrepare = PrepareSpec{FillDepth: 32, AgePasses: 1}
-
-func ablOverwrite(s *Stack) {
-	n := int64(s.LogicalPages())
-	s.Add(&workload.RandomWriter{From: 0, Space: n, Count: 2 * n, Depth: 32})
+// ablDoc is an ablation as a spec document: SmallConfig at seed 7 — the
+// document form of ablBase — with the variants given as (label, override
+// path, value) triples on one path, aged by one fill and one random pass.
+func ablDoc(name, path string, points []ablPoint, workload ...spec.Thread) spec.Experiment {
+	doc := spec.Experiment{
+		Name:     name,
+		Base:     smallSpec(),
+		Prep:     &spec.Prep{FillDepth: 32, AgePasses: 1},
+		Workload: workload,
+	}
+	doc.Base.Seed = 7
+	if len(workload) == 0 {
+		doc.Workload = []spec.Thread{ablThread("randwrite", "2*n", 32)}
+	}
+	for _, p := range points {
+		doc.Variants = append(doc.Variants, spec.Variant{Label: p.label, X: p.x, Set: map[string]any{path: p.value}})
+	}
+	return doc
 }
 
-func runAblation(b *testing.B, def experiment.Definition, metric Metric) experiment.Results {
+// ablPoint is one variant of an ablation: its label, x and override value.
+type ablPoint struct {
+	label string
+	x     float64
+	value any
+}
+
+// ablThread is a uniform random reader or writer over the whole device.
+func ablThread(kind string, count any, depth int) spec.Thread {
+	return spec.Thread{Type: kind, Params: map[string]any{"from": 0, "space": "n", "count": count, "depth": depth}}
+}
+
+func runAblation(b *testing.B, doc spec.Experiment, metric Metric) experiment.Results {
 	b.Helper()
+	def, err := ExperimentFromSpec(doc)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var res experiment.Results
-	var err error
 	for i := 0; i < b.N; i++ {
 		res, err = experiment.New(experiment.Options{}).Run(context.Background(), def)
 		if err != nil {
@@ -53,18 +79,9 @@ func runAblation(b *testing.B, def experiment.Definition, metric Metric) experim
 // striped placement (LPN mod N) forfeits that freedom — the paper's example
 // of a mapping constraint restricting the scheduler.
 func BenchmarkAblationAllocator(b *testing.B) {
-	def := experiment.Definition{
-		Name: "ablation-allocator",
-		Base: ablBase,
-		Variants: []Variant{
-			{Label: "leastloaded", Mutate: func(c *Config) { c.Controller.Alloc = sched.LeastLoaded{} }},
-			{Label: "roundrobin", Mutate: func(c *Config) { c.Controller.Alloc = &sched.RoundRobin{} }},
-			{Label: "striped", Mutate: func(c *Config) { c.Controller.Alloc = sched.Striped{} }},
-		},
-		Prep:     ablPrepare,
-		Workload: ablOverwrite,
-	}
-	res := runAblation(b, def, experiment.MetricThroughput)
+	res := runAblation(b, ablDoc("ablation-allocator", "alloc", []ablPoint{
+		{"leastloaded", 0, "leastloaded"}, {"roundrobin", 0, "roundrobin"}, {"striped", 0, "striped"},
+	}), experiment.MetricThroughput)
 	st := res.Rows[2].Report.Throughput
 	ll := res.Rows[0].Report.Throughput
 	if st >= ll {
@@ -75,18 +92,9 @@ func BenchmarkAblationAllocator(b *testing.B) {
 // BenchmarkAblationGCPolicy: victim selection. Greedy minimizes migration
 // per reclaim; cost-benefit spares young blocks; random is the floor.
 func BenchmarkAblationGCPolicy(b *testing.B) {
-	def := experiment.Definition{
-		Name: "ablation-gc-policy",
-		Base: ablBase,
-		Variants: []Variant{
-			{Label: "greedy", Mutate: func(c *Config) { c.Controller.GCPolicy = gc.Greedy{} }},
-			{Label: "costbenefit", Mutate: func(c *Config) { c.Controller.GCPolicy = gc.CostBenefit{} }},
-			{Label: "random", Mutate: func(c *Config) { c.Controller.GCPolicy = &gc.Random{} }},
-		},
-		Prep:     ablPrepare,
-		Workload: ablOverwrite,
-	}
-	res := runAblation(b, def, MetricWA)
+	res := runAblation(b, ablDoc("ablation-gc-policy", "gc.policy", []ablPoint{
+		{"greedy", 0, "greedy"}, {"costbenefit", 0, "costbenefit"}, {"random", 0, "random"},
+	}), MetricWA)
 	greedy := res.Rows[0].Report.WriteAmplification
 	random := res.Rows[2].Report.WriteAmplification
 	if greedy >= random {
@@ -97,26 +105,13 @@ func BenchmarkAblationGCPolicy(b *testing.B) {
 // BenchmarkAblationOSPolicy: the OS-level scheduling strategy question from
 // §2.1, over a thread mix of a flooding writer and a latency-bound reader.
 func BenchmarkAblationOSPolicy(b *testing.B) {
-	def := experiment.Definition{
-		Name: "ablation-os-policy",
-		Base: func() Config {
-			cfg := ablBase()
-			cfg.OS.QueueDepth = 4 // shallow: the OS pool ordering matters
-			return cfg
-		},
-		Variants: []Variant{
-			{Label: "fifo", Mutate: func(c *Config) { c.OS.Policy = &osched.FIFO{} }},
-			{Label: "prio-reads", Mutate: func(c *Config) { c.OS.Policy = &osched.Prio{ReadsFirst: true} }},
-			{Label: "cfq", Mutate: func(c *Config) { c.OS.Policy = &osched.CFQ{Quantum: 4} }},
-		},
-		Prep: ablPrepare,
-		Workload: func(s *Stack) {
-			n := int64(s.LogicalPages())
-			s.Add(&workload.RandomWriter{From: 0, Space: n, Count: 3000, Depth: 32})
-			s.Add(&workload.RandomReader{From: 0, Space: n, Count: 1000, Depth: 2})
-		},
-	}
-	res := runAblation(b, def, experiment.MetricReadMean)
+	doc := ablDoc("ablation-os-policy", "os.policy", []ablPoint{
+		{"fifo", 0, "fifo"},
+		{"prio-reads", 0, spec.ParamRef("prio", map[string]any{"reads_first": true})},
+		{"cfq", 0, spec.ParamRef("cfq", map[string]any{"quantum": 4})},
+	}, ablThread("randwrite", 3000, 32), ablThread("randread", 1000, 2))
+	doc.Base.OS.QueueDepth = 4 // shallow: the OS pool ordering matters
+	res := runAblation(b, doc, experiment.MetricReadMean)
 	fifo := res.Rows[0].Report.ReadLatency.Mean
 	prio := res.Rows[1].Report.ReadLatency.Mean
 	if prio >= fifo {
@@ -128,24 +123,12 @@ func BenchmarkAblationOSPolicy(b *testing.B) {
 // Application-visible write latency collapses to the RAM store; flash work
 // continues underneath (same WA).
 func BenchmarkAblationWriteBuffer(b *testing.B) {
-	size := func(pages int) Variant {
-		return Variant{
-			Label:  fmt.Sprintf("buffer=%d", pages),
-			X:      float64(pages),
-			Mutate: func(c *Config) { c.Controller.WriteBufferPages = pages },
-		}
+	var sizes []ablPoint
+	for _, pages := range []int{0, 16, 64, 256} {
+		sizes = append(sizes, ablPoint{fmt.Sprintf("buffer=%d", pages), float64(pages), pages})
 	}
-	def := experiment.Definition{
-		Name:     "ablation-write-buffer",
-		Base:     ablBase,
-		Variants: []Variant{size(0), size(16), size(64), size(256)},
-		Prep:     ablPrepare,
-		Workload: func(s *Stack) {
-			n := int64(s.LogicalPages())
-			s.Add(&workload.RandomWriter{From: 0, Space: n, Count: n, Depth: 16})
-		},
-	}
-	res := runAblation(b, def, experiment.MetricWriteMean)
+	res := runAblation(b, ablDoc("ablation-write-buffer", "write_buffer.pages", sizes,
+		ablThread("randwrite", "n", 16)), experiment.MetricWriteMean)
 	none := res.Rows[0].Report.WriteLatency.Mean
 	big := res.Rows[3].Report.WriteLatency.Mean
 	if big >= none {
@@ -156,17 +139,9 @@ func BenchmarkAblationWriteBuffer(b *testing.B) {
 // BenchmarkAblationCellType: SLC vs MLC chip timings through the whole
 // stack; MLC's slower program and erase compound under GC.
 func BenchmarkAblationCellType(b *testing.B) {
-	def := experiment.Definition{
-		Name: "ablation-cell-type",
-		Base: ablBase,
-		Variants: []Variant{
-			{Label: "slc", Mutate: func(c *Config) { c.Controller.Timing = flash.TimingSLC() }},
-			{Label: "mlc", Mutate: func(c *Config) { c.Controller.Timing = flash.TimingMLC() }},
-		},
-		Prep:     ablPrepare,
-		Workload: ablOverwrite,
-	}
-	res := runAblation(b, def, experiment.MetricThroughput)
+	res := runAblation(b, ablDoc("ablation-cell-type", "timing", []ablPoint{
+		{"slc", 0, "slc"}, {"mlc", 0, "mlc"},
+	}), experiment.MetricThroughput)
 	slc := res.Rows[0].Report.Throughput
 	mlc := res.Rows[1].Report.Throughput
 	b.ReportMetric(slc/mlc, "slc_over_mlc")
@@ -181,20 +156,11 @@ func BenchmarkAblationCellType(b *testing.B) {
 // opening claim ("SSDs do not respect the HDD performance contract")
 // expressed as a scheduler ablation.
 func BenchmarkAblationElevator(b *testing.B) {
-	def := experiment.Definition{
-		Name: "ablation-elevator",
-		Base: ablBase,
-		Variants: []Variant{
-			{Label: "os-fifo", Mutate: func(c *Config) { c.OS.Policy = &osched.FIFO{} }},
-			{Label: "os-elevator", Mutate: func(c *Config) { c.OS.Policy = &osched.Elevator{} }},
-		},
-		Prep: PrepareSpec{FillDepth: 32},
-		Workload: func(s *Stack) {
-			n := int64(s.LogicalPages())
-			s.Add(&workload.RandomReader{From: 0, Space: n, Count: 4000, Depth: 64})
-		},
-	}
-	res := runAblation(b, def, experiment.MetricThroughput)
+	doc := ablDoc("ablation-elevator", "os.policy", []ablPoint{
+		{"os-fifo", 0, "fifo"}, {"os-elevator", 0, "elevator"},
+	}, ablThread("randread", 4000, 64))
+	doc.Prep = &spec.Prep{FillDepth: 32}
+	res := runAblation(b, doc, experiment.MetricThroughput)
 	fifo := res.Rows[0].Report.Throughput
 	elev := res.Rows[1].Report.Throughput
 	b.ReportMetric(elev/fifo, "elevator_over_fifo")
@@ -209,26 +175,31 @@ func BenchmarkAblationElevator(b *testing.B) {
 // least-loaded placement clusters a quiet period's run on few LUNs; the
 // pattern-aware allocator stripes detected runs so the later sequential
 // read-back fans out over the whole array.
+//
+// The writes are part of the run, not a declared preparation — the
+// allocator in force while they run is the effect under test — and only the
+// read-back sits behind the measurement barrier. A spec document has no
+// barrier inside its workload, so each variant drives its stack directly.
 func BenchmarkAblationPatternAware(b *testing.B) {
-	def := experiment.Definition{
-		Name: "ablation-pattern-aware",
-		Base: func() Config {
+	variants := []struct {
+		label string
+		alloc func() sched.Allocator
+	}{
+		{"leastloaded", func() sched.Allocator { return sched.LeastLoaded{} }},
+		{"pattern-aware", func() sched.Allocator { return &sched.PatternAware{Detector: &sched.PatternDetector{}} }},
+	}
+	throughput := make([]float64, len(variants))
+	for i := 0; i < b.N; i++ {
+		for vi, v := range variants {
 			cfg := ablBase()
 			// Interleaving lifts the channel ceiling so read-back
 			// parallelism is LUN-bound, the effect under test.
 			cfg.Controller.Features = Features{Interleaving: true}
-			return cfg
-		},
-		Variants: []Variant{
-			{Label: "leastloaded", Mutate: func(c *Config) { c.Controller.Alloc = sched.LeastLoaded{} }},
-			{Label: "pattern-aware", Mutate: func(c *Config) {
-				c.Controller.Alloc = &sched.PatternAware{Detector: &sched.PatternDetector{}}
-			}},
-		},
-		// The writes are part of the workload, not a shared PrepareSpec:
-		// the allocator in force while they run is the effect under test,
-		// so only the read-back sits behind the measurement barrier.
-		Workload: func(s *Stack) {
+			cfg.Controller.Alloc = v.alloc()
+			s, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			n := int64(s.LogicalPages())
 			// The sequential stream is written while a random writer
 			// perturbs the array: load-based placement then parks
@@ -237,12 +208,16 @@ func BenchmarkAblationPatternAware(b *testing.B) {
 			seq := s.Add(&workload.SequentialWriter{From: 0, Count: n / 2, Depth: 2})
 			noise := s.Add(&workload.RandomWriter{From: LPN(n / 2), Space: n / 2, Count: n, Depth: 8})
 			s.Add(&workload.SequentialReader{From: 0, Count: n / 2, Depth: 16}, s.AddBarrier(seq, noise))
-		},
+			if _, err := s.RunCtx(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			throughput[vi] = s.Report().Throughput
+		}
 	}
-	res := runAblation(b, def, experiment.MetricThroughput)
-	ll := res.Rows[0].Report.Throughput
-	pa := res.Rows[1].Report.Throughput
-	b.ReportMetric(pa/ll, "readback_speedup")
+	for vi, v := range variants {
+		b.ReportMetric(throughput[vi], v.label)
+	}
+	b.ReportMetric(throughput[1]/throughput[0], "readback_speedup")
 }
 
 // BenchmarkAblationDeterminism: the single-threaded DES core's determinism

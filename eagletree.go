@@ -81,8 +81,6 @@ type (
 	LPN = iface.LPN
 	// Request is one IO traveling through the stack.
 	Request = iface.Request
-	// Tags is open-interface request metadata.
-	Tags = iface.Tags
 	// Temperature is expected update frequency (hot/cold).
 	Temperature = iface.Temperature
 	// Message is anything exchanged on the open-interface bus.
@@ -149,8 +147,6 @@ type (
 	RandomWriter = workload.RandomWriter
 	// RandomReader reads uniformly over a range.
 	RandomReader = workload.RandomReader
-	// ZipfWriter writes with Zipf-skewed popularity (hot/cold workloads).
-	ZipfWriter = workload.ZipfWriter
 	// FileSystem models file create/overwrite/delete over extents.
 	FileSystem = workload.FileSystem
 	// GraceJoin follows the IO pattern of a Grace hash join.
@@ -207,14 +203,9 @@ func New(cfg Config) (*Stack, error) { return core.New(cfg) }
 // Experiments: one simulation per variant of a parameter or policy, with
 // comparable tables and text charts.
 type (
-	// Experiment is a template: a parameter, a strategy to vary it, and a
-	// workload.
+	// Experiment is a compiled spec document (ExperimentFromSpec): a
+	// parameter, a strategy to vary it, and a workload, as data.
 	Experiment = experiment.Definition
-	// Variant is one setting of the varied parameter.
-	Variant = experiment.Variant
-	// PrepareSpec declares device preparation (fill + age) so the runner
-	// can snapshot-cache prepared state across variants.
-	PrepareSpec = experiment.PrepareSpec
 	// Results collects per-variant outcomes.
 	Results = experiment.Results
 	// ResultRow is one variant's outcome.

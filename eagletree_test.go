@@ -14,6 +14,7 @@ import (
 	"eagletree/internal/experiment"
 	"eagletree/internal/flash"
 	"eagletree/internal/hotcold"
+	"eagletree/internal/spec"
 )
 
 func TestDefaultConfigIsValid(t *testing.T) {
@@ -25,18 +26,51 @@ func TestDefaultConfigIsValid(t *testing.T) {
 	}
 }
 
+// smallSpec is SmallConfig as a spec document's base configuration.
+func smallSpec() spec.Config {
+	return spec.Config{
+		Geometry:      spec.Geometry{Channels: 2, LUNsPerChannel: 2, BlocksPerLUN: 64, PagesPerBlock: 16, PageSize: 4096},
+		Timing:        spec.NamedRef("slc"),
+		Overprovision: 0.15,
+		GC:            spec.GCSpec{Greediness: 2},
+		WL:            spec.NamedRef("off"),
+		OS:            spec.OSSpec{QueueDepth: 16},
+		Seed:          1,
+	}
+}
+
+// TestSmallSpecIsSmallConfig: the document form of SmallConfig keys as
+// SmallConfig does, so a document built on it runs the same device.
+func TestSmallSpecIsSmallConfig(t *testing.T) {
+	cfg, err := smallSpec().Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := spec.CanonKey(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spec.CanonKey(SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("smallSpec keys as\n%s\nSmallConfig as\n%s", got, want)
+	}
+}
+
 func TestFacadeExperiment(t *testing.T) {
-	def := Experiment{
+	def, err := ExperimentFromSpec(ExperimentSpec{
 		Name: "facade-sweep",
-		Base: SmallConfig,
-		Variants: []Variant{
-			{Label: "qd=1", X: 1, Mutate: func(c *Config) { c.OS.QueueDepth = 1 }},
-			{Label: "qd=16", X: 16, Mutate: func(c *Config) { c.OS.QueueDepth = 16 }},
+		Base: smallSpec(),
+		Variants: []spec.Variant{
+			{Label: "qd=1", X: 1, Set: map[string]any{"os.queue_depth": 1}},
+			{Label: "qd=16", X: 16, Set: map[string]any{"os.queue_depth": 16}},
 		},
-		Workload: func(s *Stack) {
-			n := int64(s.LogicalPages())
-			s.Add(&RandomWriter{From: 0, Space: n, Count: 500, Depth: 16})
-		},
+		Workload: []spec.Thread{{Type: "randwrite", Params: map[string]any{"from": 0, "space": "n", "count": 500, "depth": 16}}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := NewRunner(ExperimentOptions{}).Run(context.Background(), def)
 	if err != nil {

@@ -3,29 +3,32 @@
 // collecting maximizes invalid pages per victim (low write amplification),
 // but leaves less slack for incoming writes (worse tail latency).
 //
+// The embedded gctuning.json is the whole experiment; the same file runs
+// from the CLI: eagletree sweep -spec examples/gctuning/gctuning.json.
+//
 //	go run ./examples/gctuning
 package main
 
 import (
 	"context"
+	_ "embed"
 	"fmt"
 	"log"
 
 	"eagletree"
 )
 
+//go:embed gctuning.json
+var gcSpec []byte
+
 func main() {
-	def := eagletree.Experiment{
-		Name: "gc-greediness",
-		Base: eagletree.SmallConfig,
-		Variants: []eagletree.Variant{
-			variant(1), variant(2), variant(3), variant(4), variant(6), variant(8),
-		},
-		Prep: eagletree.PrepareSpec{FillDepth: 32, AgePasses: 1},
-		Workload: func(s *eagletree.Stack) {
-			n := int64(s.LogicalPages())
-			s.Add(&eagletree.RandomWriter{From: 0, Space: n, Count: 2 * n, Depth: 32})
-		},
+	doc, err := eagletree.DecodeExperimentSpec(gcSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	def, err := eagletree.ExperimentFromSpec(doc)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	res, err := eagletree.NewRunner(eagletree.ExperimentOptions{}).Run(context.Background(), def)
@@ -38,12 +41,4 @@ func main() {
 	fmt.Println("Lazy GC (greediness=1) migrates the fewest pages; greedy GC pays")
 	fmt.Println("migrations for smoother latency. The right setting depends on which")
 	fmt.Println("the workload cares about — which is why it is a parameter.")
-}
-
-func variant(g int) eagletree.Variant {
-	return eagletree.Variant{
-		Label:  fmt.Sprintf("greediness=%d", g),
-		X:      float64(g),
-		Mutate: func(c *eagletree.Config) { c.Controller.GCGreediness = g },
-	}
 }

@@ -56,8 +56,8 @@ func addReportFlags(fs *flag.FlagSet) *reportFlags {
 // buildDocument renders the flag selection as a single-run experiment
 // document — the same document -dump-spec writes and `eagletree spec` runs,
 // so the flag mode and the document mode cannot drift: the flags ARE a
-// document.
-func buildDocument(cfgF *configFlags, wlF *workloadFlags, repF *reportFlags, thread *spec.Thread) (spec.Experiment, error) {
+// document. It returns the document beside its compilation.
+func buildDocument(cfgF *configFlags, wlF *workloadFlags, repF *reportFlags, thread *spec.Thread) (doc spec.Experiment, def experiment.Definition, err error) {
 	base := cfgF.configSpec()
 	if *repF.series {
 		base.SeriesBucket = spec.Duration(10 * sim.Millisecond)
@@ -65,7 +65,7 @@ func buildDocument(cfgF *configFlags, wlF *workloadFlags, repF *reportFlags, thr
 	if *repF.traceN > 0 {
 		base.TraceCap = *repF.traceN
 	}
-	doc := spec.Experiment{
+	doc = spec.Experiment{
 		Doc:  "dumped from eagletree command-line flags",
 		Base: base,
 	}
@@ -75,7 +75,7 @@ func buildDocument(cfgF *configFlags, wlF *workloadFlags, repF *reportFlags, thr
 	} else {
 		t, name, err := flagThread(base, wlF)
 		if err != nil {
-			return doc, err
+			return doc, def, err
 		}
 		doc.Name = "cli-" + name
 		doc.Workload = []spec.Thread{t}
@@ -83,10 +83,8 @@ func buildDocument(cfgF *configFlags, wlF *workloadFlags, repF *reportFlags, thr
 	if *wlF.prepare {
 		doc.Prep = &spec.Prep{FillDepth: 32, AgePasses: 1}
 	}
-	if err := doc.Validate(); err != nil {
-		return doc, err
-	}
-	return doc, nil
+	def, err = experiment.FromSpec(doc)
+	return doc, def, err
 }
 
 // flagThread builds the workload thread declaration from the sugar flags
@@ -174,21 +172,13 @@ type runtimeOpts struct {
 	capture   *trace.Capture
 }
 
-// executeSingle drives a single-run document's one variant (the implicit
-// "run" variant unless it declares its own) to completion on a live stack —
-// the identical path for `run` flags, `record`, `replay` and a single-variant
-// `spec FILE`, so they cannot drift — and prints the report.
-func executeSingle(doc spec.Experiment, rt runtimeOpts, repF *reportFlags, header string, stdout, stderr io.Writer) int {
-	variants, err := doc.ExpandVariants()
-	if err != nil {
-		return fail(stderr, err)
-	}
-	variant := variants[0]
-	cs, err := doc.ConfigFor(variant)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	cfg, err := cs.Resolve()
+// executeSingle drives a compiled single-run document's one variant (the
+// implicit "run" variant unless it declares its own) to completion on a live
+// stack — the identical path for `run` flags, `record`, `replay` and a
+// single-variant `spec FILE`, so they cannot drift — and prints the report.
+func executeSingle(def experiment.Definition, rt runtimeOpts, repF *reportFlags, header string, stdout, stderr io.Writer) int {
+	variant := def.Variants[0]
+	cfg, err := variant.Config.Resolve()
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -228,7 +218,7 @@ func executeSingle(doc spec.Experiment, rt runtimeOpts, repF *reportFlags, heade
 			}}, barrier)
 		}
 	}
-	if err := experiment.RegisterRunHook(doc, variant, st, hook); err != nil {
+	if err := experiment.RegisterRunHook(variant, def.Factor, st, hook); err != nil {
 		return fail(stderr, err)
 	}
 
@@ -282,7 +272,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if *loadState != "" && *wlF.prepare {
 		return fail(stderr, fmt.Errorf("-load-state already provides a prepared device; drop -prepare"))
 	}
-	doc, err := buildDocument(cfgF, wlF, repF, nil)
+	doc, def, err := buildDocument(cfgF, wlF, repF, nil)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -298,7 +288,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	}
 	header := fmt.Sprintf("eagletree: run %s (%dx%d LUNs, policy=%s, qd=%d)",
 		doc.Name, *cfgF.channels, *cfgF.luns, cfgF.policy.ref.Name, *cfgF.qd)
-	return executeSingle(doc, runtimeOpts{loadState: *loadState}, repF, header, stdout, stderr)
+	return executeSingle(def, runtimeOpts{loadState: *loadState}, repF, header, stdout, stderr)
 }
 
 // cmdRecord is run plus trace capture: the app-level IO stream of the
@@ -323,7 +313,7 @@ func cmdRecord(args []string, stdout, stderr io.Writer) int {
 	if *loadState != "" && *wlF.prepare {
 		return fail(stderr, fmt.Errorf("-load-state already provides a prepared device; drop -prepare"))
 	}
-	doc, err := buildDocument(cfgF, wlF, repF, nil)
+	doc, def, err := buildDocument(cfgF, wlF, repF, nil)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -332,7 +322,7 @@ func cmdRecord(args []string, stdout, stderr io.Writer) int {
 		capture.Stop() // re-armed once the measured window starts
 	}
 	header := fmt.Sprintf("eagletree: record %s -> %s", doc.Name, *out)
-	if code := executeSingle(doc, runtimeOpts{loadState: *loadState, capture: capture}, repF, header, stdout, stderr); code != 0 {
+	if code := executeSingle(def, runtimeOpts{loadState: *loadState, capture: capture}, repF, header, stdout, stderr); code != 0 {
 		return code
 	}
 	tr := capture.Trace()
@@ -399,12 +389,12 @@ func cmdReplay(args []string, stdout, stderr io.Writer) int {
 		params["sha256"] = *sha
 	}
 	thread := spec.Thread{Type: "replay", Params: params}
-	doc, err := buildDocument(cfgF, &workloadFlags{prepare: prepare}, repF, &thread)
+	_, def, err := buildDocument(cfgF, &workloadFlags{prepare: prepare}, repF, &thread)
 	if err != nil {
 		return fail(stderr, err)
 	}
 	header := fmt.Sprintf("eagletree: replay %s (mode=%s, scale=%g, policy=%s)", file, *mode, *scale, cfgF.policy.ref.Name)
-	return executeSingle(doc, runtimeOpts{loadState: *loadState}, repF, header, stdout, stderr)
+	return executeSingle(def, runtimeOpts{loadState: *loadState}, repF, header, stdout, stderr)
 }
 
 // cmdState prepares and saves device states (state save FILE) and inspects

@@ -10,41 +10,51 @@ import (
 	"testing"
 	"time"
 
-	"eagletree/internal/controller"
-	"eagletree/internal/core"
 	"eagletree/internal/experiment"
-	"eagletree/internal/flash"
-	"eagletree/internal/osched"
+	"eagletree/internal/iface"
+	"eagletree/internal/spec"
+	"eagletree/internal/workload"
 )
 
 // sigintChildMarker is printed by the child once its hanging variant is
 // running, so the parent knows signals will land inside runDefinitions.
 const sigintChildMarker = "SIGINT-CHILD-READY"
 
-// runSigintChild drives runDefinitions over a variant that blocks forever in
-// its workload hook — a variant that can never drain, so only the
-// second-interrupt hard exit can end the process.
+// hangingThread announces itself on stderr and then blocks forever.
+type hangingThread struct{}
+
+func (hangingThread) Init(*workload.Ctx) {
+	fmt.Fprintln(os.Stderr, sigintChildMarker)
+	select {}
+}
+
+func (hangingThread) OnComplete(*workload.Ctx, *iface.Request) {}
+
+// runSigintChild drives runDefinitions over a variant whose one thread
+// blocks forever — a variant that can never drain, so only the
+// second-interrupt hard exit can end the process. The thread type is
+// registered here, in the child process only.
 func runSigintChild() {
-	def := experiment.Definition{
+	spec.Register(spec.Component{Kind: spec.KindThread, Name: "test-hang",
+		Doc:  "test only: blocks forever when it starts",
+		Make: func(*spec.Params) (any, error) { return hangingThread{}, nil }})
+	def, err := experiment.FromSpec(spec.Experiment{
 		Name: "hang",
-		Base: func() core.Config {
-			return core.Config{
-				Controller: controller.Config{
-					Geometry:      flash.Geometry{Channels: 1, LUNsPerChannel: 1, BlocksPerLUN: 16, PagesPerBlock: 8, PageSize: 4096},
-					Mapping:       controller.MapPageRAM,
-					Overprovision: 0.15,
-					GCGreediness:  2,
-					WL:            controller.WLOff(),
-				},
-				OS:   osched.Config{QueueDepth: 8},
-				Seed: 1,
-			}
+		Base: spec.Config{
+			Geometry:      spec.Geometry{Channels: 1, LUNsPerChannel: 1, BlocksPerLUN: 16, PagesPerBlock: 8, PageSize: 4096},
+			Mapping:       spec.NamedRef("pagemap"),
+			Overprovision: 0.15,
+			GC:            spec.GCSpec{Greediness: 2},
+			WL:            spec.NamedRef("off"),
+			OS:            spec.OSSpec{QueueDepth: 8},
+			Seed:          1,
 		},
-		Variants: []experiment.Variant{{Label: "hang"}},
-		Workload: func(*core.Stack) {
-			fmt.Fprintln(os.Stderr, sigintChildMarker)
-			select {}
-		},
+		Variants: []spec.Variant{{Label: "hang"}},
+		Workload: []spec.Thread{{Type: "test-hang"}},
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	no := false
 	out := &sweepOutput{csv: &no, chart: &no, timeline: &no}

@@ -129,7 +129,7 @@ func renderResults(stdout io.Writer, res experiment.Results, out *sweepOutput) {
 // order, then prints one replication summary over the group's captured rows.
 type sweepJob struct {
 	doc  spec.Experiment
-	def  experiment.Definition // compiled for the in-process path only
+	def  experiment.Definition // doc compiled: the in-process path runs it
 	sink *resultstore.Sink     // nil when rows are not being captured
 }
 
@@ -400,9 +400,6 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, fmt.Errorf("-%s does not apply to -spec (the document is self-contained)", conflict))
 		}
 		doc, err := spec.ReadFile(*specFile)
-		if err == nil {
-			err = doc.Validate()
-		}
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -460,6 +457,9 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 	if len(runSeeds) == 0 {
 		runSeeds = []uint64{0} // the document's own seed
 	}
+	// Each job's document is compiled once: the compile validates it (a bad
+	// -spec file fails here, before anything runs), and the sink and the
+	// in-process Runner read it.
 	groups := make([][]sweepJob, 0, len(selected))
 	for _, e := range selected {
 		jobs := make([]sweepJob, 0, len(runSeeds))
@@ -469,8 +469,14 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 				doc.Base.Seed = seed
 			}
 			j := sweepJob{doc: doc}
+			if j.def, err = experiment.FromSpec(doc); err != nil {
+				return fail(stderr, err)
+			}
+			if *out.timeline {
+				j.def.SeriesBucket = 20 * sim.Millisecond
+			}
 			if capture {
-				if j.sink, err = resultstore.NewSink(store, doc, commit); err != nil {
+				if j.sink, err = resultstore.NewSinkFor(store, doc, j.def, commit); err != nil {
 					return fail(stderr, err)
 				}
 			}
@@ -493,19 +499,6 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, fmt.Errorf("-%s does not apply to a distributed sweep (each worker runs one variant at a time)", conflict))
 		}
 		return runDistributed(groups, store != nil, *distribute, *connect, *cacheDir, *out.timeline, out, *progress, stdout, stderr)
-	}
-
-	for gi := range groups {
-		for ji := range groups[gi] {
-			def, err := experiment.FromSpec(groups[gi][ji].doc)
-			if err != nil {
-				return fail(stderr, err)
-			}
-			if *out.timeline {
-				def.SeriesBucket = 20 * sim.Millisecond
-			}
-			groups[gi][ji].def = def
-		}
 	}
 	return runSweepGroups(groups, store != nil, opts, out, *progress, stdout, stderr)
 }
@@ -570,36 +563,29 @@ func cmdSpec(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, path := range fs.Args() {
 		doc, err := spec.ReadFile(path)
-		if err == nil {
-			err = doc.Validate()
-		}
 		if err != nil {
 			return fail(stderr, err)
 		}
-		variants, err := doc.ExpandVariants()
+		def, err := experiment.FromSpec(doc)
 		if err != nil {
 			return fail(stderr, err)
 		}
 		if *validate {
-			fmt.Fprintf(stdout, "%s: %s valid (%d variant(s))\n", path, doc.Name, len(variants))
+			fmt.Fprintf(stdout, "%s: %s valid (%d variant(s))\n", path, doc.Name, len(def.Variants))
 			continue
 		}
-		if len(variants) > 1 {
-			def, err := experiment.FromSpec(doc)
-			if err != nil {
-				return fail(stderr, err)
-			}
+		if len(def.Variants) > 1 {
 			if *out.timeline {
 				def.SeriesBucket = 20 * sim.Millisecond
 			}
-			fmt.Fprintf(stdout, "eagletree: spec %s: experiment %s (%d variants)\n\n", path, doc.Name, len(variants))
+			fmt.Fprintf(stdout, "eagletree: spec %s: experiment %s (%d variants)\n\n", path, doc.Name, len(def.Variants))
 			if code := runDefinitions([]experiment.Definition{def}, opts, out, *progress, stdout, stderr); code != 0 {
 				return code
 			}
 			continue
 		}
-		header := fmt.Sprintf("eagletree: spec %s: %s / %s", path, doc.Name, variants[0].Label)
-		if code := executeSingle(doc, runtimeOpts{}, nil, header, stdout, stderr); code != 0 {
+		header := fmt.Sprintf("eagletree: spec %s: %s / %s", path, doc.Name, def.Variants[0].Label)
+		if code := executeSingle(def, runtimeOpts{}, nil, header, stdout, stderr); code != 0 {
 			return code
 		}
 	}

@@ -112,7 +112,7 @@ func TestRunVariantDecodesOncePerKey(t *testing.T) {
 // Fetch, and a read-only cache directory must still serve hits.
 func TestPeekDiskHitDoesNotWrite(t *testing.T) {
 	def := suiteDef(t, "e11", Small)
-	data, err := buildPrepared(context.Background(), prepConfig(def.Base(), def.Base()), PrepareSpec{FillDepth: 32})
+	data, err := buildPrepared(context.Background(), prepDoc(def.baseDoc, def.baseDoc), spec.Prep{FillDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestPeekDiskHitDoesNotWrite(t *testing.T) {
 // cut-off tail is a miss, and nothing is admitted.
 func TestPeekChecksSeal(t *testing.T) {
 	def := suiteDef(t, "e11", Small)
-	data, err := buildPrepared(context.Background(), prepConfig(def.Base(), def.Base()), PrepareSpec{FillDepth: 32})
+	data, err := buildPrepared(context.Background(), prepDoc(def.baseDoc, def.baseDoc), spec.Prep{FillDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

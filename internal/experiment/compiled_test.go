@@ -39,9 +39,10 @@ func seedGrid(t *testing.T) spec.Experiment {
 
 // TestCompiledVariantsMatchKeys: a spec-compiled variant's configuration is
 // its document's. For every suite document at both scales and a three-axis
-// grid, the configuration the Runner builds for variant i — Base(), the
-// runner's SeriesBucket, then Mutate — keeps that SeriesBucket, has the
-// CanonKey VariantKeys()[i], and carries the seed NewSink records in row i.
+// grid, the configuration the Runner resolves for variant i under the CLI's
+// -timeline bucket keeps that bucket, has the CanonKey Keys()[i] — the key
+// the fabric leases by and NewSink records — and carries the seed NewSink
+// records in row i.
 func TestCompiledVariantsMatchKeys(t *testing.T) {
 	docs := append(experiment.SuiteSpecs(experiment.Small), experiment.SuiteSpecs(experiment.Full)...)
 	docs = append(docs, seedGrid(t))
@@ -56,7 +57,7 @@ func TestCompiledVariantsMatchKeys(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys, _, err := doc.VariantKeys()
+			keys, err := def.Keys()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,14 +69,14 @@ func TestCompiledVariantsMatchKeys(t *testing.T) {
 				t.Fatalf("%d compiled variants, %d keys", len(def.Variants), len(keys))
 			}
 			seeds := make([]uint64, len(def.Variants))
+			def.SeriesBucket = bucket
 			for i, v := range def.Variants {
-				cfg := def.Base()
-				cfg.SeriesBucket = bucket
-				if v.Mutate != nil {
-					v.Mutate(&cfg)
+				cfg, err := experiment.RunConfig(def, v)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if cfg.SeriesBucket != bucket {
-					t.Errorf("variant %q: Mutate left SeriesBucket %v, want the runner's %v", v.Label, cfg.SeriesBucket, bucket)
+					t.Errorf("variant %q: runs with SeriesBucket %v, want the runner's %v", v.Label, cfg.SeriesBucket, bucket)
 				}
 				cfg.SeriesBucket = doc.Base.SeriesBucket.D()
 				key, err := spec.CanonKey(cfg)
@@ -83,7 +84,7 @@ func TestCompiledVariantsMatchKeys(t *testing.T) {
 					t.Fatal(err)
 				}
 				if key != keys[i] {
-					t.Errorf("variant %q: the runner's config keys as\n%s\nVariantKeys()[%d] is\n%s", v.Label, key, i, keys[i])
+					t.Errorf("variant %q: the runner's config keys as\n%s\nKeys()[%d] is\n%s", v.Label, key, i, keys[i])
 				}
 				if seeds[i] = cfg.Seed; seeds[i] == 0 {
 					seeds[i] = 1

@@ -5,10 +5,10 @@
 // and text charts standing in for the GUI's graphs.
 //
 // Device preparation is first-class (§2.3's repeatable methodology): a
-// definition declares it as a PrepareSpec, which the Runner builds once,
+// document declares it as a spec.Prep, which the Runner builds once,
 // snapshots and restores per variant, so statistics cover only the measured
-// window. A workload that must prepare under each variant's own
-// configuration adds the barrier itself (Stack.AddBarrier).
+// window. A document whose preparation must run under each variant's own
+// configuration writes it into the workload instead.
 //
 // Execution is context-aware and observable: New(opts).Run(ctx, def) honors
 // cancellation mid-sweep (partial Results carry the completed row prefix
@@ -22,53 +22,58 @@ package experiment
 import (
 	"eagletree/internal/core"
 	"eagletree/internal/sim"
+	"eagletree/internal/spec"
 )
 
-// Variant is one setting of the varied parameter or policy.
+// Variant is one setting of the varied parameter or policy, compiled from
+// its document: plain data, resolved into live components only when it runs.
 type Variant struct {
 	// Label names the variant in tables ("channels=4", "policy=fifo").
 	Label string
 	// X is the variant's numeric value where one exists (sweep position);
 	// charts use it as the x coordinate.
 	X float64
-	// Mutate applies the variant to the configuration the runner hands it:
-	// Base(), with the definition's SeriesBucket set. A variant compiled
-	// from a spec document replaces that configuration with its own and
-	// keeps only the SeriesBucket (see FromSpec).
-	Mutate func(*core.Config)
-	// Prep, when non-nil, overrides the definition's Prep for this variant —
-	// used when preparation itself is what varies (fresh vs aged device,
-	// experiment E11). Point it at a zero PrepareSpec to disable preparation.
-	Prep *PrepareSpec
-	// Workload, when non-nil, overrides the definition's Workload for this
-	// variant — used when the workload itself carries the varied behavior
-	// (oracle temperature tags, experiment E8).
-	Workload func(s *core.Stack)
+	// Config is the document's base configuration with the variant's
+	// overrides applied (spec.Experiment.ConfigFor), unresolved: the Runner
+	// resolves it once, when the variant runs, so no component instance is
+	// shared between variants or runs.
+	Config spec.Config
+	// Prep is the variant's effective device preparation — its own, or the
+	// document's; a zero FillDepth means none. Declared preparation runs in
+	// the prepare-once-restore-many flow: the runner prepares each distinct
+	// (preparation config, prep, seed) combination once, snapshots the
+	// drained stack, and restores the state per variant instead of re-aging
+	// the device.
+	Prep spec.Prep
+	// Workload is the variant's effective measured thread list — its own, or
+	// the document's — registered without dependencies on a stack that is
+	// fresh or restored from the declared preparation.
+	Workload []spec.Thread
 }
 
-// Definition is an experiment template.
+// Definition is a compiled experiment template: a parameter, a strategy for
+// varying it (the variant list) and a workload, as data. FromSpec builds it
+// in one validating pass over a spec document.
 type Definition struct {
 	// Name identifies the experiment in reports.
 	Name string
-	// Base returns the configuration shared by all variants.
-	Base func() core.Config
 	// Variants is the parameter sweep; each produces one result row.
 	Variants []Variant
-	// Prep declaratively describes device preparation (sequential fill plus
-	// random aging). Declared preparation runs in the prepare-once-restore-
-	// many flow: the runner prepares each distinct (preparation config, spec,
-	// seed) combination once, snapshots the drained stack, and restores the
-	// state per variant instead of re-aging the device.
-	Prep PrepareSpec
-	// Workload registers the measured threads on a stack that is fresh or
-	// restored from the declared preparation; they run without dependencies.
-	// A workload that prepares the device itself puts its measured threads
-	// behind s.AddBarrier over its preparation threads.
-	Workload func(s *core.Stack)
+	// Factor is the document's workload scale factor (f in expressions).
+	Factor int64
 	// SeriesBucket, when positive, records a completion time series with
 	// this bucket width per variant; Timelines renders them ("graphs
-	// showing how metrics evolved across time").
+	// showing how metrics evolved across time"). A variant that sets its own
+	// series_bucket keeps it.
 	SeriesBucket sim.Duration
+
+	// baseDoc and base are the document's base configuration, as written
+	// and resolved once by FromSpec. Preparation pins the base's measurement
+	// knobs (prepConfig, prepDoc), and a variant whose bucket is the base's
+	// takes SeriesBucket. base's components are only ever described (for
+	// cache keys), never run.
+	baseDoc spec.Config
+	base    core.Config
 }
 
 // Row is one variant's outcome.
@@ -105,14 +110,6 @@ type Options struct {
 	// lifecycle, snapshot-cache provenance and timings. Calls are serialized
 	// but arrive from worker goroutines in completion order.
 	Observer Observer
-}
-
-// prepFor resolves the variant's effective preparation.
-func (def Definition) prepFor(v Variant) PrepareSpec {
-	if v.Prep != nil {
-		return *v.Prep
-	}
-	return def.Prep
 }
 
 // Metric extracts one scalar from a report, for charts and CSV columns.

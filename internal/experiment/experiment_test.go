@@ -6,46 +6,45 @@ import (
 	"strings"
 	"testing"
 
-	"eagletree/internal/controller"
-	"eagletree/internal/core"
-	"eagletree/internal/flash"
-	"eagletree/internal/osched"
-	"eagletree/internal/workload"
+	"eagletree/internal/spec"
 )
 
-func smallBase() core.Config {
-	return core.Config{
-		Controller: controller.Config{
-			Geometry:      flash.Geometry{Channels: 1, LUNsPerChannel: 2, BlocksPerLUN: 32, PagesPerBlock: 16, PageSize: 4096},
-			Overprovision: 0.2,
-			WL:            controller.WLOff(),
-		},
-		OS:   osched.Config{QueueDepth: 8},
-		Seed: 3,
+func smallBase() spec.Config {
+	return spec.Config{
+		Geometry:      spec.Geometry{Channels: 1, LUNsPerChannel: 2, BlocksPerLUN: 32, PagesPerBlock: 16, PageSize: 4096},
+		Overprovision: 0.2,
+		WL:            spec.NamedRef("off"),
+		OS:            spec.OSSpec{QueueDepth: 8},
+		Seed:          3,
 	}
 }
 
-func sweepChannels() Definition {
-	return Definition{
+func channelsDoc() spec.Experiment {
+	return spec.Experiment{
 		Name: "channels",
-		Base: smallBase,
-		Variants: []Variant{
-			{Label: "channels=1", X: 1, Mutate: func(c *core.Config) { c.Controller.Geometry.Channels = 1 }},
-			{Label: "channels=4", X: 4, Mutate: func(c *core.Config) { c.Controller.Geometry.Channels = 4 }},
+		Base: smallBase(),
+		Variants: []spec.Variant{
+			{Label: "channels=1", X: 1, Set: map[string]any{"geometry.channels": 1}},
+			{Label: "channels=4", X: 4, Set: map[string]any{"geometry.channels": 4}},
 		},
-		Workload: func(s *core.Stack) {
-			n := int64(s.LogicalPages())
-			count := int64(400)
-			if count > n {
-				count = n
-			}
-			s.Add(&workload.SequentialWriter{From: 0, Count: count, Depth: 16})
-		},
+		Workload: []spec.Thread{{Type: "seqwrite", Params: map[string]any{"from": 0, "count": 400, "depth": 16}}},
 	}
 }
+
+// compile is FromSpec for a document the test expects to be valid.
+func compile(t testing.TB, doc spec.Experiment) Definition {
+	t.Helper()
+	def, err := FromSpec(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return def
+}
+
+func sweepChannels(t testing.TB) Definition { return compile(t, channelsDoc()) }
 
 func TestRunSweep(t *testing.T) {
-	res, err := New(Options{}).Run(context.Background(), sweepChannels())
+	res, err := New(Options{}).Run(context.Background(), sweepChannels(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,48 +59,33 @@ func TestRunSweep(t *testing.T) {
 }
 
 // TestRunWithPreparation: preparation is either a declared Prep, restored
-// from its snapshot, or a barrier the workload adds itself. Either way the
-// report counts only the measured reads, never the preparation writes.
+// from its snapshot, or written into the workload. Either way the report
+// counts only the measured reads, never the declared preparation's writes.
 func TestRunWithPreparation(t *testing.T) {
-	reads := func(s *core.Stack, barrier *workload.Handle) {
-		s.Add(&workload.RandomReader{From: 0, Space: int64(s.LogicalPages()), Count: 50, Depth: 4}, barrier)
+	reads := spec.Thread{Type: "randread", Params: map[string]any{"from": 0, "space": "n", "count": 50, "depth": 4}}
+	doc := spec.Experiment{Name: "declared", Base: smallBase(), Prep: &spec.Prep{FillDepth: 8},
+		Workload: []spec.Thread{reads}}
+	res, err := New(Options{}).Run(context.Background(), compile(t, doc))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, def := range []Definition{{
-		Name:     "declared",
-		Prep:     PrepareSpec{FillDepth: 8},
-		Workload: func(s *core.Stack) { reads(s, nil) },
-	}, {
-		Name: "barrier",
-		Workload: func(s *core.Stack) {
-			n := int64(s.LogicalPages())
-			fill := s.Add(&workload.SequentialWriter{From: 0, Count: n, Depth: 8})
-			reads(s, s.AddBarrier(fill))
-		},
-	}} {
-		def.Base = smallBase
-		def.Variants = []Variant{{Label: "only"}}
-		res, err := New(Options{}).Run(context.Background(), def)
-		if err != nil {
-			t.Fatalf("%s: %v", def.Name, err)
-		}
-		rep := res.Rows[0].Report
-		if rep.WriteLatency.Count != 0 {
-			t.Fatalf("%s: measurement saw %d prep writes", def.Name, rep.WriteLatency.Count)
-		}
-		if rep.ReadLatency.Count != 50 {
-			t.Fatalf("%s: measured %d reads, want 50", def.Name, rep.ReadLatency.Count)
-		}
+	rep := res.Rows[0].Report
+	if rep.WriteLatency.Count != 0 {
+		t.Fatalf("measurement saw %d prep writes", rep.WriteLatency.Count)
+	}
+	if rep.ReadLatency.Count != 50 {
+		t.Fatalf("measured %d reads, want 50", rep.ReadLatency.Count)
 	}
 }
 
 func TestRunRejectsEmptyVariants(t *testing.T) {
-	if _, err := New(Options{}).Run(context.Background(), Definition{Name: "empty", Base: smallBase}); err == nil {
+	if _, err := New(Options{}).Run(context.Background(), Definition{Name: "empty"}); err == nil {
 		t.Fatal("empty variant list accepted")
 	}
 }
 
 func TestTableAndCSVAndChart(t *testing.T) {
-	res, err := New(Options{}).Run(context.Background(), sweepChannels())
+	res, err := New(Options{}).Run(context.Background(), sweepChannels(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +108,7 @@ func TestTableAndCSVAndChart(t *testing.T) {
 }
 
 func TestBestWorst(t *testing.T) {
-	res, err := New(Options{}).Run(context.Background(), sweepChannels())
+	res, err := New(Options{}).Run(context.Background(), sweepChannels(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +137,9 @@ func TestCSVEscape(t *testing.T) {
 // sequential loop, across seeds.
 func TestRunWorkersDeterministic(t *testing.T) {
 	for _, seed := range []uint64{3, 99} {
-		def := sweepChannels()
-		base := def.Base
-		def.Base = func() core.Config {
-			cfg := base()
-			cfg.Seed = seed
-			return cfg
-		}
+		doc := channelsDoc()
+		doc.Base.Seed = seed
+		def := compile(t, doc)
 		seq, err := New(Options{Workers: 1}).Run(context.Background(), def)
 		if err != nil {
 			t.Fatal(err)
@@ -203,11 +183,12 @@ func TestRunWorkersDeterministicE13(t *testing.T) {
 // the earliest failing variant with the rows before it, like the sequential
 // loop.
 func TestRunWorkersErrorMatchesSequential(t *testing.T) {
-	def := sweepChannels()
-	def.Variants = append(def.Variants[:1:1], Variant{
-		Label:  "broken",
-		Mutate: func(c *core.Config) { c.Controller.Geometry.Channels = -1 },
-	}, def.Variants[1])
+	doc := channelsDoc()
+	doc.Variants = append(doc.Variants[:1:1], spec.Variant{
+		Label: "broken",
+		Set:   map[string]any{"geometry.channels": -1},
+	}, doc.Variants[1])
+	def := compile(t, doc)
 	seq, errSeq := New(Options{Workers: 1}).Run(context.Background(), def)
 	par, errPar := New(Options{Workers: 3}).Run(context.Background(), def)
 	if errSeq == nil || errPar == nil {

@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"eagletree/internal/controller"
-	"eagletree/internal/core"
-	"eagletree/internal/fault"
+	"eagletree/internal/spec"
 )
 
 // TestE14FaultySweepDeterministic: the reliability experiment — every variant
@@ -59,20 +60,46 @@ func TestE14FaultySweepDeterministic(t *testing.T) {
 // the free pool must end the run with the controller's typed ErrDeviceWornOut
 // — never a hang and never only the generic workload-deadlock message.
 func TestWornOutDeviceSurfacesTypedError(t *testing.T) {
-	def := suiteDef(t, "e14", Small)
-	def.Variants = []Variant{{
+	doc, _ := SuiteSpec("e14", Small)
+	// 2% of erases fail and every program failure grows the block bad:
+	// retirement outruns the over-provisioning slack within the sweep.
+	doc.Variants = []spec.Variant{{
 		Label: "wornout",
-		Mutate: func(c *core.Config) {
-			// 2% of erases fail and every program failure grows the block bad:
-			// retirement outruns the over-provisioning slack within the sweep.
-			c.Controller.Fault = fault.NewRandom(0.002, 0.02, 1, 11)
-		},
+		Set: map[string]any{"fault": spec.ParamRef("random", map[string]any{
+			"program_fail": 0.002, "erase_fail": 0.02, "grown_bad": 1, "seed": 11})},
 	}}
-	_, err := New(Options{Workers: 1}).Run(context.Background(), def)
+	_, err := New(Options{Workers: 1}).Run(context.Background(), compile(t, doc))
 	if err == nil {
 		t.Fatal("worn-out run returned no error")
 	}
 	if !errors.Is(err, controller.ErrDeviceWornOut) {
 		t.Fatalf("err = %v, want to wrap controller.ErrDeviceWornOut", err)
 	}
+}
+
+// TestZeroFaultIsNoFault: a fault model that never fires is no fault model.
+// Every E1–E13 small document with its base fault set to random at rate 0
+// runs to Reports identical, bit for bit, to the committed document's (the
+// whole-suite pass's cached run). E14 varies the fault model itself.
+func TestZeroFaultIsNoFault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the small suite again; skipped with -short")
+	}
+	zero := spec.ParamRef("random", map[string]any{"program_fail": 0, "erase_fail": 0, "grown_bad": 0})
+	docs := SuiteSpecs(Small)
+	forEachSuiteRun(t, func(t *testing.T, r suiteRun) {
+		i := slices.IndexFunc(docs, func(d spec.Experiment) bool { return d.Name == r.name })
+		if strings.HasPrefix(r.name, "E14-") {
+			t.Skip("the reliability experiment varies the fault model")
+		}
+		doc := docs[i]
+		doc.Base.Fault = &zero
+		got, err := New(Options{}).Run(context.Background(), compile(t, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, r.cached1) {
+			t.Fatalf("a zero-rate fault model changed the results:\nno fault:   %+v\nzero fault: %+v", r.cached1, got)
+		}
+	})
 }

@@ -12,6 +12,7 @@ import (
 
 	"eagletree/internal/core"
 	"eagletree/internal/snapshot"
+	"eagletree/internal/spec"
 )
 
 // ErrCanceled reports a run cut short by its context. Errors returned for
@@ -50,7 +51,7 @@ func (e *CanceledError) Error() string {
 func (e *CanceledError) Unwrap() []error { return []error{ErrCanceled, e.Cause} }
 
 // VariantError is a variant whose execution panicked — a crashing workload
-// hook, a bug in a component under test. The runner recovers the panic,
+// thread, a bug in a component under test. The runner recovers the panic,
 // isolates it to the variant, and completes the rest of the sweep; a
 // *VariantError then stands in for the variant's row. Panic holds the
 // recovered value and Stack the goroutine stack at the point of the panic.
@@ -422,7 +423,7 @@ func (rs *runState) runOne(ctx context.Context, i int, v Variant) bool {
 }
 
 // runVariantSafe executes runVariant with panic isolation: a panicking
-// variant — a crashing workload hook, a bug in a component under test —
+// variant — a crashing workload thread, a bug in a component under test —
 // becomes a *VariantError instead of tearing down the whole sweep (and,
 // under the parallel runner, the process).
 func (rs *runState) runVariantSafe(ctx context.Context, i int, v Variant) (row Row, err error) {
@@ -458,23 +459,19 @@ func wasCanceled(err error) bool {
 // fresh preparation produce bit-identical rows.
 func (rs *runState) runVariant(ctx context.Context, i int, v Variant) (Row, error) {
 	def := rs.def
-	cfg := def.Base()
-	if def.SeriesBucket > 0 {
-		cfg.SeriesBucket = def.SeriesBucket
+	cfg, err := def.config(v)
+	if err != nil {
+		return Row{}, fmt.Errorf("experiment %q variant %q: %w", def.Name, v.Label, err)
 	}
-	if v.Mutate != nil {
-		v.Mutate(&cfg)
-	}
-	spec := def.prepFor(v)
 	var stack *core.Stack
-	if spec.None() {
+	if v.Prep.FillDepth <= 0 {
 		st, err := core.New(cfg)
 		if err != nil {
 			return Row{}, fmt.Errorf("experiment %q variant %q: %w", def.Name, v.Label, err)
 		}
 		stack = st
 	} else {
-		ds, err := rs.preparedState(ctx, i, v, cfg, spec)
+		ds, err := rs.preparedState(ctx, i, v, cfg)
 		if err != nil {
 			if wasCanceled(err) {
 				return Row{}, err
@@ -488,7 +485,19 @@ func (rs *runState) runVariant(ctx context.Context, i int, v Variant) (Row, erro
 		st.MarkMeasurement()
 		stack = st
 	}
-	return rs.finishVariant(ctx, v, stack)
+	return rs.finishVariant(ctx, i, v, stack)
+}
+
+// config resolves a variant's configuration for one run — the one resolve a
+// variant costs the Runner. A variant whose series bucket is the base's
+// takes the definition's SeriesBucket when one is set (the CLI's
+// -timeline); a variant setting series_bucket itself keeps its own.
+func (def Definition) config(v Variant) (core.Config, error) {
+	cfg, err := v.Config.Resolve()
+	if err == nil && def.SeriesBucket > 0 && cfg.SeriesBucket == def.base.SeriesBucket {
+		cfg.SeriesBucket = def.SeriesBucket
+	}
+	return cfg, err
 }
 
 // preparedState returns the decoded snapshot of the prepared device for the
@@ -496,24 +505,24 @@ func (rs *runState) runVariant(ctx context.Context, i int, v Variant) (Row, erro
 // is present) by running the preparation workload to a full drain, and emits
 // the cache-provenance event. The cache entry owns the decoded state, one
 // for all variants; without a cache the variant decodes its own.
-func (rs *runState) preparedState(ctx context.Context, i int, v Variant, cfg core.Config, spec PrepareSpec) (*snapshot.DeviceState, error) {
+func (rs *runState) preparedState(ctx context.Context, i int, v Variant, cfg core.Config) (*snapshot.DeviceState, error) {
 	def := rs.def
-	pcfg := prepConfig(cfg, def.Base())
+	build := func() ([]byte, error) {
+		return buildPrepared(ctx, prepDoc(v.Config, def.baseDoc), v.Prep)
+	}
 	if rs.cache == nil {
-		data, err := buildPrepared(ctx, pcfg, spec)
+		data, err := build()
 		if err != nil {
 			return nil, err
 		}
 		return decodeState(data)
 	}
-	key, err := prepKey(pcfg, spec)
+	key, err := prepKey(prepConfig(cfg, def.base), v.Prep)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now() //lint:wallclock cache-fetch wall-time telemetry
-	e, hit := rs.cache.fetch(key, func() ([]byte, error) {
-		return buildPrepared(ctx, pcfg, spec)
-	})
+	e, hit := rs.cache.fetch(key, build)
 	ds, err := e.state()
 	if err == nil {
 		kind := EventPrepareMiss
@@ -526,14 +535,19 @@ func (rs *runState) preparedState(ctx context.Context, i int, v Variant, cfg cor
 	return ds, err
 }
 
-// buildPrepared ages a fresh device under the preparation config to a full
-// drain and returns its encoded snapshot.
-func buildPrepared(ctx context.Context, pcfg core.Config, spec PrepareSpec) ([]byte, error) {
+// buildPrepared resolves the preparation config — fresh components, owned by
+// this build alone — ages a fresh device under it to a full drain and
+// returns its encoded snapshot.
+func buildPrepared(ctx context.Context, pdoc spec.Config, p spec.Prep) ([]byte, error) {
+	pcfg, err := pdoc.Resolve()
+	if err != nil {
+		return nil, err
+	}
 	st, err := core.New(pcfg)
 	if err != nil {
 		return nil, err
 	}
-	spec.register(st)
+	addPrep(st, p)
 	if _, err := st.RunCtx(ctx); err != nil {
 		return nil, fmt.Errorf("preparation: %w", err)
 	}
@@ -544,15 +558,22 @@ func buildPrepared(ctx context.Context, pcfg core.Config, spec PrepareSpec) ([]b
 	return snapshot.Encode(ds), nil
 }
 
+// atMeasurement, when set, sees each variant's stack at its measurement
+// epoch, before the measured threads register. It is a test seam
+// (export_test.go): the program-identity audit reads a run's live counters
+// through it.
+var atMeasurement func(i int, s *core.Stack)
+
 // finishVariant registers the measured workload on a ready stack (fresh or
 // restored), drives it to a drain (or a context abort) and extracts the
 // variant's row.
-func (rs *runState) finishVariant(ctx context.Context, v Variant, stack *core.Stack) (Row, error) {
-	wload := rs.def.Workload
-	if v.Workload != nil {
-		wload = v.Workload
+func (rs *runState) finishVariant(ctx context.Context, i int, v Variant, stack *core.Stack) (Row, error) {
+	if atMeasurement != nil {
+		atMeasurement(i, stack)
 	}
-	wload(stack)
+	if err := addSpecThreads(stack, nil, v.Workload, rs.def.Factor); err != nil {
+		return Row{}, fmt.Errorf("experiment %q variant %q: %w", rs.def.Name, v.Label, err)
+	}
 	if _, err := stack.RunCtx(ctx); err != nil {
 		return Row{}, fmt.Errorf("experiment %q variant %q: %w", rs.def.Name, v.Label, err)
 	}

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
-	"eagletree/internal/core"
+	"eagletree/internal/iface"
+	"eagletree/internal/spec"
+	"eagletree/internal/workload"
 )
 
 // collectObserver records every event, concurrency-safely (the runner
@@ -213,7 +215,27 @@ func TestRunnerCancelEventCoverage(t *testing.T) {
 	}
 }
 
-// TestRunnerPanicIsolation: a variant whose workload hook panics must not
+// explodingThread panics as soon as it starts: a crashing workload.
+type explodingThread struct{}
+
+func (explodingThread) Init(*workload.Ctx)                       { panic("workload exploded") }
+func (explodingThread) OnComplete(*workload.Ctx, *iface.Request) {}
+
+var registerExploding sync.Once
+
+// explodingWorkload is a thread list whose one thread panics at its start.
+// Its thread type is registered the first time a test asks for it, in this
+// test binary only.
+func explodingWorkload() []spec.Thread {
+	registerExploding.Do(func() {
+		spec.Register(spec.Component{Kind: spec.KindThread, Name: "test-explode",
+			Doc:  "test only: panics when it starts",
+			Make: func(*spec.Params) (any, error) { return explodingThread{}, nil }})
+	})
+	return []spec.Thread{{Type: "test-explode"}}
+}
+
+// TestRunnerPanicIsolation: a variant whose workload panics must not
 // tear down the sweep. The panic becomes a typed *VariantError with the
 // recovered value and a stack trace, the variant emits EventVariantFailed,
 // and — under the sequential runner just like the parallel one — the
@@ -222,9 +244,7 @@ func TestRunnerPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		def := suiteDef(t, "e3", Small)
 		def.Variants = append([]Variant(nil), def.Variants[:3]...)
-		def.Variants[1].Workload = func(*core.Stack) {
-			panic("workload exploded")
-		}
+		def.Variants[1].Workload = explodingWorkload()
 		obs := &collectObserver{}
 		res, err := New(Options{Workers: workers, Observer: obs}).Run(context.Background(), def)
 		var ve *VariantError

@@ -48,11 +48,12 @@ func suitePass() []suiteRun {
 		for i, def := range Suite(Small) {
 			r := suiteRun{name: def.Name}
 			r.err = func() (err error) {
-				fresh, tally := withProgramTally(def)
-				if r.fresh, err = New(Options{Workers: 1, NoPrepareCache: true}).Run(ctx, fresh); err != nil {
+				tally := tallyPrograms(len(def.Variants))
+				r.fresh, err = New(Options{Workers: 1, NoPrepareCache: true}).Run(ctx, def)
+				r.programs = tally(r.fresh)
+				if err != nil {
 					return err
 				}
-				r.programs = tally(r.fresh)
 				if r.cached1, err = New(Options{Workers: 1, Cache: cache}).Run(ctx, def); err != nil {
 					return err
 				}
@@ -95,30 +96,22 @@ func (p programTally) String() string {
 		p.label, p.writes, p.copybacks, p.app, p.gc, p.wl, p.trans, p.retries, p.relocations)
 }
 
-// withProgramTally wraps every variant's workload hook to keep its stack and
-// the counters at the measurement epoch (the hook runs right after it). The
-// returned function reads each stack's counters back after the run.
-func withProgramTally(def Definition) (Definition, func(Results) []programTally) {
-	stacks := make([]*core.Stack, len(def.Variants))
-	epoch := make([]programTally, len(def.Variants))
+// tallyPrograms keeps, through the Runner's measurement seam, each of the
+// next run's variant stacks and its counters at the measurement epoch, until
+// the returned function reads each stack's counters back after the run (and
+// clears the seam). The run must use one worker.
+func tallyPrograms(variants int) func(Results) []programTally {
+	stacks := make([]*core.Stack, variants)
+	epoch := make([]programTally, variants)
 	counts := func(s *core.Stack) programTally {
 		ac, cc := s.Controller.Array().Counters(), s.Controller.Counters()
 		rel := s.Controller.Reliability()
 		return programTally{writes: ac.Writes, copybacks: ac.Copybacks, app: cc.AppWrites,
 			retries: rel.Retries, relocations: rel.Relocations}
 	}
-	def.Variants = append([]Variant(nil), def.Variants...)
-	for i := range def.Variants {
-		hook := def.Workload
-		if def.Variants[i].Workload != nil {
-			hook = def.Variants[i].Workload
-		}
-		def.Variants[i].Workload = func(s *core.Stack) {
-			stacks[i], epoch[i] = s, counts(s)
-			hook(s)
-		}
-	}
-	return def, func(res Results) []programTally {
+	clear := onMeasure(func(i int, s *core.Stack) { stacks[i], epoch[i] = s, counts(s) })
+	return func(res Results) []programTally {
+		clear()
 		out := make([]programTally, len(res.Rows))
 		for i, row := range res.Rows {
 			end, rep := counts(stacks[i]), row.Report
@@ -190,21 +183,19 @@ func TestStateCacheSharesPreparation(t *testing.T) {
 		})
 	}
 	for _, v := range def.Variants {
-		cfg := def.Base()
-		if v.Mutate != nil {
-			v.Mutate(&cfg)
-		}
-		prep := def.prepFor(v)
-		if prep.None() {
+		if v.Prep.FillDepth <= 0 {
 			t.Fatalf("variant %q does not use declared preparation", v.Label)
 		}
-		pcfg := prepConfig(cfg, def.Base())
-		key, err := prepKey(pcfg, prep)
+		cfg, err := def.config(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := prepKey(prepConfig(cfg, def.base), v.Prep)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := countingGet(key, func() ([]byte, error) {
-			return buildPrepared(context.Background(), pcfg, prep)
+			return buildPrepared(context.Background(), prepDoc(v.Config, def.baseDoc), v.Prep)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -223,8 +214,7 @@ func TestStateCacheDisk(t *testing.T) {
 	build := func() ([]byte, error) {
 		builds++
 		def := suiteDef(t, "e11", Small)
-		cfg := def.Base()
-		return buildPrepared(context.Background(), prepConfig(cfg, def.Base()), PrepareSpec{FillDepth: 32, AgePasses: 2})
+		return buildPrepared(context.Background(), prepDoc(def.baseDoc, def.baseDoc), spec.Prep{FillDepth: 32, AgePasses: 2})
 	}
 
 	c1 := NewStateCache(dir)
@@ -276,13 +266,13 @@ func TestStateCacheDisk(t *testing.T) {
 // the cache key; measurement-only knobs must not.
 func TestPrepKeyDistinguishesConfigs(t *testing.T) {
 	def := suiteDef(t, "e3", Small)
-	base := def.Base()
+	prep := def.Variants[0].Prep
 	keyOf := func(mut func(*core.Config)) string {
-		cfg := def.Base()
+		cfg := def.base
 		if mut != nil {
 			mut(&cfg)
 		}
-		key, err := prepKey(prepConfig(cfg, base), def.Prep)
+		key, err := prepKey(prepConfig(cfg, def.base), prep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,11 +294,47 @@ func TestPrepKeyDistinguishesConfigs(t *testing.T) {
 	if keyOf(func(c *core.Config) { c.Controller.Overprovision = 0.3 }) == ref {
 		t.Fatal("overprovision change did not change the prep key")
 	}
-	fillKey, err := prepKey(prepConfig(def.Base(), base), PrepareSpec{FillDepth: 32})
+	fillKey, err := prepKey(prepConfig(def.base, def.base), spec.Prep{FillDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fillKey == ref {
 		t.Fatal("prep spec change did not change the prep key")
+	}
+}
+
+// TestPrepDocBuildsItsKey: the configuration a preparation build resolves
+// (prepDoc, at the document level) is the one its cache key describes
+// (prepConfig, on resolved configurations), for every variant with declared
+// preparation of every suite document at both scales —
+// else a cached state would be filed under another configuration's key.
+func TestPrepDocBuildsItsKey(t *testing.T) {
+	docs := append(SuiteSpecs(Small), SuiteSpecs(Full)...)
+	for _, doc := range docs {
+		def := compile(t, doc)
+		for _, v := range def.Variants {
+			if v.Prep.FillDepth <= 0 {
+				continue
+			}
+			cfg, err := def.config(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := spec.CanonKey(prepConfig(cfg, def.base))
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, err := prepDoc(v.Config, def.baseDoc).Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := spec.CanonKey(built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s variant %q: the build resolves\n%s\nthe key describes\n%s", doc.Name, v.Label, got, want)
+			}
+		}
 	}
 }

@@ -10,90 +10,74 @@ import (
 	"eagletree/internal/workload"
 )
 
-// FromSpec compiles a declarative experiment document into a runnable
-// Definition. The document is validated eagerly — unknown components,
+// FromSpec compiles a declarative experiment document into a Definition in
+// one validating pass (spec.Experiment.Validated): unknown components,
 // unknown fields, bad parameters and malformed expressions all surface here
-// as the spec package's typed errors, before any simulation runs.
-//
-// A compiled variant's configuration is its document's configuration: Mutate
-// replaces the configuration it is handed with the variant's own (the
-// document's base with the variant's overrides, resolved), keeping only the
-// SeriesBucket the runner set. To vary a knob across runs — the seed, say —
-// change it on the document before compiling, as `eagletree sweep -seeds`
-// does with Base.Seed; a wrapped Definition.Base does not reach a variant
-// that sets paths.
-//
-// Components are resolved freshly on every Base/Mutate call (policies and
-// detectors are stateful), so spec-driven runs share nothing across variants
-// — exactly like hand-written definitions — and the parallel runner stays
+// as the spec package's typed errors, before any simulation runs. It
+// resolves the base configuration once and each variant's once, to validate
+// them, and keeps them as data: the Runner resolves a variant's applied
+// configuration again when it runs it, so spec-driven runs share no
+// component instance across variants or runs, and the parallel runner stays
 // bit-identical to the sequential one.
+//
+// To vary a knob across runs — the seed, say — change it on the document
+// before compiling, as `eagletree sweep -seeds` does with Base.Seed.
 func FromSpec(e spec.Experiment) (Definition, error) {
-	if err := e.Validate(); err != nil {
+	base, variants, cfgs, err := e.Validated()
+	if err != nil {
 		return Definition{}, err
 	}
 	def := Definition{
 		Name:         e.Name,
+		Variants:     make([]Variant, len(variants)),
+		Factor:       e.Factor,
 		SeriesBucket: e.SeriesBucket.D(),
-		Base: func() core.Config {
-			cfg, err := e.Base.Resolve()
-			if err != nil {
-				// Validate resolved this exact document already; failure here
-				// means the registry changed under a live definition.
-				panic(fmt.Sprintf("experiment: spec %q base resolution failed after validation: %v", e.Name, err))
-			}
-			return cfg
-		},
+		baseDoc:      e.Base,
+		base:         base,
 	}
-	if e.Prep != nil {
-		def.Prep = prepFromSpec(*e.Prep)
-	}
-	if len(e.Workload) > 0 {
-		def.Workload = specWorkload(e.Name, e.Factor, e.Workload)
-	}
-	variants, err := e.ExpandVariants()
-	if err != nil {
-		return Definition{}, err
-	}
-	baseBucket := e.Base.SeriesBucket.D()
-	for _, v := range variants {
-		variant := Variant{Label: v.Label, X: v.X}
-		if len(v.Set) > 0 {
-			variant.Mutate = func(c *core.Config) {
-				cs, err := e.ConfigFor(v)
-				if err != nil {
-					panic(fmt.Sprintf("experiment: spec %q: %v", e.Name, err))
-				}
-				cfg, err := cs.Resolve()
-				if err != nil {
-					panic(fmt.Sprintf("experiment: spec %q variant %q resolution failed after validation: %v", e.Name, v.Label, err))
-				}
-				// The runner sets SeriesBucket before Mutate (the CLI's
-				// -timeline); a variant setting series_bucket itself wins.
-				if cfg.SeriesBucket == baseBucket {
-					cfg.SeriesBucket = c.SeriesBucket
-				}
-				*c = cfg
-			}
-		}
-		if v.Prep != nil {
-			ps := prepFromSpec(*v.Prep)
-			variant.Prep = &ps
-		}
-		if len(v.Workload) > 0 {
-			variant.Workload = specWorkload(e.Name, e.Factor, v.Workload)
-		}
-		def.Variants = append(def.Variants, variant)
+	for i, v := range variants {
+		def.Variants[i] = compileVariant(e, v, cfgs[i])
 	}
 	return def, nil
 }
 
-func prepFromSpec(p spec.Prep) PrepareSpec {
-	return PrepareSpec{FillDepth: p.FillDepth, AgePasses: p.AgePasses, AgeDepth: p.AgeDepth}
+// compileVariant is one variant of e as data: its applied configuration,
+// and its own preparation and workload or else the document's.
+func compileVariant(e spec.Experiment, v spec.Variant, cfg spec.Config) Variant {
+	cv := Variant{Label: v.Label, X: v.X, Config: cfg, Workload: e.Workload}
+	switch {
+	case v.Prep != nil:
+		cv.Prep = *v.Prep
+	case e.Prep != nil:
+		cv.Prep = *e.Prep
+	}
+	if len(v.Workload) > 0 {
+		cv.Workload = v.Workload
+	}
+	return cv
 }
 
-// specOf mirrors PrepareSpec back into its document form.
-func (p PrepareSpec) specOf() spec.Prep {
-	return spec.Prep{FillDepth: p.FillDepth, AgePasses: p.AgePasses, AgeDepth: p.AgeDepth}
+// Keys returns each variant's canonical configuration key — spec.CanonKey
+// of its resolved configuration — in variant order: the identity a
+// distributed sweep leases by and a stored row records. Two processes
+// holding the same document (and the same component registry) compute the
+// same list independently; a coordinator compares digests of these lists
+// before handing out (key, index) leases, turning registry or version skew
+// between binaries into a handshake error instead of silently divergent
+// rows. Running a definition needs no key, so only the callers that record
+// or compare them pay for one.
+func (def Definition) Keys() ([]string, error) {
+	keys := make([]string, len(def.Variants))
+	for i, v := range def.Variants {
+		cfg, err := v.Config.Resolve()
+		if err == nil {
+			keys[i], err = spec.CanonKey(cfg)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("experiment %q variant %q: %w", def.Name, v.Label, err)
+		}
+	}
+	return keys, nil
 }
 
 // addSpecThreads registers a spec thread list on a stack, each thread
@@ -128,50 +112,32 @@ func addSpecThreads(st *core.Stack, barrier *workload.Handle, threads []spec.Thr
 	return nil
 }
 
-// specWorkload compiles a thread list into a workload registration hook.
-func specWorkload(name string, factor int64, threads []spec.Thread) func(*core.Stack) {
-	return func(st *core.Stack) {
-		if err := addSpecThreads(st, nil, threads, factor); err != nil {
-			panic(fmt.Sprintf("experiment: spec %q: %v", name, err))
-		}
-	}
-}
-
 // RegisterRun registers a single-run spec (the base configuration with one
 // variant's preparation and workload) onto a live stack: preparation
-// threads, a measurement barrier, then the measured threads. It is the CLI
-// path for running one spec document on a stack the caller built — the
-// thread registration order matches the flag-driven CLI exactly, so a
-// dumped spec reproduces its run bit for bit.
+// threads, a measurement barrier, then the measured threads. It is the path
+// for running one spec document on a stack the caller built — the thread
+// registration order matches the flag-driven CLI exactly, so a dumped spec
+// reproduces its run bit for bit.
 func RegisterRun(e spec.Experiment, v spec.Variant, st *core.Stack) error {
-	return RegisterRunHook(e, v, st, nil)
+	return RegisterRunHook(compileVariant(e, v, spec.Config{}), e.Factor, st, nil)
 }
 
-// RegisterRunHook is RegisterRun with a measurement-boundary hook: when
-// non-nil, hook is called with the preparation barrier's handle (nil when
-// the spec declares no preparation) and its return value becomes the
-// dependency of the measured threads. The CLI uses it to insert a
-// capture-arming thread exactly at the boundary, preserving the historical
-// thread-id sequence of flag-driven recorded runs.
-func RegisterRunHook(e spec.Experiment, v spec.Variant, st *core.Stack, hook func(barrier *workload.Handle) *workload.Handle) error {
-	prep := e.Prep
-	if v.Prep != nil {
-		prep = v.Prep
-	}
+// RegisterRunHook is RegisterRun for a compiled variant, with a
+// measurement-boundary hook: when non-nil, hook is called with the
+// preparation barrier's handle (nil when the variant declares no
+// preparation) and its return value becomes the dependency of the measured
+// threads. The CLI uses it to insert a capture-arming thread exactly at the
+// boundary, preserving the historical thread-id sequence of flag-driven
+// recorded runs.
+func RegisterRunHook(v Variant, factor int64, st *core.Stack, hook func(barrier *workload.Handle) *workload.Handle) error {
 	var barrier *workload.Handle
-	if prep != nil {
-		if ps := prepFromSpec(*prep); !ps.None() {
-			barrier = st.AddBarrier(ps.register(st))
-		}
+	if v.Prep.FillDepth > 0 {
+		barrier = st.AddBarrier(addPrep(st, v.Prep))
 	}
 	if hook != nil {
 		barrier = hook(barrier)
 	}
-	threads := e.Workload
-	if len(v.Workload) > 0 {
-		threads = v.Workload
-	}
-	return addSpecThreads(st, barrier, threads, e.Factor)
+	return addSpecThreads(st, barrier, v.Workload, factor)
 }
 
 // e13Traces memoizes the captured E13 reference trace per scale: the capture

@@ -165,7 +165,7 @@ func CaptureE13Trace(s Scale) *trace.Trace {
 		panic(fmt.Sprintf("experiment: E13 capture stack: %v", err))
 	}
 	n := int64(st.LogicalPages())
-	barrier := st.AddBarrier(PrepareSpec{FillDepth: 32, AgePasses: 1}.register(st))
+	barrier := st.AddBarrier(addPrep(st, spec.Prep{FillDepth: 32, AgePasses: 1}))
 	arm := st.Add(&workload.Func{F: func(ctx *workload.Ctx) { cap.Start(ctx.Now()) }}, barrier)
 	ppb := cfg.Controller.Geometry.PagesPerBlock
 	st.Add(&workload.FileSystem{

@@ -14,7 +14,8 @@ import (
 var updateVariantKeys = flag.Bool("update-variant-keys", false, "rewrite specs/variantkeys.txt")
 
 // TestGoldenVariantKeys pins every suite document's CanonKeys, at both
-// scales, to a committed SHA-256 of its VariantKeys. A CanonKey drift is
+// scales, to a committed SHA-256 of its compiled Definition's Keys — the
+// keys stored rows record and fabric leases carry. A CanonKey drift is
 // otherwise silent: every on-disk prepared-state cache misses, and a fabric
 // handshake between two builds fails. Regenerate, only for an intended key
 // change, with
@@ -27,7 +28,7 @@ func TestGoldenVariantKeys(t *testing.T) {
 		scale Scale
 	}{{"small", Small}, {"full", Full}} {
 		for _, e := range SuiteSpecs(sc.scale) {
-			keys, _, err := e.VariantKeys()
+			keys, err := compile(t, e).Keys()
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name, err)
 			}

@@ -59,14 +59,11 @@ type Options struct {
 // that lease — it is re-issued to a surviving worker; completed rows stand.
 func Run(ctx context.Context, doc spec.Experiment, opts Options) (experiment.Results, error) {
 	res := experiment.Results{Name: doc.Name}
-	if err := doc.Validate(); err != nil {
-		return res, err
-	}
-	keys, _, err := doc.VariantKeys()
+	def, err := experiment.FromSpec(doc)
 	if err != nil {
 		return res, err
 	}
-	variants, err := doc.ExpandVariants()
+	keys, err := def.Keys()
 	if err != nil {
 		return res, err
 	}
@@ -79,7 +76,7 @@ func Run(ctx context.Context, doc spec.Experiment, opts Options) (experiment.Res
 		doc:      doc,
 		docJSON:  docJSON,
 		keys:     keys,
-		labels:   make([]string, len(variants)),
+		labels:   make([]string, len(keys)),
 		opts:     opts,
 		state:    make([]leaseState, len(keys)),
 		rows:     make([]experiment.Row, len(keys)),
@@ -91,7 +88,7 @@ func Run(ctx context.Context, doc spec.Experiment, opts Options) (experiment.Res
 		begun:    time.Now(), //lint:wallclock sweep wall-time telemetry
 		deadline: opts.StragglerFactor,
 	}
-	for i, v := range variants {
+	for i, v := range def.Variants {
 		c.labels[i] = v.Label
 	}
 	if c.cache == nil {

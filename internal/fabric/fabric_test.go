@@ -29,6 +29,20 @@ func suiteDoc(t testing.TB, id string) spec.Experiment {
 	return spec.Experiment{}
 }
 
+// docKeys is the lease key list a coordinator computes for doc.
+func docKeys(t testing.TB, doc spec.Experiment) []string {
+	t.Helper()
+	def, err := experiment.FromSpec(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := def.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
 // startWorkers launches n in-process worker sessions over synchronous pipes
 // and returns the coordinator-side transports. Worker errors fail the test
 // unless the worker's transport was deliberately killed.
@@ -295,10 +309,7 @@ func TestCanceledWorkerDropsSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, _, err := doc.VariantKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := docKeys(t, doc)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	coordSide, workerSide := net.Pipe()
@@ -380,10 +391,7 @@ func TestLeaseIndexValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, _, err := doc.VariantKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := docKeys(t, doc)
 	coordSide, workerSide := net.Pipe()
 	serveErr := make(chan error, 1)
 	go func() {

@@ -266,10 +266,7 @@ func TestCodecLeaseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	keys, _, err := suiteDoc(t, "E2").VariantKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := docKeys(t, suiteDoc(t, "E2"))
 	var buf bytes.Buffer
 	c := NewCodec(&buf, &buf)
 	i := 0

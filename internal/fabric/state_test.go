@@ -23,11 +23,11 @@ import (
 // encodedState returns a real encoded snapshot: E2's device, fresh.
 func encodedState(t *testing.T) []byte {
 	t.Helper()
-	def, err := experiment.FromSpec(suiteDoc(t, "E2"))
+	cfg, err := suiteDoc(t, "E2").Base.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.New(def.Base())
+	st, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func Serve(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptions) er
 	if hello.SeriesBucket > 0 {
 		def.SeriesBucket = sim.Duration(hello.SeriesBucket)
 	}
-	keys, _, err := doc.VariantKeys()
+	keys, err := def.Keys()
 	if err != nil {
 		return fmt.Errorf("fabric: worker: variant keys for %q: %w", doc.Name, err)
 	}

@@ -509,3 +509,26 @@ func TestDiffAllocatesNoPerRowStrings(t *testing.T) {
 		t.Fatalf("Diff allocates %.0f objects for 16 rows and %.0f for 32: one or more per added row", small, all)
 	}
 }
+
+// TestTextAllocs bounds Text's allocations over a 128-row table of one
+// string and three numeric columns: what formatting each numeric cell once
+// costs (at most two allocations: strconv's float formatting makes two;
+// string cells are the column's own), one cell list per column, and three
+// fixed buffers (the column lists, the widths, the output).
+// Formatting each cell twice — once for the widths, once to write it —
+// breaks the bound.
+func TestTextAllocs(t *testing.T) {
+	var rows []resultstore.Row
+	for i := 0; i < 16; i++ {
+		rows = append(rows, corpus()...)
+	}
+	cols := []string{"label", "seed", "throughput_iops", "write_amp"}
+	tab, err := query.FromRows(rows).Project(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := float64(2*3*len(rows) + len(cols) + 3)
+	if got := testing.AllocsPerRun(20, func() { _ = tab.Text() }); got > bound {
+		t.Fatalf("Text made %.0f allocations, want at most %.0f", got, bound)
+	}
+}

@@ -326,7 +326,11 @@ func suiteDoc(t testing.TB, id string) spec.Experiment {
 
 func TestSinkCapturesRowsWithProvenance(t *testing.T) {
 	doc := suiteDoc(t, "E2")
-	keys, _, err := doc.VariantKeys()
+	def, err := experiment.FromSpec(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := def.Keys()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,14 +33,21 @@ type Sink struct {
 
 // NewSink builds a sink for one run of doc, labeling every row with commit.
 // The variant identities — canonical keys and seeds — are computed up front
-// from the document, exactly as the distributed fabric computes its lease
-// keys, so a row's provenance never depends on which path executed it.
+// from the compiled document, exactly as the distributed fabric computes its
+// lease keys, so a row's provenance never depends on which path executed it.
 func NewSink(store *Store, doc spec.Experiment, commit string) (*Sink, error) {
-	keys, cfgs, err := doc.VariantKeys()
+	def, err := experiment.FromSpec(doc)
 	if err != nil {
 		return nil, err
 	}
-	variants, err := doc.ExpandVariants()
+	return NewSinkFor(store, doc, def, commit)
+}
+
+// NewSinkFor is NewSink for a document the caller has already compiled (def
+// is experiment.FromSpec(doc)), so a sweep that runs def and stores its rows
+// compiles the document once.
+func NewSinkFor(store *Store, doc spec.Experiment, def experiment.Definition, commit string) (*Sink, error) {
+	keys, err := def.Keys()
 	if err != nil {
 		return nil, err
 	}
@@ -57,9 +64,9 @@ func NewSink(store *Store, doc spec.Experiment, commit string) (*Sink, error) {
 		rows:       make([]Row, len(keys)),
 		present:    make([]bool, len(keys)),
 	}
-	for i, v := range variants {
+	for i, v := range def.Variants {
 		// An unset seed runs as 1, as the canonical key records it.
-		seed := cfgs[i].Seed
+		seed := v.Config.Seed
 		if seed == 0 {
 			seed = 1
 		}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 
+	"eagletree/internal/core"
 	"eagletree/internal/workload"
 )
 
@@ -355,11 +356,22 @@ func (t Thread) RepeatCount(env Env) (int, error) {
 // parameter set (against a placeholder environment). It is the cheap,
 // typed-error gate the CLIs run before committing to a simulation.
 func (e Experiment) Validate() error {
+	_, _, _, err := e.Validated()
+	return err
+}
+
+// Validated is Validate returning what the validation built: the resolved
+// base configuration, the expanded variants (ExpandVariants) and, index by
+// index, each variant's applied configuration (ConfigFor). It resolves the
+// base once and every variant once, and computes no key — the one pass the
+// experiment layer compiles a document with.
+func (e Experiment) Validated() (core.Config, []Variant, []Config, error) {
 	if e.Name == "" {
-		return fmt.Errorf("%w: experiment has no name", ErrExperiment)
+		return core.Config{}, nil, nil, fmt.Errorf("%w: experiment has no name", ErrExperiment)
 	}
-	if _, err := e.Base.Resolve(); err != nil {
-		return fmt.Errorf("spec: base: %w", err)
+	base, err := e.Base.Resolve()
+	if err != nil {
+		return base, nil, nil, fmt.Errorf("spec: base: %w", err)
 	}
 	env := Env{N: 1 << 16, PPB: 32, QD: 32, F: e.Factor}
 	check := func(where string, threads []Thread) error {
@@ -374,35 +386,35 @@ func (e Experiment) Validate() error {
 		return nil
 	}
 	if err := check("workload", e.Workload); err != nil {
-		return err
+		return base, nil, nil, err
 	}
 	variants, err := e.ExpandVariants()
 	if err != nil {
-		return err
+		return base, nil, nil, err
 	}
-	for _, v := range variants {
-		cfg, err := e.ConfigFor(v)
-		if err != nil {
-			return err
+	cfgs := make([]Config, len(variants))
+	for i, v := range variants {
+		if cfgs[i], err = e.ConfigFor(v); err != nil {
+			return base, nil, nil, err
 		}
-		if _, err := cfg.Resolve(); err != nil {
-			return fmt.Errorf("spec: variant %q: %w", v.Label, err)
+		if _, err := cfgs[i].Resolve(); err != nil {
+			return base, nil, nil, fmt.Errorf("spec: variant %q: %w", v.Label, err)
 		}
 		if len(v.Workload) > 0 {
 			if err := check(fmt.Sprintf("variant %q workload", v.Label), v.Workload); err != nil {
-				return err
+				return base, nil, nil, err
 			}
 		}
 	}
 	if len(e.Workload) == 0 {
 		if len(e.Variants) == 0 && len(e.Grid) == 0 {
-			return fmt.Errorf("%w: %q has no workload", ErrExperiment, e.Name)
+			return base, nil, nil, fmt.Errorf("%w: %q has no workload", ErrExperiment, e.Name)
 		}
 		for _, v := range variants {
 			if len(v.Workload) == 0 {
-				return fmt.Errorf("%w: %q: variant %q has no workload", ErrExperiment, e.Name, v.Label)
+				return base, nil, nil, fmt.Errorf("%w: %q: variant %q has no workload", ErrExperiment, e.Name, v.Label)
 			}
 		}
 	}
-	return nil
+	return base, variants, cfgs, nil
 }
