@@ -165,64 +165,40 @@ func flagThread(base spec.Config, wlF *workloadFlags) (spec.Thread, string, erro
 	return spec.Thread{Type: name, Params: params}, name, nil
 }
 
-// runtimeOpts are the file-backed runtime operations a document cannot
-// express: restoring a saved device state and capturing a trace.
+// runtimeOpts are the runtime operations a document cannot express:
+// restoring a saved device state, capturing a trace, and how the Runner
+// prepares (spec's -state-cache and -fresh).
 type runtimeOpts struct {
 	loadState string
 	capture   *trace.Capture
+	runner    experiment.Options
 }
 
 // executeSingle drives a compiled single-run document's one variant (the
-// implicit "run" variant unless it declares its own) to completion on a live
-// stack — the identical path for `run` flags, `record`, `replay` and a
-// single-variant `spec FILE`, so they cannot drift — and prints the report.
+// implicit "run" variant unless it declares its own) on the stack the Runner
+// builds for it — the identical path for `run` flags, `record`, `replay` and
+// a single-variant `spec FILE`, and the one a sweep measures — and prints
+// the report. A -load-state file stands in for the declared preparation; a
+// capture records the measured window only.
 func executeSingle(def experiment.Definition, rt runtimeOpts, repF *reportFlags, header string, stdout, stderr io.Writer) int {
-	variant := def.Variants[0]
-	cfg, err := variant.Config.Resolve()
+	var ds *snapshot.DeviceState
+	if rt.loadState != "" {
+		var err error
+		if ds, err = snapshot.ReadFile(rt.loadState); err != nil {
+			return fail(stderr, err)
+		}
+	}
+	ctx := context.Background()
+	st, err := experiment.New(rt.runner).Stack(ctx, def, 0, ds)
 	if err != nil {
 		return fail(stderr, err)
 	}
 	if rt.capture != nil {
-		cfg.OS.Capture = rt.capture
+		st.OS.SetCapture(rt.capture)
+		rt.capture.Start(st.Engine.Now())
 	}
 
-	var st *core.Stack
-	if rt.loadState != "" {
-		ds, err := snapshot.ReadFile(rt.loadState)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		st, err = core.Restore(cfg, ds)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		st.MarkMeasurement()
-		if rt.capture != nil {
-			rt.capture.Start(st.Engine.Now())
-		}
-	} else {
-		st, err = core.New(cfg)
-		if err != nil {
-			return fail(stderr, err)
-		}
-	}
-
-	var hook func(*workload.Handle) *workload.Handle
-	if rt.capture != nil {
-		hook = func(barrier *workload.Handle) *workload.Handle {
-			if barrier == nil {
-				return nil
-			}
-			return st.Add(&workload.Func{F: func(ctx *workload.Ctx) {
-				rt.capture.Start(ctx.Now())
-			}}, barrier)
-		}
-	}
-	if err := experiment.RegisterRunHook(variant, def.Factor, st, hook); err != nil {
-		return fail(stderr, err)
-	}
-
-	end, err := st.RunCtx(context.Background())
+	end, err := st.RunCtx(ctx)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -318,9 +294,6 @@ func cmdRecord(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	capture := trace.NewCapture()
-	if *wlF.prepare || *loadState != "" {
-		capture.Stop() // re-armed once the measured window starts
-	}
 	header := fmt.Sprintf("eagletree: record %s -> %s", doc.Name, *out)
 	if code := executeSingle(def, runtimeOpts{loadState: *loadState, capture: capture}, repF, header, stdout, stderr); code != 0 {
 		return code

@@ -17,7 +17,7 @@ import (
 )
 
 // sigintChildMarker is printed by the child once its hanging variant is
-// running, so the parent knows signals will land inside runDefinitions.
+// running, so the parent knows signals will land inside runSweepGroups.
 const sigintChildMarker = "SIGINT-CHILD-READY"
 
 // hangingThread announces itself on stderr and then blocks forever.
@@ -30,7 +30,7 @@ func (hangingThread) Init(*workload.Ctx) {
 
 func (hangingThread) OnComplete(*workload.Ctx, *iface.Request) {}
 
-// runSigintChild drives runDefinitions over a variant whose one thread
+// runSigintChild drives runSweepGroups over a variant whose one thread
 // blocks forever — a variant that can never drain, so only the
 // second-interrupt hard exit can end the process. The thread type is
 // registered here, in the child process only.
@@ -58,7 +58,7 @@ func runSigintChild() {
 	}
 	no := false
 	out := &sweepOutput{csv: &no, chart: &no, timeline: &no}
-	os.Exit(runDefinitions([]experiment.Definition{def}, experiment.Options{Workers: 1}, out, false, os.Stdout, os.Stderr))
+	os.Exit(runSweepGroups([][]sweepJob{{{def: def}}}, false, inProcess(experiment.Options{Workers: 1}), out, false, os.Stdout, os.Stderr))
 }
 
 // TestSweepSecondInterruptHardExits re-execs the test binary into a sweep

@@ -159,30 +159,21 @@ func finishJob(j sweepJob, persist bool, collected *[]resultstore.Row, stderr io
 	return 0
 }
 
-// runDefinitions executes compiled definitions under an interrupt-aware
-// context through the streaming Runner and renders their results. The first
-// ^C cancels mid-sweep: workers drain, the partial row prefix prints, and the
-// process exits non-zero.
-func runDefinitions(defs []experiment.Definition, opts experiment.Options, out *sweepOutput, progress bool, stdout, stderr io.Writer) int {
-	groups := make([][]sweepJob, len(defs))
-	for i, def := range defs {
-		groups[i] = []sweepJob{{def: def}}
-	}
-	return runSweepGroups(groups, false, opts, out, progress, stdout, stderr)
-}
+// runJob runs one sweep job, streaming its events to obs.
+type runJob func(ctx context.Context, j sweepJob, obs experiment.Observer) (experiment.Results, error)
 
-// runSweepGroups executes job groups through the in-process Runner: each
-// job's rows flow through its sink, and a group that replicated over several
-// seeds closes with a confidence-interval summary.
-func runSweepGroups(groups [][]sweepJob, persist bool, opts experiment.Options, out *sweepOutput, progress bool, stdout, stderr io.Writer) int {
+// runSweepGroups executes job groups under an interrupt-aware context, each
+// job through run, and renders their results: each job's rows flow through
+// its sink, and a group that replicated over several seeds closes with a
+// confidence-interval summary. The first ^C cancels mid-sweep: workers
+// drain, the partial row prefix prints, and the process exits 130.
+func runSweepGroups(groups [][]sweepJob, persist bool, run runJob, out *sweepOutput, progress bool, stdout, stderr io.Writer) int {
 	ctx, stop := interruptContext(stderr)
 	defer stop()
 	for _, jobs := range groups {
 		var collected []resultstore.Row
 		for _, j := range jobs {
-			o := opts
-			o.Observer = jobObserver(j, progress, stderr)
-			res, err := experiment.New(o).Run(ctx, j.def)
+			res, err := run(ctx, j, jobObserver(j, progress, stderr))
 			if err != nil {
 				if errors.Is(err, experiment.ErrCanceled) {
 					if len(res.Rows) > 0 {
@@ -207,15 +198,24 @@ func runSweepGroups(groups [][]sweepJob, persist bool, opts experiment.Options, 
 	return 0
 }
 
-// runDistributed shards each job's variant grid over worker processes —
+// inProcess runs each job's compiled definition through the in-process
+// Runner.
+func inProcess(opts experiment.Options) runJob {
+	return func(ctx context.Context, j sweepJob, obs experiment.Observer) (experiment.Results, error) {
+		o := opts
+		o.Observer = obs
+		return experiment.New(o).Run(ctx, j.def)
+	}
+}
+
+// distributed shards each job's variant grid over worker processes —
 // -distribute N local subprocesses of this same binary, and/or -connect'ed
-// TCP workers — and renders the deterministically merged results through the
-// same renderer as the in-process path. The coordinator is the single store
-// writer: workers stream rows back, the merge orders them, and each job's
-// sink persists exactly what a sequential run would have.
-func runDistributed(groups [][]sweepJob, persist bool, distribute int, connect, cacheDir string, timeline bool, out *sweepOutput, progress bool, stdout, stderr io.Writer) int {
-	ctx, stop := interruptContext(stderr)
-	defer stop()
+// TCP workers — and returns the deterministically merged results, which
+// render through the same renderer as the in-process path. The coordinator
+// is the single store writer: workers stream rows back, the merge orders
+// them, and each job's sink persists exactly what a sequential run would
+// have.
+func distributed(distribute int, connect, cacheDir string, timeline, progress bool, stderr io.Writer) (runJob, error) {
 	base := fabric.Options{
 		Connect:      splitList(connect),
 		WorkerStderr: stderr,
@@ -223,7 +223,7 @@ func runDistributed(groups [][]sweepJob, persist bool, distribute int, connect, 
 	if distribute > 0 {
 		exe, err := os.Executable()
 		if err != nil {
-			return fail(stderr, fmt.Errorf("resolving worker binary: %w", err))
+			return nil, fmt.Errorf("resolving worker binary: %w", err)
 		}
 		argv := []string{exe, "worker", "-serve=stdio", "-quiet"}
 		if cacheDir != "" {
@@ -241,34 +241,11 @@ func runDistributed(groups [][]sweepJob, persist bool, distribute int, connect, 
 	if progress {
 		base.Logf = func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) }
 	}
-	for _, jobs := range groups {
-		var collected []resultstore.Row
-		for _, j := range jobs {
-			opts := base
-			opts.Observer = jobObserver(j, progress, stderr)
-			res, err := fabric.Run(ctx, j.doc, opts)
-			if err != nil {
-				if errors.Is(err, experiment.ErrCanceled) {
-					if len(res.Rows) > 0 {
-						fmt.Fprintln(stdout, res.Table())
-					}
-					fmt.Fprintf(stderr, "eagletree: %v\n", err)
-					return 130
-				}
-				return fail(stderr, err)
-			}
-			if code := finishJob(j, persist, &collected, stderr); code != 0 {
-				return code
-			}
-			renderResults(stdout, res, out)
-		}
-		if len(jobs) > 1 {
-			if code := printReplication(stdout, stderr, collected); code != 0 {
-				return code
-			}
-		}
-	}
-	return 0
+	return func(ctx context.Context, j sweepJob, obs experiment.Observer) (experiment.Results, error) {
+		opts := base
+		opts.Observer = obs
+		return fabric.Run(ctx, j.doc, opts)
+	}, nil
 }
 
 // printReplication renders the cross-seed replication summary: per variant,
@@ -498,9 +475,13 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 		if conflict != "" {
 			return fail(stderr, fmt.Errorf("-%s does not apply to a distributed sweep (each worker runs one variant at a time)", conflict))
 		}
-		return runDistributed(groups, store != nil, *distribute, *connect, *cacheDir, *out.timeline, out, *progress, stdout, stderr)
+		run, err := distributed(*distribute, *connect, *cacheDir, *out.timeline, *progress, stderr)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		return runSweepGroups(groups, store != nil, run, out, *progress, stdout, stderr)
 	}
-	return runSweepGroups(groups, store != nil, opts, out, *progress, stdout, stderr)
+	return runSweepGroups(groups, store != nil, inProcess(opts), out, *progress, stdout, stderr)
 }
 
 // cmdList prints the experiment index straight from the suite's spec data,
@@ -529,9 +510,9 @@ func cmdList(args []string, stdout, stderr io.Writer) int {
 }
 
 // cmdSpec runs experiment spec documents: a single-run document prints the
-// run report through the exact flag-mode flow (bit-identical to the flags
-// that dumped it), a variant grid runs through the experiment pipeline and
-// prints its table.
+// run report through the flag mode's path (bit-identical to the flags that
+// dumped it), a variant grid prints its table; both run on the Runner's
+// stacks under the same options.
 func cmdSpec(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("eagletree spec", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -579,13 +560,13 @@ func cmdSpec(args []string, stdout, stderr io.Writer) int {
 				def.SeriesBucket = 20 * sim.Millisecond
 			}
 			fmt.Fprintf(stdout, "eagletree: spec %s: experiment %s (%d variants)\n\n", path, doc.Name, len(def.Variants))
-			if code := runDefinitions([]experiment.Definition{def}, opts, out, *progress, stdout, stderr); code != 0 {
+			if code := runSweepGroups([][]sweepJob{{{def: def}}}, false, inProcess(opts), out, *progress, stdout, stderr); code != 0 {
 				return code
 			}
 			continue
 		}
 		header := fmt.Sprintf("eagletree: spec %s: %s / %s", path, doc.Name, def.Variants[0].Label)
-		if code := executeSingle(def, runtimeOpts{}, nil, header, stdout, stderr); code != 0 {
+		if code := executeSingle(def, runtimeOpts{runner: opts}, nil, header, stdout, stderr); code != 0 {
 			return code
 		}
 	}

@@ -448,44 +448,66 @@ func wasCanceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// runVariant builds and drives one variant's stack to completion.
-//
-// Variants with declared preparation run in two phases: the preparation
-// workload runs to a full drain on a stack built from the normalized
-// preparation config (shared across variants and cached as an encoded
-// snapshot), then the measured workload runs on a stack restored from that
-// snapshot under the variant's full config. Restoration carries the engine
-// clock, RNG lineage and thread/request id sequences, so a cache hit and a
-// fresh preparation produce bit-identical rows.
+// runVariant drives variant i's stack, from its measurement epoch, to
+// completion and extracts the variant's row.
 func (rs *runState) runVariant(ctx context.Context, i int, v Variant) (Row, error) {
-	def := rs.def
-	cfg, err := def.config(v)
+	stack, err := rs.stack(ctx, i, v, nil)
 	if err != nil {
-		return Row{}, fmt.Errorf("experiment %q variant %q: %w", def.Name, v.Label, err)
+		return Row{}, err
 	}
-	var stack *core.Stack
-	if v.Prep.FillDepth <= 0 {
-		st, err := core.New(cfg)
-		if err != nil {
-			return Row{}, fmt.Errorf("experiment %q variant %q: %w", def.Name, v.Label, err)
-		}
-		stack = st
-	} else {
-		ds, err := rs.preparedState(ctx, i, v, cfg)
-		if err != nil {
-			if wasCanceled(err) {
-				return Row{}, err
-			}
-			return Row{}, fmt.Errorf("experiment %q variant %q: %w", def.Name, v.Label, err)
-		}
-		st, err := core.Restore(cfg, ds)
-		if err != nil {
-			return Row{}, fmt.Errorf("experiment %q variant %q: %w", def.Name, v.Label, err)
-		}
-		st.MarkMeasurement()
-		stack = st
+	if _, err := stack.RunCtx(ctx); err != nil {
+		return Row{}, fmt.Errorf("experiment %q variant %q: %w", rs.def.Name, v.Label, err)
 	}
-	return rs.finishVariant(ctx, i, v, stack)
+	row := Row{Label: v.Label, X: v.X, Report: stack.Report()}
+	if ts := stack.Stats.Series(); ts != nil {
+		row.Timeline = ts.Sparkline()
+	}
+	return row, nil
+}
+
+// stack returns variant i's stack at its measurement epoch with the measured
+// workload registered and not yet started (see Runner.Stack).
+func (rs *runState) stack(ctx context.Context, i int, v Variant, ds *snapshot.DeviceState) (*core.Stack, error) {
+	stack, err := rs.epoch(ctx, i, v, ds)
+	if err == nil {
+		if atMeasurement != nil {
+			atMeasurement(i, stack)
+		}
+		err = addSpecThreads(stack, v.Workload, rs.def.Factor)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiment %q variant %q: %w", rs.def.Name, v.Label, err)
+	}
+	return stack, nil
+}
+
+// epoch builds variant i's stack as its measured window starts. A variant
+// with declared preparation runs in two phases: the preparation workload
+// runs to a full drain on a stack built from the normalized preparation
+// config (shared across variants and cached as an encoded snapshot), then
+// the variant's stack is restored from that snapshot under its full config.
+// Restoration carries the engine clock, RNG lineage and thread/request id
+// sequences, so a cache hit and a fresh preparation produce bit-identical
+// rows. A given state ds stands in for the declared preparation.
+func (rs *runState) epoch(ctx context.Context, i int, v Variant, ds *snapshot.DeviceState) (*core.Stack, error) {
+	cfg, err := rs.def.config(v)
+	if err != nil {
+		return nil, err
+	}
+	if ds == nil && v.Prep.FillDepth > 0 {
+		if ds, err = rs.preparedState(ctx, i, v, cfg); err != nil {
+			return nil, err
+		}
+	}
+	if ds == nil {
+		return core.New(cfg)
+	}
+	stack, err := core.Restore(cfg, ds)
+	if err != nil {
+		return nil, err
+	}
+	stack.MarkMeasurement()
+	return stack, nil
 }
 
 // config resolves a variant's configuration for one run — the one resolve a
@@ -563,23 +585,3 @@ func buildPrepared(ctx context.Context, pdoc spec.Config, p spec.Prep) ([]byte, 
 // (export_test.go): the program-identity audit reads a run's live counters
 // through it.
 var atMeasurement func(i int, s *core.Stack)
-
-// finishVariant registers the measured workload on a ready stack (fresh or
-// restored), drives it to a drain (or a context abort) and extracts the
-// variant's row.
-func (rs *runState) finishVariant(ctx context.Context, i int, v Variant, stack *core.Stack) (Row, error) {
-	if atMeasurement != nil {
-		atMeasurement(i, stack)
-	}
-	if err := addSpecThreads(stack, nil, v.Workload, rs.def.Factor); err != nil {
-		return Row{}, fmt.Errorf("experiment %q variant %q: %w", rs.def.Name, v.Label, err)
-	}
-	if _, err := stack.RunCtx(ctx); err != nil {
-		return Row{}, fmt.Errorf("experiment %q variant %q: %w", rs.def.Name, v.Label, err)
-	}
-	row := Row{Label: v.Label, X: v.X, Report: stack.Report()}
-	if ts := stack.Stats.Series(); ts != nil {
-		row.Timeline = ts.Sparkline()
-	}
-	return row, nil
-}

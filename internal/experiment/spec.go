@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -80,12 +81,12 @@ func (def Definition) Keys() ([]string, error) {
 	return keys, nil
 }
 
-// addSpecThreads registers a spec thread list on a stack, each thread
-// dependent on barrier (none when nil). Expressions resolve against the live stack (n, ppb,
-// qd) and the experiment's scale factor; a repeated thread sees its replica
-// index as i. This one loop serves both the prepare-once experiment flow
-// and the CLIs' single-run barrier flow, so the two cannot drift.
-func addSpecThreads(st *core.Stack, barrier *workload.Handle, threads []spec.Thread, factor int64) error {
+// addSpecThreads registers a spec thread list on a stack, without
+// dependencies. Expressions resolve against the live stack (n, ppb, qd) and
+// the experiment's scale factor; a repeated thread sees its replica index as
+// i. This one loop serves the Runner and RegisterRun, so the two cannot
+// drift.
+func addSpecThreads(st *core.Stack, threads []spec.Thread, factor int64) error {
 	cfg := st.Config()
 	cfg.OS.WithDefaults()
 	env := spec.Env{
@@ -106,38 +107,28 @@ func addSpecThreads(st *core.Stack, barrier *workload.Handle, threads []spec.Thr
 			if err != nil {
 				return fmt.Errorf("thread %q: %w", t.Type, err)
 			}
-			st.Add(thr, barrier)
+			st.Add(thr)
 		}
 	}
 	return nil
 }
 
-// RegisterRun registers a single-run spec (the base configuration with one
-// variant's preparation and workload) onto a live stack: preparation
-// threads, a measurement barrier, then the measured threads. It is the path
-// for running one spec document on a stack the caller built — the thread
-// registration order matches the flag-driven CLI exactly, so a dumped spec
-// reproduces its run bit for bit.
-func RegisterRun(e spec.Experiment, v spec.Variant, st *core.Stack) error {
-	return RegisterRunHook(compileVariant(e, v, spec.Config{}), e.Factor, st, nil)
-}
+// ErrDeclaredPrep reports a declared preparation handed to RegisterRun. A
+// prepared device comes from the Runner: Runner.Stack ages it on a stack of
+// its own, snapshots the drained state (through the cache, under its key)
+// and restores it for the measured window.
+var ErrDeclaredPrep = errors.New("experiment: declared preparation runs through the Runner (Runner.Stack), not RegisterRun")
 
-// RegisterRunHook is RegisterRun for a compiled variant, with a
-// measurement-boundary hook: when non-nil, hook is called with the
-// preparation barrier's handle (nil when the variant declares no
-// preparation) and its return value becomes the dependency of the measured
-// threads. The CLI uses it to insert a capture-arming thread exactly at the
-// boundary, preserving the historical thread-id sequence of flag-driven
-// recorded runs.
-func RegisterRunHook(v Variant, factor int64, st *core.Stack, hook func(barrier *workload.Handle) *workload.Handle) error {
-	var barrier *workload.Handle
-	if v.Prep.FillDepth > 0 {
-		barrier = st.AddBarrier(addPrep(st, v.Prep))
+// RegisterRun registers a single-run spec's measured threads — the
+// variant's workload, or else the document's — onto a live stack the caller
+// built, fresh or restored, without dependencies. A variant or document
+// that declares a preparation is refused with ErrDeclaredPrep.
+func RegisterRun(e spec.Experiment, v spec.Variant, st *core.Stack) error {
+	cv := compileVariant(e, v, spec.Config{})
+	if cv.Prep.FillDepth > 0 {
+		return fmt.Errorf("experiment %q variant %q: %w", e.Name, v.Label, ErrDeclaredPrep)
 	}
-	if hook != nil {
-		barrier = hook(barrier)
-	}
-	return addSpecThreads(st, barrier, v.Workload, factor)
+	return addSpecThreads(st, cv.Workload, e.Factor)
 }
 
 // e13Traces memoizes the captured E13 reference trace per scale: the capture

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io/fs"
@@ -125,5 +126,51 @@ func TestSpecRepeatIndexDoesNotLeak(t *testing.T) {
 	}
 	if got := st.Runner.Active(); got != 4 {
 		t.Fatalf("registered %d threads, want 4 (3 writers + 1 reader; i must reset per thread)", got)
+	}
+}
+
+// TestRegisterRunRefusesPrep: RegisterRun registers measured threads only;
+// a preparation declared by the document or by the variant is refused with
+// ErrDeclaredPrep, before any thread registers, and a variant that clears
+// the document's preparation registers its workload.
+func TestRegisterRunRefusesPrep(t *testing.T) {
+	e11, _ := SuiteSpec("e11", Small)
+	e := spec.Experiment{
+		Name:     "declared-prep",
+		Base:     e11.Base,
+		Workload: []spec.Thread{{Type: "randwrite", Params: map[string]any{"from": 0, "space": "n", "count": 10, "depth": 4}}},
+	}
+	prep := &spec.Prep{FillDepth: 32, AgePasses: 1}
+	cfg, err := e.Base.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	withDocPrep := e
+	withDocPrep.Prep = prep
+	for _, c := range []struct {
+		name string
+		e    spec.Experiment
+		v    spec.Variant
+		want error
+	}{
+		{"document prep", withDocPrep, spec.Variant{Label: "run"}, ErrDeclaredPrep},
+		{"variant prep", e, spec.Variant{Label: "run", Prep: prep}, ErrDeclaredPrep},
+		{"prep cleared by the variant", withDocPrep, spec.Variant{Label: "run", Prep: &spec.Prep{}}, nil},
+	} {
+		st, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = RegisterRun(c.e, c.v, st)
+		if !errors.Is(err, c.want) || (c.want == nil) != (err == nil) {
+			t.Errorf("%s: RegisterRun = %v, want %v", c.name, err, c.want)
+		}
+		want := 1
+		if c.want != nil {
+			want = 0
+		}
+		if got := st.Runner.Active(); got != want {
+			t.Errorf("%s: %d threads registered, want %d", c.name, got, want)
+		}
 	}
 }

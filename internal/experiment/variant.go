@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"eagletree/internal/core"
+	"eagletree/internal/snapshot"
 )
 
-// ErrVariantIndex reports a RunVariant lease index outside the definition's
-// grid — coordinator and worker disagree about the document.
+// ErrVariantIndex reports a RunVariant lease index (or a Stack index)
+// outside the definition's grid — coordinator and worker disagree about the
+// document.
 var ErrVariantIndex = errors.New("experiment: variant index out of range")
 
 // RunVariant executes exactly one variant of the definition — the
@@ -27,9 +31,8 @@ var ErrVariantIndex = errors.New("experiment: variant index out of range")
 // panicking variant returns its *VariantError, exactly as Run would have
 // recorded it.
 func (r *Runner) RunVariant(ctx context.Context, def Definition, index int) (Row, error) {
-	if index < 0 || index >= len(def.Variants) {
-		return Row{}, fmt.Errorf("experiment %q: %w: %d not in [0,%d)",
-			def.Name, ErrVariantIndex, index, len(def.Variants))
+	if err := checkIndex(def, index); err != nil {
+		return Row{}, err
 	}
 	rs := r.newRunState(def)
 	v := def.Variants[index]
@@ -44,4 +47,28 @@ func (r *Runner) RunVariant(ctx context.Context, def Definition, index int) (Row
 			Total: len(def.Variants), Cause: cause}
 	}
 	return rs.rows[index], rs.errs[index]
+}
+
+// Stack returns the stack Run and RunVariant drive for variant index: at its
+// measurement epoch, with the measured workload registered and not yet
+// started. The stack is restored from ds when ds is non-nil (a state saved
+// by `eagletree state save`); otherwise it comes from the variant's declared
+// preparation through the runner's cache, with the same prepare event Run
+// emits; otherwise it is fresh. Driving it with RunCtx and reading its
+// Report gives the variant's Run row, so a caller that prints more than a
+// row — the CLI's single runs — measures exactly what a sweep measures.
+func (r *Runner) Stack(ctx context.Context, def Definition, index int, ds *snapshot.DeviceState) (*core.Stack, error) {
+	if err := checkIndex(def, index); err != nil {
+		return nil, err
+	}
+	return r.newRunState(def).stack(ctx, index, def.Variants[index], ds)
+}
+
+// checkIndex refuses a variant index outside the definition's grid.
+func checkIndex(def Definition, index int) error {
+	if index < 0 || index >= len(def.Variants) {
+		return fmt.Errorf("experiment %q: %w: %d not in [0,%d)",
+			def.Name, ErrVariantIndex, index, len(def.Variants))
+	}
+	return nil
 }

@@ -120,6 +120,10 @@ func (o *OS) Policy() Policy { return o.cfg.Policy }
 // QueueDepth returns the outstanding-IO bound.
 func (o *OS) QueueDepth() int { return o.cfg.QueueDepth }
 
+// SetCapture attaches c to observe every later submission, in place of
+// Config.Capture: a capture can join a stack built (or restored) elsewhere.
+func (o *OS) SetCapture(c Capture) { o.cfg.Capture = c }
+
 // Stats returns OS-level counters.
 func (o *OS) Stats() Stats { return o.stats }
 
